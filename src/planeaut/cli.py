@@ -22,14 +22,14 @@ import json
 import sys
 from fractions import Fraction
 
-from .cyclotomic import DomainMismatchError, RootOfUnity
+from .cyclotomic import RootOfUnity
 from .endo import endo_order
 from .prufer import CoeffSequence, verify_formula
 from .linearize import (LinearizationProblem, minimal_linearizer_degree,
                         solve_linearization)
 from .conjugacy import (differ_infinitely, necessary_condition, omega0_family,
                         verify_subgroup_conjugator)
-from .parsing import (ParseError, parse_endo, parse_scalar, parse_triangular)
+from .parsing import parse_endo, parse_scalar, parse_triangular
 from . import conjugate as conjugate_endo, compose
 
 
@@ -57,10 +57,33 @@ def _load_manifest() -> dict:
     return data
 
 
+_KINDS = {int: "an integer", str: "a string", dict: "an object",
+          list: "a list of strings"}
+_REQUIRED = object()
+
+
+def _field(record: dict, key: str, kind: type, default=_REQUIRED):
+    """record[key] (or the default, if given, when it is absent) checked to be
+    a JSON value of the kind; a bad field raises ValueError naming it."""
+    if default is not _REQUIRED and key not in record:
+        return default
+    value = record[key]
+    valid = isinstance(value, kind) and not isinstance(value, bool)
+    if valid and kind is list:
+        valid = all(isinstance(item, str) for item in value)
+    if not valid and not (key == "tail" and value == "zero"):
+        either = '"zero" or ' if key == "tail" else ""
+        raise ValueError(f"manifest field {key!r} must be {either}{_KINDS[kind]}")
+    return value
+
+
 def _manifest_sequence(manifest: dict, key: str) -> CoeffSequence:
-    record = dict(manifest[key])
-    record.setdefault("prime", manifest["prime"])
-    return CoeffSequence.from_manifest(record)
+    record = _field(manifest, key, dict)
+    return CoeffSequence.from_manifest({
+        "prime": _field(record, "prime", int, _field(manifest, "prime", int)),
+        "prefix": _field(record, "prefix", list, []),
+        "tail": _field(record, "tail", list, "zero"),
+    })
 
 
 def _two_sequences(args) -> tuple[CoeffSequence, CoeffSequence, dict]:
@@ -118,7 +141,7 @@ def _cmd_conjugate(args) -> int:
 
 def _cmd_verify_formula(args) -> int:
     seq, manifest = _one_sequence(args)
-    alpha_text = args.alpha if args.alpha is not None else manifest["alpha"]
+    alpha_text = args.alpha if args.alpha is not None else _field(manifest, "alpha", str)
     alpha = _alpha(seq.prime, alpha_text)
     if verify_formula(seq, alpha):
         print("OK: formula matches composition")
@@ -142,8 +165,9 @@ def _cmd_linearize(args) -> int:
 
 def _cmd_min_degree(args) -> int:
     seq, manifest = _one_sequence(args)
-    alpha_text = args.alpha if args.alpha is not None else manifest["alpha"]
-    bound = args.max_degree if args.max_degree is not None else manifest["max_degree"]
+    alpha_text = args.alpha if args.alpha is not None else _field(manifest, "alpha", str)
+    bound = (args.max_degree if args.max_degree is not None
+             else _field(manifest, "max_degree", int))
     alpha = _alpha(seq.prime, alpha_text)
     degree = minimal_linearizer_degree(seq, alpha, bound)
     if degree is None:
@@ -155,7 +179,7 @@ def _cmd_min_degree(args) -> int:
 
 def _cmd_nonconj_check(args) -> int:
     a, b, manifest = _two_sequences(args)
-    k0 = args.k0 if args.k0 is not None else manifest.get("k0")
+    k0 = args.k0 if args.k0 is not None else _field(manifest, "k0", int, None)
     report = necessary_condition(a, b, k0)
     if report.satisfiable:
         print("CONDITION SATISFIABLE")
@@ -173,8 +197,8 @@ def _cmd_nonconj_check(args) -> int:
 
 def _cmd_verify_conjugator(args) -> int:
     a, b, manifest = _two_sequences(args)
-    theta_text = args.theta if args.theta is not None else manifest["theta"]
-    levels = args.levels if args.levels is not None else manifest.get("levels", 3)
+    theta_text = args.theta if args.theta is not None else _field(manifest, "theta", str)
+    levels = args.levels if args.levels is not None else _field(manifest, "levels", int, 3)
     theta = parse_triangular(theta_text)
     if verify_subgroup_conjugator(a, b, theta, levels):
         print(f"OK: conjugator intertwines levels 1..{levels}")
@@ -282,10 +306,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (ParseError, DomainMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, ZeroDivisionError, json.JSONDecodeError) as exc:
+    # ParseError, DomainMismatchError and json.JSONDecodeError are ValueErrors
+    except (ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

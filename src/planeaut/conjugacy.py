@@ -16,9 +16,12 @@ scalars:
 * on an infinite common support, beta^(p^k + 1) is eventually constant for
   class members (the root part stabilizes, the rational part must be +-1),
   so the ratios b_k/a_k must be eventually constant;
-* candidate pairs come from the finitely many exact roots of the anchor
-  ratio equation beta^(p^k - p^k*) = (a_k* b_k)/(a_k b_k*), and each one is
-  verified over a window long enough that periodicity covers the rest.
+* candidate pairs come from the exact roots of the anchor ratio equation
+  beta^(p^k - p^k*) = (a_k* b_k)/(a_k b_k*), one root per rational split:
+  the other roots differ from it by a kernel element kappa of order
+  dividing p^k*, and kappa^(p^k + 1) = kappa for k >= k* is absorbed into
+  gamma, so there is no search cap.  Each candidate is verified over a
+  window long enough that periodicity covers the rest.
 
 A reported certificate therefore means: every (beta, gamma) in the searched
 class violates the condition at infinitely many indices.
@@ -29,7 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import CycNum, DomainMismatchError, RootOfUnity
+from .cyclotomic import (CycNum, DomainMismatchError, RootOfUnity,
+                         root_of_unity_splits)
 from .endo import TriangularAffine, compose
 from .prufer import CoeffSequence, conj_closed_form
 
@@ -169,42 +173,16 @@ def _rational_roots(q: Fraction, t: int) -> list[Fraction]:
     return [r, -r] if t % 2 == 0 else [r]
 
 
-def _split_rational_root(c: CycNum, p: int) -> list[tuple[Fraction, RootOfUnity]]:
-    """All decompositions c = q * omega with q rational and omega in C_{p^infty}."""
-    if c.is_rational:
-        out = [(c.as_fraction(), RootOfUnity.one(p))]
-        if p == 2:
-            out.append((-c.as_fraction(), RootOfUnity(2, 1, 1)))
-        return out
-    if c.prime != p:
-        return []
-    n = c.level
-    m = p ** n
-    z_inv = CycNum.zeta(p, n, m - 1)
-    out = []
-    w = c
-    for j in range(m):
-        if w.is_rational:
-            out.append((w.as_fraction(), RootOfUnity(p, n, j)))
-        w = w * z_inv
-    return out
-
-
-def _root_power_solutions(p: int, t: int, target: RootOfUnity,
-                          cap: int) -> list[RootOfUnity]:
-    """All omega in C_{p^infty} with omega^t = target, by exponent congruence."""
+def _root_power_solution(p: int, t: int, target: RootOfUnity) -> RootOfUnity:
+    """The omega in C_{p^infty} of least exponent with omega^t = target."""
     a, u = 0, t
     while u % p == 0:
         u //= p
         a += 1
-    kernel = p ** a
-    if kernel > cap:
-        raise RuntimeError(
-            f"root search kernel of size {kernel} exceeds the cap {cap}")
     level, j = target.level, target.exp
     mod = p ** level
     e0 = (j * pow(u, -1, mod)) % mod if level else 0
-    return [RootOfUnity(p, a + level, e0 + mod * d) for d in range(kernel)]
+    return RootOfUnity(p, a + level, e0)
 
 
 def _beta_power(scale: Fraction, root: RootOfUnity, e: int) -> CycNum:
@@ -236,9 +214,8 @@ def _verify_candidate(a: CoeffSequence, b: CoeffSequence, start: int,
 
 
 def _candidates_from(a: CoeffSequence, b: CoeffSequence, start: int,
-                     join: int, period: int, infinite_support: bool,
-                     cap: int):
-    """Verified (scale, root, gamma) witnesses valid from `start`, best first."""
+                     join: int, period: int, infinite_support: bool):
+    """The best verified (scale, root, gamma) witness valid from `start`, or None."""
     p = a.prime
     window_end = join + 2 * period
     common = [k for k in range(start, window_end)
@@ -253,13 +230,12 @@ def _candidates_from(a: CoeffSequence, b: CoeffSequence, start: int,
         t = p ** k2 - p ** k_star
         c = (a.coeff(k_star) * b.coeff(k2)) / (a.coeff(k2) * b.coeff(k_star))
         raw = []
-        for q, rho in _split_rational_root(c, p):
+        for q, rho in root_of_unity_splits(c, p):
+            root = _root_power_solution(p, t, rho)
             for scale in _rational_roots(q, t):
-                for root in _root_power_solutions(p, t, rho, cap):
-                    raw.append((scale, root))
-    seen = list(dict.fromkeys(raw))
-    seen.sort(key=lambda sr: (sr[1].level, sr[1].exp, abs(sr[0] - 1), sr[0] < 0))
-    for scale, root in seen:
+                raw.append((scale, root))
+    raw.sort(key=lambda sr: (sr[1].level, sr[1].exp, abs(sr[0] - 1), sr[0] < 0))
+    for scale, root in raw:
         if infinite_support and abs(scale) != 1:
             continue
         gamma = (a.coeff(k_star) * _beta_power(scale, root, p ** k_star + 1)
@@ -270,8 +246,7 @@ def _candidates_from(a: CoeffSequence, b: CoeffSequence, start: int,
 
 
 def necessary_condition(a: CoeffSequence, b: CoeffSequence,
-                        k0: int | None = None,
-                        max_candidates: int = 200_000) -> ConjugacyReport:
+                        k0: int | None = None) -> ConjugacyReport:
     """Decide the scalar matching condition between two coefficient sequences.
 
     Returns a satisfiable report carrying a witness (beta, gamma) and the
@@ -309,8 +284,7 @@ def necessary_condition(a: CoeffSequence, b: CoeffSequence,
     starts.update(k + 1 for k in range(first_start, join)
                   if not a.coeff(k).is_zero and not b.coeff(k).is_zero)
     for start in sorted(starts):
-        hit = _candidates_from(a, b, start, join, period,
-                               bool(common_offsets), max_candidates)
+        hit = _candidates_from(a, b, start, join, period, bool(common_offsets))
         if hit is not None:
             scale, root, gamma = hit
             beta = CycNum.rational(scale) * root.to_field()

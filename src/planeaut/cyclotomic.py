@@ -13,7 +13,7 @@ towers of two different primes raises DomainMismatchError.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -428,18 +428,6 @@ def as_cycnum(value) -> CycNum:
     return c
 
 
-def multiplicative_order(u: CycNum, bound: int) -> int | None:
-    """Smallest t <= bound with u^t = 1, or None."""
-    if u.is_zero:
-        return None
-    w = u
-    for t in range(1, bound + 1):
-        if w == _CYC_ONE:
-            return t
-        w = w * u
-    return None
-
-
 # ---------------------------------------------------------------------------
 
 class RootOfUnity:
@@ -544,23 +532,46 @@ class RootOfUnity:
         return f"RootOfUnity(p={self.prime}, {self.exponent})"
 
 
+def root_of_unity_splits(u: CycNum, p: int) -> list[tuple[Fraction, RootOfUnity]]:
+    """Every split u = q * omega with q rational and omega in C_{p^infty}.
+
+    Read off the canonical vector at level n = max(level, 1): q * zeta^j is
+    the single term q at j < phi, else the p-1 terms -q on the stride p^(n-1)
+    from j - phi; for p = 2 both shapes are one term, giving two splits.
+    """
+    _check_prime(p)
+    if u.level and u.prime != p:
+        return []
+    n = max(u.level, 1)
+    phi = phi_prime_power(p, n)
+    terms = [(i, c) for i, c in enumerate(u.coeffs_at_level(n, p)) if c]
+    if len(terms) == 1:
+        j, q = terms[0]
+        splits = [(q, RootOfUnity(p, n, j))]
+        if p == 2:
+            splits.append((-q, RootOfUnity(p, n, j + phi)))
+        return splits
+    if len(terms) == p - 1:
+        j, q = terms[0]
+        if terms == [(j + i * p ** (n - 1), q) for i in range(p - 1)]:
+            return [(-q, RootOfUnity(p, n, j + phi))]
+    return []
+
+
+def multiplicative_order(u: CycNum, bound: int) -> int | None:
+    """Smallest t <= bound with u^t = 1, or None.
+
+    Only +-omega has finite order (a rational u is read in the 2-tower).
+    -omega has order lcm(2, order of omega), or less for p = 2, where the
+    split with q = 1 is listed as well, so the least candidate is the order.
+    """
+    orders = [lcm(2, omega.order) if q == -1 else omega.order
+              for q, omega in root_of_unity_splits(u, u.prime or 2)
+              if abs(q) == 1]
+    return min((t for t in orders if t <= bound), default=None)
+
+
 def as_root_of_unity(u: CycNum, p: int) -> RootOfUnity | None:
     """Recognize u as an element of C_{p^infty}, or return None."""
-    _check_prime(p)
-    if u.is_rational:
-        q = u.as_fraction()
-        if q == 1:
-            return RootOfUnity.one(p)
-        if q == -1 and p == 2:
-            return RootOfUnity(2, 1, 1)
-        return None
-    if u.prime != p:
-        return None
-    n = u.level
-    z = CycNum.zeta(p, n)
-    w = CycNum.one()
-    for j in range(p ** n):
-        if w == u:
-            return RootOfUnity(p, n, j)
-        w = w * z
-    return None
+    return next((omega for q, omega in root_of_unity_splits(u, p) if q == 1),
+                None)

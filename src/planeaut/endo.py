@@ -8,7 +8,7 @@ orientation.
 
 from __future__ import annotations
 
-from .cyclotomic import CycNum, as_cycnum
+from .cyclotomic import as_cycnum
 from .poly import SparsePoly
 
 
@@ -170,9 +170,3 @@ def is_diagonal(psi: PlaneEndo) -> bool:
     return (len(psi.f1) == 1 and len(psi.f2) == 1
             and not psi.f1.coefficient(1, 0).is_zero
             and not psi.f2.coefficient(0, 1).is_zero)
-
-
-def diagonal_scalars(psi: PlaneEndo) -> tuple[CycNum, CycNum]:
-    if not is_diagonal(psi):
-        raise ValueError(f"{psi} is not diagonal")
-    return psi.f1.coefficient(1, 0), psi.f2.coefficient(0, 1)

@@ -110,10 +110,14 @@ def solve_linearization(problem: LinearizationProblem) -> LinearizationResult:
 
 def minimal_linearizer_degree(s: CoeffSequence, alpha: RootOfUnity,
                               max_bound: int) -> int | None:
-    """Smallest bound <= max_bound at which the shift-conjugate linearizes."""
+    """Smallest bound <= max_bound at which the shift-conjugate linearizes.
+
+    One solve at max_bound finds every coefficient the conjugator needs, so
+    the answer is max(1, deg g) of its shift part g; None if that solve
+    fails or max_bound < 1.
+    """
+    if max_bound < 1:
+        return None
     target = conj_closed_form(s, alpha)
-    for bound in range(1, max_bound + 1):
-        result = solve_linearization(LinearizationProblem(target, bound))
-        if result.found:
-            return bound
-    return None
+    result = solve_linearization(LinearizationProblem(target, max_bound))
+    return max(1, result.theta.g.degree) if result.found else None

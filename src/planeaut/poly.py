@@ -95,9 +95,6 @@ class SparsePoly:
     def involves_x1(self) -> bool:
         return any(e1 for e1, _ in self._terms)
 
-    def involves_x2(self) -> bool:
-        return any(e2 for _, e2 in self._terms)
-
     def is_constant(self) -> bool:
         return all(m == (0, 0) for m in self._terms)
 

@@ -58,9 +58,6 @@ class CoeffSequence:
     def has_finite_support(self) -> bool:
         return self.tail is None
 
-    def support_in(self, start: int, stop: int) -> list[int]:
-        return [k for k in range(start, stop) if not self.coeff(k).is_zero]
-
     def joint_region(self, other: "CoeffSequence", k0: int = 0) -> tuple[int, int]:
         """(start, period) from which both sequences are jointly periodic."""
         start = max(k0, len(self.prefix), len(other.prefix))

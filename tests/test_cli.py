@@ -105,6 +105,18 @@ class TestCommands:
                        "gamma = 1\n"
                        "holds from k = 0\n")
 
+    def test_nonconj_long_zero_prefix(self, capsys):
+        # the root search kernel here has 2^20 elements, all absorbed into gamma
+        zeros = ",".join(["0"] * 20)
+        code, out, _ = run(capsys, "nonconj-check", "--p", "2",
+                           "--prefix", zeros, "--tail", "1",
+                           "--prefix", zeros, "--tail", "1")
+        assert code == 0
+        assert out == ("CONDITION SATISFIABLE\n"
+                       "beta = 1\n"
+                       "gamma = 1\n"
+                       "holds from k = 20\n")
+
     def test_verify_conjugator(self, capsys):
         code, out, _ = run(capsys, "verify-conjugator", "--p", "2",
                            "--prefix", "1,1,1", "--prefix", "4,8,32",
@@ -180,11 +192,47 @@ class TestManifestInput:
         code, out, _ = run(capsys, "nonconj-check")
         assert (code, out) == (1, GOLDEN_NONCONJ)
 
-    def test_bad_manifest_json(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("not json"))
-        code, _, err = run(capsys, "verify-formula")
+    @pytest.mark.parametrize("command,text,field", [
+        pytest.param("verify-formula", "not json", None, id="not-json"),
+        pytest.param("verify-formula",
+                     '{"prime":2,"a":{"prefix":[1]},"alpha":"1/2"}', "prefix",
+                     id="prefix-number"),
+        pytest.param("verify-formula",
+                     '{"prime":"x","a":{"prefix":["1"]},"alpha":"1/2"}', "prime",
+                     id="prime-string"),
+        pytest.param("verify-formula", '{"prime":2,"a":[1],"alpha":"1/2"}', "a",
+                     id="a-list"),
+        pytest.param("verify-formula",
+                     '{"prime":2,"a":{"prefix":["1"]},"alpha":[1]}', "alpha",
+                     id="alpha-list"),
+        pytest.param("min-degree",
+                     '{"prime":2,"a":{"prefix":["1"]},"alpha":"1/2",'
+                     '"max_degree":"5"}', "max_degree", id="max-degree-string"),
+        pytest.param("nonconj-check",
+                     '{"prime":2,"a":{"tail":["1"]},"b":{"tail":["1"]},"k0":"0"}',
+                     "k0", id="k0-string"),
+        pytest.param("verify-conjugator",
+                     '{"prime":2,"a":{"tail":["1"]},"b":{"tail":["1"]},'
+                     '"theta":"(x1, x2)","levels":"2"}', "levels",
+                     id="levels-string"),
+        pytest.param("verify-conjugator",
+                     '{"prime":2,"a":{"tail":["1"]},"b":{"tail":["1"]},"theta":5}',
+                     "theta", id="theta-number"),
+        pytest.param("verify-formula",
+                     '{"prime":2,"a":{"prefix":["1"],"tail":5},"alpha":"1/2"}',
+                     "tail", id="tail-number"),
+        pytest.param("verify-formula",
+                     '{"prime":true,"a":{"prefix":["1"]},"alpha":"1/2"}', "prime",
+                     id="prime-boolean"),
+    ])
+    def test_bad_manifest_json(self, capsys, monkeypatch, command, text, field):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run(capsys, command)
         assert code == 2
-        assert err.startswith("error:")
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        if field is not None:
+            assert repr(field) in err
 
 
 def test_module_invocation_subprocess():

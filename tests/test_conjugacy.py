@@ -12,7 +12,7 @@ from planeaut import (BinarySequence, CERTIFICATE, CoeffSequence, CycNum,
                       necessary_condition, omega0_family,
                       verify_subgroup_conjugator)
 
-from conftest import random_cycnum
+from conftest import random_cycnum, random_root
 
 
 def brute_differ(lam, mu):
@@ -167,6 +167,43 @@ class TestNecessaryCondition:
         a = CoeffSequence(2, [1, 0])
         b = CoeffSequence(2, [0, 1])
         assert necessary_condition(a, b).effective_from == 2
+
+    def test_witness_holds_on_constructed_pairs(self):
+        # b_k = a_k beta^(p^k+1) / gamma; leading zeros push the anchor index
+        # k* up to 5, so the root search kernel has up to p^5 elements
+        rng = random.Random(131)
+        for _ in range(60):
+            p = rng.choice([2, 3, 5])
+            root = random_root(rng, p, max_level=2)
+            lead = rng.randint(0, 5)
+            length = rng.randint(max(root.level, lead, 1), 5)
+            prefix = [CycNum.zero()] * lead + [
+                random_cycnum(rng, p, max_level=1, nonzero=k == lead)
+                for k in range(lead, length)]
+            tail = None
+            scale = rng.choice([Fraction(1), Fraction(-1), Fraction(2),
+                                Fraction(-1, 2)])
+            if rng.random() < 0.5:
+                tail = [random_cycnum(rng, p, max_level=1, nonzero=True)
+                        for _ in range(rng.randint(1, 2))]
+                scale = Fraction(1 if scale > 0 else -1)   # keeps b periodic
+            beta = CycNum.rational(scale) * root.to_field()
+            gamma = random_cycnum(rng, p, max_level=1, nonzero=True)
+
+            def image(c, k):
+                return c * beta ** (p ** k + 1) / gamma
+
+            # beta^(p^k+1) is constant from k = length on, so the tail maps as one
+            b_tail = None if tail is None else [image(c, length) for c in tail]
+            a = CoeffSequence(p, prefix, tail)
+            b = CoeffSequence(p, [image(c, k) for k, c in enumerate(prefix)], b_tail)
+            report = necessary_condition(a, b, 0)
+            assert report.verdict == SATISFIABLE and report.effective_from == 0
+            join, period = a.joint_region(b, 0)
+            stabilized = max(join, report.beta_root.level, 1)
+            for k in range(stabilized + period):
+                assert (a.coeff(k) * report.beta ** (p ** k + 1)
+                        == report.gamma * b.coeff(k))
 
     def test_mixed_primes_rejected(self):
         with pytest.raises(DomainMismatchError):

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from planeaut import (CycNum, DomainMismatchError, RootOfUnity,
                       as_root_of_unity, multiplicative_order)
-from planeaut.cyclotomic import phi_prime_power, prime_power_decompose
+from planeaut.cyclotomic import (phi_prime_power, prime_power_decompose,
+                                 root_of_unity_splits)
 
 from conftest import random_cycnum, random_root
 
@@ -193,6 +194,62 @@ class TestFieldLaws:
         assert multiplicative_order(CycNum.rational(-1), 5) == 2
         assert multiplicative_order(zeta(2, 3), 8) == 8
         assert multiplicative_order(CycNum.rational(2), 50) is None
+
+
+def brute_splits(u, p):
+    """Oracle: every (u / omega, omega) that is rational, scanning all omega
+    one level above u's field by repeated multiplication."""
+    n = max(u.level, 1) + 1
+    step = zeta(p, n, -1)
+    found, w = set(), u
+    for j in range(p ** n):
+        if w.is_rational:
+            found.add((w.as_fraction(), RootOfUnity(p, n, j)))
+        w = w * step
+    return found
+
+
+def brute_order(u, bound):
+    """Oracle: the power scan, smallest t <= bound with u^t = 1."""
+    w = u
+    for t in range(1, bound + 1):
+        if w == 1:
+            return t
+        w = w * u
+    return None
+
+
+def check_root_readers(u, p):
+    splits = root_of_unity_splits(u, p)
+    expected = brute_splits(u, p)
+    assert len(splits) == len(expected) and set(splits) == expected
+    assert as_root_of_unity(u, p) == next(
+        (omega for q, omega in expected if q == 1), None)
+    top = p ** max(u.level, 1)
+    for bound in (top // 2, 2 * top):
+        assert multiplicative_order(u, bound) == brute_order(u, bound)
+
+
+class TestRootOfUnitySplits:
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
+                                     (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)])
+    def test_scaled_roots_match_power_scan(self, p, n):
+        for q in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)):
+            for j in range(p ** n):
+                u = CycNum.rational(q) * zeta(p, n, j)
+                assert (q, RootOfUnity(p, n, j)) in root_of_unity_splits(u, p)
+                check_root_readers(u, p)
+
+    @pytest.mark.parametrize("p,max_level", [(2, 3), (3, 2), (5, 1), (7, 1)])
+    def test_random_values_match_power_scan(self, p, max_level):
+        rng = random.Random(600 + p)
+        for _ in range(40):
+            check_root_readers(random_cycnum(rng, p, max_level, nonzero=True), p)
+
+    def test_other_tower_and_zero_have_no_split(self):
+        assert root_of_unity_splits(zeta(3, 1), 2) == []
+        assert root_of_unity_splits(CycNum.zero(), 3) == []
+        assert as_root_of_unity(zeta(3, 1), 2) is None
 
 
 @given(st.integers(-30, 30), st.integers(-30, 30))

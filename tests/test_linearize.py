@@ -110,6 +110,21 @@ class TestMinimalDegree:
     def test_none_when_bound_too_small(self):
         s = CoeffSequence(2, [1, 1, 1, 1])
         assert minimal_linearizer_degree(s, RootOfUnity(2, 4, 1), 8) is None
+        assert minimal_linearizer_degree(s, RootOfUnity(2, 4, 1), 0) is None
+
+    def test_matches_per_bound_loop(self):
+        # oracle: solve once per bound from 1 up, the first success wins
+        rng = random.Random(113)
+        for _ in range(40):
+            p = rng.choice([2, 3, 5])
+            level = rng.randint(0, 3 if p == 2 else 2)
+            alpha = RootOfUnity(p, level, rng.randrange(p ** level))
+            s = random_sequence(rng, p)
+            target = conj_closed_form(s, alpha)
+            for max_bound in (-1, 0, rng.randint(1, p ** level + 2)):
+                expected = next((bound for bound in range(1, max_bound + 1)
+                                 if solve(target, bound).found), None)
+                assert minimal_linearizer_degree(s, alpha, max_bound) == expected
 
     def test_strictly_increasing_in_level(self):
         s = CoeffSequence(2, [1, 1, 1, 1], [1])
