@@ -5,8 +5,8 @@ from .cyclotomic import (CycNum, DomainMismatchError, RootOfUnity,
 from .poly import NEG_INF, SparsePoly
 from .endo import (PlaneEndo, TriangularAffine, as_triangular_affine,
                    compose, conjugate, endo_order, is_diagonal, is_linear)
-from .prufer import (CoeffSequence, PruferConjugate, conj_closed_form, diag,
-                     embedding_check, series_truncation, verify_formula)
+from .prufer import (CoeffSequence, conj_closed_form, diag, embedding_check,
+                     series_truncation, verify_formula)
 from .linearize import (LinearizationProblem, LinearizationResult, ShapeError,
                         minimal_linearizer_degree, solve_linearization)
 from .conjugacy import (BinarySequence, ConjugacyReport, CERTIFICATE,
@@ -23,8 +23,8 @@ __all__ = [
     "NEG_INF", "SparsePoly",
     "PlaneEndo", "TriangularAffine", "as_triangular_affine", "compose",
     "conjugate", "endo_order", "is_diagonal", "is_linear",
-    "CoeffSequence", "PruferConjugate", "conj_closed_form", "diag",
-    "embedding_check", "series_truncation", "verify_formula",
+    "CoeffSequence", "conj_closed_form", "diag", "embedding_check",
+    "series_truncation", "verify_formula",
     "LinearizationProblem", "LinearizationResult", "ShapeError",
     "minimal_linearizer_degree", "solve_linearization",
     "BinarySequence", "ConjugacyReport", "CERTIFICATE", "SATISFIABLE",

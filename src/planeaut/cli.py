@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .cyclotomic import RootOfUnity
 from .endo import endo_order
-from .prufer import CoeffSequence, verify_formula
+from .prufer import CoeffSequence, manifest_field as _field, verify_formula
 from .linearize import (LinearizationProblem, minimal_linearizer_degree,
                         solve_linearization)
 from .conjugacy import (differ_infinitely, necessary_condition, omega0_family,
@@ -57,33 +57,10 @@ def _load_manifest() -> dict:
     return data
 
 
-_KINDS = {int: "an integer", str: "a string", dict: "an object",
-          list: "a list of strings"}
-_REQUIRED = object()
-
-
-def _field(record: dict, key: str, kind: type, default=_REQUIRED):
-    """record[key] (or the default, if given, when it is absent) checked to be
-    a JSON value of the kind; a bad field raises ValueError naming it."""
-    if default is not _REQUIRED and key not in record:
-        return default
-    value = record[key]
-    valid = isinstance(value, kind) and not isinstance(value, bool)
-    if valid and kind is list:
-        valid = all(isinstance(item, str) for item in value)
-    if not valid and not (key == "tail" and value == "zero"):
-        either = '"zero" or ' if key == "tail" else ""
-        raise ValueError(f"manifest field {key!r} must be {either}{_KINDS[kind]}")
-    return value
-
-
 def _manifest_sequence(manifest: dict, key: str) -> CoeffSequence:
     record = _field(manifest, key, dict)
-    return CoeffSequence.from_manifest({
-        "prime": _field(record, "prime", int, _field(manifest, "prime", int)),
-        "prefix": _field(record, "prefix", list, []),
-        "tail": _field(record, "tail", list, "zero"),
-    })
+    return CoeffSequence.from_manifest(
+        {"prime": _field(manifest, "prime", int), **record})
 
 
 def _two_sequences(args) -> tuple[CoeffSequence, CoeffSequence, dict]:

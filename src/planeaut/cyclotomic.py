@@ -13,7 +13,9 @@ towers of two different primes raises DomainMismatchError.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import isqrt, lcm
+from operator import mul
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -70,60 +72,6 @@ def prime_power_decompose(m: int) -> tuple[int, int]:
     if m != 1:
         raise ValueError("modulus is not a prime power")
     return p, n
-
-
-# ---------------------------------------------------------------------------
-# dense univariate polynomials over Fraction (internal, for field inversion)
-
-def _pdeg(a: list[Fraction]) -> int:
-    for i in range(len(a) - 1, -1, -1):
-        if a[i]:
-            return i
-    return -1
-
-
-def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    db = _pdeg(b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [_ZERO] * max(len(a) - db, 1)
-    lead = b[db]
-    for i in range(_pdeg(rem), db - 1, -1):
-        if not rem[i]:
-            continue
-        c = rem[i] / lead
-        quo[i - db] = c
-        for j in range(db + 1):
-            rem[i - db + j] -= c * b[j]
-    return quo, rem
-
-
-def _pmulsub(s0: list[Fraction], q: list[Fraction], s1: list[Fraction]) -> list[Fraction]:
-    # s0 - q*s1
-    out = list(s0) + [_ZERO] * max(0, len(q) + len(s1) - 1 - len(s0))
-    for i, qi in enumerate(q):
-        if not qi:
-            continue
-        for j, sj in enumerate(s1):
-            if sj:
-                out[i + j] -= qi * sj
-    return out
-
-
-def _invert_mod(u: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
-    """Inverse of u modulo an irreducible polynomial, by extended Euclid."""
-    r0, s0 = list(u), [_ONE]
-    r1, s1 = list(modulus), [_ZERO]
-    while _pdeg(r1) >= 0:
-        q, rem = _pdivmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _pmulsub(s0, q, s1)
-    d = _pdeg(r0)
-    if d != 0:
-        raise ZeroDivisionError("element is not invertible")
-    g = r0[0]
-    return [c / g for c in s0]
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +188,6 @@ class CycNum:
             raise ValueError("cannot lower the level of an embedding")
         return tuple(self._lift(p, level))
 
-    def raised(self, level: int, prime: int | None = None) -> "CycNum":
-        """The image under the canonical embedding; equal to self by canonicity."""
-        p = self.prime if self.prime is not None else prime
-        if p is None:
-            return self
-        return CycNum._make(p, level, self._lift(p, level))
-
     def _lift(self, p: int, n: int) -> list[Fraction]:
         if self.level == n:
             return list(self.coeffs)
@@ -328,18 +269,26 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
+        """Inverse by relative norms down the Galois tower.
+
+        At level n the automorphisms zeta -> zeta^a, a = 1 + q, 1 + 2q, ... < p^n
+        with q = p^(n-1) (all prime to p), fix Q(zeta_{p^(n-1)}); at n = 1 they
+        are a = 2..p-1 and fix Q.
+        The product c of these conjugates of u makes u*c, the relative norm,
+        land at a lower level; descend until it is rational.  Then the inverse
+        is the product of the cofactors c over that rational.
+        """
         if self.is_zero:
             raise ZeroDivisionError("division by zero in the cyclotomic field")
-        if self.level == 0:
-            return CycNum.rational(1 / self.coeffs[0])
-        p, n = self.prime, self.level
-        phi = phi_prime_power(p, n)
-        q = p ** (n - 1)
-        modulus = [_ZERO] * (phi + 1)
-        for i in range(p):
-            modulus[i * q] = _ONE
-        inv = _invert_mod(list(self.coeffs), modulus)
-        return CycNum._from_exponent_map(p, n, {i: c for i, c in enumerate(inv)})
+        cofactor, norm = CycNum.one(), self
+        while norm.level:
+            p, n = norm.prime, norm.level
+            q = p ** (n - 1)
+            c = reduce(mul, [CycNum._from_exponent_map(
+                p, n, {i * a: x for i, x in enumerate(norm.coeffs) if x})
+                for a in range(1 + q, p ** n, q)])
+            cofactor, norm = cofactor * c, norm * c
+        return cofactor * CycNum.rational(1 / norm.coeffs[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)

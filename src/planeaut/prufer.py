@@ -21,6 +21,26 @@ from .poly import SparsePoly
 from .endo import PlaneEndo, TriangularAffine, compose, conjugate, endo_order
 
 
+_KINDS = {int: "an integer", str: "a string", dict: "an object",
+          list: "a list of strings"}
+_REQUIRED = object()
+
+
+def manifest_field(record: dict, key: str, kind: type, default=_REQUIRED):
+    """record[key] (or the default, if given, when it is absent) checked to be
+    a JSON value of the kind; a bad field raises ValueError naming it."""
+    if default is not _REQUIRED and key not in record:
+        return default
+    value = record[key]
+    valid = isinstance(value, kind) and not isinstance(value, bool)
+    if valid and kind is list:
+        valid = all(isinstance(item, str) for item in value)
+    if not valid and not (key == "tail" and value == "zero"):
+        either = '"zero" or ' if key == "tail" else ""
+        raise ValueError(f"manifest field {key!r} must be {either}{_KINDS[kind]}")
+    return value
+
+
 class CoeffSequence:
     """Coefficient sequence {a_k}: finite prefix plus eventually-periodic tail.
 
@@ -72,12 +92,15 @@ class CoeffSequence:
 
     @classmethod
     def from_manifest(cls, record: dict) -> "CoeffSequence":
+        """Read a to_manifest record; a malformed field raises ValueError
+        naming it."""
         from .parsing import parse_scalar
-        prefix = [parse_scalar(s) for s in record.get("prefix", [])]
-        tail = record.get("tail", "zero")
+        prime = manifest_field(record, "prime", int)
+        prefix = [parse_scalar(s) for s in manifest_field(record, "prefix", list, [])]
+        tail = manifest_field(record, "tail", list, "zero")
         if tail != "zero":
             tail = [parse_scalar(s) for s in tail]
-        return cls(record["prime"], prefix, tail)
+        return cls(prime, prefix, tail)
 
     def __eq__(self, other):
         if not isinstance(other, CoeffSequence):
@@ -160,42 +183,3 @@ def embedding_check(s: CoeffSequence, alpha: RootOfUnity, beta: RootOfUnity) -> 
     if product != composed:
         return False
     return endo_order(conj_closed_form(s, alpha), alpha.order) == alpha.order
-
-
-class PruferConjugate:
-    """An element of the conjugated quasi-cyclic subgroup, indexed by its root."""
-
-    __slots__ = ("sequence", "alpha")
-
-    def __init__(self, sequence: CoeffSequence, alpha: RootOfUnity):
-        if alpha.prime != sequence.prime:
-            raise ValueError("root and sequence must share a prime")
-        self.sequence = sequence
-        self.alpha = alpha
-
-    def as_endo(self) -> PlaneEndo:
-        return conj_closed_form(self.sequence, self.alpha)
-
-    @property
-    def order(self) -> int:
-        return self.alpha.order
-
-    def __mul__(self, other):
-        if not isinstance(other, PruferConjugate):
-            return NotImplemented
-        if other.sequence != self.sequence:
-            raise ValueError("elements belong to different subgroups")
-        return PruferConjugate(self.sequence, self.alpha * other.alpha)
-
-    def inverse(self) -> "PruferConjugate":
-        return PruferConjugate(self.sequence, self.alpha.inverse())
-
-    def __eq__(self, other):
-        if not isinstance(other, PruferConjugate):
-            return NotImplemented
-        return self.sequence == other.sequence and self.alpha == other.alpha
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"PruferConjugate(alpha={self.alpha})"

@@ -11,7 +11,7 @@ from planeaut import (CycNum, DomainMismatchError, RootOfUnity,
 from planeaut.cyclotomic import (phi_prime_power, prime_power_decompose,
                                  root_of_unity_splits)
 
-from conftest import random_cycnum, random_root
+from conftest import NONZERO_POOL, random_cycnum, random_root
 
 
 def zeta(p, n, e=1):
@@ -68,6 +68,9 @@ class TestInverse:
         z4 = zeta(2, 2)
         assert z4.inverse() == zeta(2, 2, 3)
         assert z4.inverse() == -z4
+        for p, level in ((2, 3), (3, 2), (5, 1)):
+            for j in range(p ** level):
+                assert zeta(p, level, j).inverse() == zeta(p, level, -j)
 
     def test_one_plus_i(self):
         u = 1 + zeta(2, 2)
@@ -79,27 +82,28 @@ class TestInverse:
         with pytest.raises(ZeroDivisionError):
             CycNum.zero().inverse()
 
-    @pytest.mark.parametrize("p,level", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+    @pytest.mark.parametrize("p,level", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1),
+                                         (2, 6), (3, 3), (5, 2), (7, 2), (11, 1)])
     def test_random_inverses(self, p, level):
         rng = random.Random(101 + p + level)
         for _ in range(25):
             u = random_cycnum(rng, p, max_level=level, nonzero=True)
             assert u * u.inverse() == 1
 
+    @pytest.mark.parametrize("p,level", [(2, 6), (5, 3), (7, 2)])
+    def test_dense_inverses(self, p, level):
+        # every coefficient nonzero; the inverse is unique, so the product
+        # check is a complete oracle
+        rng = random.Random(211 + p + level)
+        for _ in range(2):
+            u = CycNum.from_coeffs(p, level, [
+                rng.choice(NONZERO_POOL)
+                for _ in range(phi_prime_power(p, level))])
+            assert u.term_count == phi_prime_power(p, level)
+            assert u * u.inverse() == 1
+
 
 class TestLevelRaise:
-    def test_zeta2_at_level_two(self):
-        raised = zeta(2, 1).raised(2)
-        assert raised == zeta(2, 2) ** 2
-        assert raised == zeta(2, 1)
-
-    def test_rational_unchanged(self):
-        three = CycNum.rational(3)
-        assert three.raised(2, prime=5) == 3
-
-    def test_zeta3_at_level_two(self):
-        assert zeta(3, 1).raised(2) == zeta(3, 2, 3)
-
     def test_embedding_vector(self):
         # zeta_3 -> zeta_9^3: index dilation by p
         lifted = zeta(3, 1).coeffs_at_level(2)

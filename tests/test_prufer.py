@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from planeaut import (CoeffSequence, CycNum, PlaneEndo, PruferConjugate,
+from planeaut import (CoeffSequence, CycNum, PlaneEndo,
                       RootOfUnity, SparsePoly, compose, conj_closed_form,
                       conjugate, diag, embedding_check, endo_order, parse_endo,
                       series_truncation, verify_formula)
@@ -33,6 +33,15 @@ class TestCoeffSequence:
         assert CoeffSequence.from_manifest(s.to_manifest()) == s
         z = CoeffSequence(5, [], None)
         assert CoeffSequence.from_manifest(z.to_manifest()) == z
+
+    @pytest.mark.parametrize("record,field", [
+        ({"prime": 2, "prefix": [1]}, "prefix"),
+        ({"prime": "2"}, "prime"),
+        ({"prime": 2, "tail": 5}, "tail"),
+    ])
+    def test_malformed_manifest_names_field(self, record, field):
+        with pytest.raises(ValueError, match=f"manifest field '{field}'"):
+            CoeffSequence.from_manifest(record)
 
     def test_manifest_round_trip_randomized(self):
         rng = random.Random(137)
@@ -96,11 +105,13 @@ class TestClosedForm:
 
     def test_vanishing_beyond_level(self):
         s = CoeffSequence(2, [], [1])  # all-ones tail, nonzero forever
-        alpha = RootOfUnity(2, 2, 1)
-        got = conj_closed_form(s, alpha)
-        for k in range(2, 8):
-            assert got.f1.coefficient(0, 2 ** k + 1).is_zero
-        assert got.f1.degree == 2 ** 1 + 1
+        for alpha in (RootOfUnity(2, 2, 1), RootOfUnity(2, 3, 3)):
+            got = conj_closed_form(s, alpha)
+            for k in range(alpha.level, 8):
+                assert got.f1.coefficient(0, 2 ** k + 1).is_zero
+            # a polynomial automorphism of the same order, despite the tail
+            assert got.f1.degree == 2 ** (alpha.level - 1) + 1
+            assert endo_order(got, alpha.order) == alpha.order
 
     def test_prime_mismatch(self):
         with pytest.raises(ValueError):
@@ -176,19 +187,3 @@ class TestEmbedding:
             lhs = compose(conj_closed_form(s, alpha),
                           conj_closed_form(s, alpha.inverse()))
             assert lhs == PlaneEndo.identity()
-
-
-class TestPruferConjugate:
-    def test_group_structure(self):
-        s = CoeffSequence(2, [1, 1])
-        g = PruferConjugate(s, RootOfUnity(2, 2, 1))
-        assert g.order == 4
-        assert (g * g).as_endo() == compose(g.as_endo(), g.as_endo())
-        assert (g * g.inverse()).as_endo() == PlaneEndo.identity()
-
-    def test_realization_is_polynomial_even_with_infinite_tail(self):
-        s = CoeffSequence(2, [], [1])
-        g = PruferConjugate(s, RootOfUnity(2, 3, 3))
-        endo = g.as_endo()
-        assert endo.f1.degree == 2 ** 2 + 1
-        assert endo_order(endo, 8) == 8
