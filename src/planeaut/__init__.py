@@ -6,12 +6,13 @@ from .poly import NEG_INF, SparsePoly
 from .endo import (PlaneEndo, TriangularAffine, as_triangular_affine,
                    compose, conjugate, endo_order, is_diagonal, is_linear)
 from .prufer import (CoeffSequence, conj_closed_form, diag, embedding_check,
-                     series_truncation, verify_formula)
+                     EventuallyPeriodic, series_truncation, verify_formula)
 from .linearize import (LinearizationProblem, LinearizationResult, ShapeError,
                         minimal_linearizer_degree, solve_linearization)
 from .conjugacy import (BinarySequence, ConjugacyReport, CERTIFICATE,
                         SATISFIABLE, differ_infinitely, necessary_condition,
-                        omega0_family, verify_subgroup_conjugator)
+                        omega0_family, support_mismatch,
+                        verify_subgroup_conjugator)
 from .parsing import (ParseError, parse_endo, parse_poly, parse_scalar,
                       parse_triangular)
 
@@ -24,12 +25,12 @@ __all__ = [
     "PlaneEndo", "TriangularAffine", "as_triangular_affine", "compose",
     "conjugate", "endo_order", "is_diagonal", "is_linear",
     "CoeffSequence", "conj_closed_form", "diag", "embedding_check",
-    "series_truncation", "verify_formula",
+    "EventuallyPeriodic", "series_truncation", "verify_formula",
     "LinearizationProblem", "LinearizationResult", "ShapeError",
     "minimal_linearizer_degree", "solve_linearization",
     "BinarySequence", "ConjugacyReport", "CERTIFICATE", "SATISFIABLE",
     "differ_infinitely", "necessary_condition", "omega0_family",
-    "verify_subgroup_conjugator",
+    "support_mismatch", "verify_subgroup_conjugator",
     "ParseError", "parse_endo", "parse_poly", "parse_scalar",
     "parse_triangular",
 ]

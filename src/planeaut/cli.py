@@ -4,9 +4,10 @@ Every command is deterministic: identical input text yields identical
 report text.  Exit codes: 0 for success / true verdicts, 1 for false or
 obstruction verdicts (still a valid run), 2 for input errors.
 
-Sequence-taking commands accept their data either as flags (--p, --prefix,
---tail, given twice for the two-sequence commands) or, when --p is omitted,
-as a JSON manifest on stdin:
+Sequence-taking commands read one manifest: the one spelled by --p, --prefix
+and --tail (given twice for the two-sequence commands; --prefix and --tail
+need --p), or, when --p is omitted, the JSON object on stdin.  Any other flag
+that is given overrides the manifest field of its name:
 
     {"prime": 2,
      "a": {"prefix": ["1", "1"], "tail": "zero"},
@@ -29,59 +30,50 @@ from .linearize import (LinearizationProblem, minimal_linearizer_degree,
                         solve_linearization)
 from .conjugacy import (differ_infinitely, necessary_condition, omega0_family,
                         verify_subgroup_conjugator)
-from .parsing import parse_endo, parse_scalar, parse_triangular
+# parse_scalar is unused here, but perfbench/tracing.py wraps it under this name
+from .parsing import parse_endo, parse_scalar, parse_triangular  # noqa: F401
 from . import conjugate as conjugate_endo, compose
-
-
-def _parse_scalar_list(text: str):
-    text = text.strip()
-    if not text:
-        return []
-    return [parse_scalar(item) for item in text.split(",")]
-
-
-def _sequence(prime: int, prefix: str, tail: str) -> CoeffSequence:
-    tail = (tail or "zero").strip()
-    block = None if tail == "zero" else _parse_scalar_list(tail)
-    return CoeffSequence(prime, _parse_scalar_list(prefix or ""), block)
 
 
 def _alpha(prime: int, text: str) -> RootOfUnity:
     return RootOfUnity.from_exponent(prime, Fraction(text))
 
 
-def _load_manifest() -> dict:
-    data = json.load(sys.stdin)
-    if not isinstance(data, dict):
-        raise ValueError("manifest must be a JSON object")
-    return data
+def _split(text: str) -> list[str]:
+    text = text.strip()
+    return text.split(",") if text else []
 
 
-def _manifest_sequence(manifest: dict, key: str) -> CoeffSequence:
-    record = _field(manifest, key, dict)
-    return CoeffSequence.from_manifest(
-        {"prime": _field(manifest, "prime", int), **record})
-
-
-def _two_sequences(args) -> tuple[CoeffSequence, CoeffSequence, dict]:
+def _read(args, *keys: str) -> tuple:
+    """(manifest, one CoeffSequence per key) of a sequence command, read as
+    the module docstring describes."""
     if args.p is None:
-        manifest = _load_manifest()
-        return (_manifest_sequence(manifest, "a"),
-                _manifest_sequence(manifest, "b"), manifest)
-    prefixes = args.prefix or ["", ""]
-    tails = args.tail or ["zero", "zero"]
-    if len(prefixes) != 2 or len(tails) != 2:
-        raise ValueError("give --prefix and --tail twice (or not at all) "
-                         "to describe the two sequences")
-    return (_sequence(args.p, prefixes[0], tails[0]),
-            _sequence(args.p, prefixes[1], tails[1]), {})
-
-
-def _one_sequence(args) -> tuple[CoeffSequence, dict]:
-    if args.p is None:
-        manifest = _load_manifest()
-        return _manifest_sequence(manifest, "a"), manifest
-    return _sequence(args.p, args.prefix, args.tail), {}
+        if args.prefix is not None or args.tail is not None:
+            raise ValueError("--prefix and --tail need --p")
+        manifest = json.load(sys.stdin)
+        if not isinstance(manifest, dict):
+            raise ValueError("manifest must be a JSON object")
+    else:
+        one = len(keys) == 1
+        prefixes = [args.prefix] if one else args.prefix or [None, None]
+        tails = [args.tail] if one else args.tail or [None, None]
+        if len(prefixes) != len(keys) or len(tails) != len(keys):
+            raise ValueError("give --prefix and --tail twice (or not at all) "
+                             "to describe the two sequences")
+        manifest = {"prime": args.p}
+        for key, prefix, tail in zip(keys, prefixes, tails):
+            tail = (tail or "zero").strip()
+            manifest[key] = {"prefix": _split(prefix or ""),
+                             "tail": "zero" if tail == "zero" else _split(tail)}
+    manifest.update((name, value) for name, value in vars(args).items()
+                    if name in ("alpha", "max_degree", "k0", "theta", "levels")
+                    and value is not None)
+    sequences = []
+    for key in keys:
+        record = _field(manifest, key, dict)
+        sequences.append(CoeffSequence.from_manifest(
+            {"prime": _field(manifest, "prime", int), **record}))
+    return (manifest, *sequences)
 
 
 # -- command bodies ---------------------------------------------------------
@@ -117,9 +109,8 @@ def _cmd_conjugate(args) -> int:
 
 
 def _cmd_verify_formula(args) -> int:
-    seq, manifest = _one_sequence(args)
-    alpha_text = args.alpha if args.alpha is not None else _field(manifest, "alpha", str)
-    alpha = _alpha(seq.prime, alpha_text)
+    manifest, seq = _read(args, "a")
+    alpha = _alpha(seq.prime, _field(manifest, "alpha", str))
     if verify_formula(seq, alpha):
         print("OK: formula matches composition")
         return 0
@@ -141,10 +132,9 @@ def _cmd_linearize(args) -> int:
 
 
 def _cmd_min_degree(args) -> int:
-    seq, manifest = _one_sequence(args)
-    alpha_text = args.alpha if args.alpha is not None else _field(manifest, "alpha", str)
-    bound = (args.max_degree if args.max_degree is not None
-             else _field(manifest, "max_degree", int))
+    manifest, seq = _read(args, "a")
+    alpha_text = _field(manifest, "alpha", str)
+    bound = _field(manifest, "max_degree", int)
     alpha = _alpha(seq.prime, alpha_text)
     degree = minimal_linearizer_degree(seq, alpha, bound)
     if degree is None:
@@ -155,9 +145,8 @@ def _cmd_min_degree(args) -> int:
 
 
 def _cmd_nonconj_check(args) -> int:
-    a, b, manifest = _two_sequences(args)
-    k0 = args.k0 if args.k0 is not None else _field(manifest, "k0", int, None)
-    report = necessary_condition(a, b, k0)
+    manifest, a, b = _read(args, "a", "b")
+    report = necessary_condition(a, b, _field(manifest, "k0", int, None))
     if report.satisfiable:
         print("CONDITION SATISFIABLE")
         print(f"beta = {report.beta}")
@@ -173,9 +162,9 @@ def _cmd_nonconj_check(args) -> int:
 
 
 def _cmd_verify_conjugator(args) -> int:
-    a, b, manifest = _two_sequences(args)
-    theta_text = args.theta if args.theta is not None else _field(manifest, "theta", str)
-    levels = args.levels if args.levels is not None else _field(manifest, "levels", int, 3)
+    manifest, a, b = _read(args, "a", "b")
+    theta_text = _field(manifest, "theta", str)
+    levels = _field(manifest, "levels", int, 3)
     theta = parse_triangular(theta_text)
     if verify_subgroup_conjugator(a, b, theta, levels):
         print(f"OK: conjugator intertwines levels 1..{levels}")
@@ -204,9 +193,8 @@ def _add_sequence_flags(sub, two: bool):
         sub.add_argument("--tail", action="append",
                          help="'zero' or a comma-separated repeating block; give twice")
     else:
-        sub.add_argument("--prefix", default="", help="comma-separated scalars")
-        sub.add_argument("--tail", default="zero",
-                         help="'zero' or a comma-separated repeating block")
+        sub.add_argument("--prefix", help="comma-separated scalars")
+        sub.add_argument("--tail", help="'zero' or a comma-separated repeating block")
     sub.add_argument("--p", type=int, default=None,
                      help="the prime (omit to read a JSON manifest from stdin)")
 

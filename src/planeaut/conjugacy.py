@@ -30,61 +30,47 @@ class violates the condition at infinitely many indices.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .cyclotomic import (CycNum, DomainMismatchError, RootOfUnity,
                          root_of_unity_splits)
 from .endo import TriangularAffine, compose
-from .prufer import CoeffSequence, conj_closed_form
+from .prufer import CoeffSequence, EventuallyPeriodic, conj_closed_form
 
 SATISFIABLE = "condition-satisfiable"
 CERTIFICATE = "non-conjugate-certificate"
 
 
-class BinarySequence:
+class BinarySequence(EventuallyPeriodic):
     """An infinite 0/1 sequence: finite prefix plus repeating tail block."""
 
-    __slots__ = ("prefix", "tail")
+    __slots__ = ()
 
     def __init__(self, prefix, tail):
-        self.prefix = tuple(int(x) for x in prefix)
-        self.tail = tuple(int(x) for x in tail)
-        if not self.tail:
-            raise ValueError("the repeating block must be nonempty")
+        super().__init__((int(x) for x in prefix), (int(x) for x in tail))
         if any(x not in (0, 1) for x in self.prefix + self.tail):
             raise ValueError("entries must be bits")
 
-    @property
-    def period(self) -> int:
-        return len(self.tail)
-
-    def bit(self, k: int) -> int:
-        if k < 0:
-            raise IndexError("sequence indices start at 0")
-        if k < len(self.prefix):
-            return self.prefix[k]
-        return self.tail[(k - len(self.prefix)) % len(self.tail)]
-
-    def __eq__(self, other):
-        if not isinstance(other, BinarySequence):
-            return NotImplemented
-        return (self.prefix, self.tail) == (other.prefix, other.tail)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"BinarySequence(prefix={self.prefix}, tail={self.tail})"
+    bit = EventuallyPeriodic.entry
 
 
-def differ_infinitely(lam: BinarySequence, mu: BinarySequence) -> bool:
-    """Whether two eventually-periodic bit sequences disagree at infinitely many k.
+def support_mismatch(a: EventuallyPeriodic, b: EventuallyPeriodic,
+                     k0: int = 0) -> tuple[int, int, list[int]]:
+    """(join, period, offsets): past join = max(k0, both prefix lengths) the
+    supports of a and b differ exactly at join + o + m*period, o in offsets.
 
-    Any disagreement inside the joint periodic part recurs forever, so one
-    lcm-period past both prefixes decides the question.
+    An entry is in the support when it is nonzero, so a bit sequence is its
+    own support pattern.  Any disagreement inside the joint periodic part
+    recurs forever, so one lcm-period past both prefixes decides it.
     """
-    start = max(len(lam.prefix), len(mu.prefix))
-    window = lcm(lam.period, mu.period)
-    return any(lam.bit(start + o) != mu.bit(start + o) for o in range(window))
+    join, period = a.joint_region(b, k0)
+    return join, period, [o for o in range(period)
+                          if bool(a.entry(join + o)) != bool(b.entry(join + o))]
+
+
+def differ_infinitely(lam: EventuallyPeriodic, mu: EventuallyPeriodic) -> bool:
+    """Whether the supports of two sequences (for bit sequences, the bits
+    themselves) disagree at infinitely many k."""
+    return bool(support_mismatch(lam, mu)[2])
 
 
 def omega0_family(count: int) -> list[BinarySequence]:
@@ -261,9 +247,7 @@ def necessary_condition(a: CoeffSequence, b: CoeffSequence,
         k0 = max(len(a.prefix), len(b.prefix))
     if k0 < 0:
         raise ValueError("k0 must be nonnegative")
-    join, period = a.joint_region(b, k0)
-    mismatch = [o for o in range(period)
-                if a.coeff(join + o).is_zero != b.coeff(join + o).is_zero]
+    join, period, mismatch = support_mismatch(a, b, k0)
     if mismatch:
         return ConjugacyReport(
             CERTIFICATE, preamble=join, period=period, offsets=mismatch,

@@ -19,6 +19,7 @@ from math import lcm
 from .cyclotomic import CycNum, RootOfUnity, as_cycnum, is_prime
 from .poly import SparsePoly
 from .endo import PlaneEndo, TriangularAffine, compose, conjugate, endo_order
+from .parsing import parse_scalar
 
 
 _KINDS = {int: "an integer", str: "a string", dict: "an object",
@@ -41,78 +42,87 @@ def manifest_field(record: dict, key: str, kind: type, default=_REQUIRED):
     return value
 
 
-class CoeffSequence:
-    """Coefficient sequence {a_k}: finite prefix plus eventually-periodic tail.
+class EventuallyPeriodic:
+    """An infinite sequence: a finite prefix, then a nonempty block repeated
+    forever."""
 
-    tail is None for the all-zero tail (finite support; the shift map is then
-    a polynomial automorphism) or a nonempty repeating block.
+    __slots__ = ("prefix", "tail")
+
+    def __init__(self, prefix, tail):
+        self.prefix = tuple(prefix)
+        self.tail = tuple(tail)
+        if not self.tail:
+            raise ValueError("the repeating block must be nonempty")
+
+    def entry(self, k: int):
+        if k < 0:
+            raise IndexError("sequence indices start at 0")
+        if k < len(self.prefix):
+            return self.prefix[k]
+        return self.tail[(k - len(self.prefix)) % len(self.tail)]
+
+    @property
+    def period(self) -> int:
+        return len(self.tail)
+
+    def joint_region(self, other: "EventuallyPeriodic", k0: int = 0) -> tuple[int, int]:
+        """(start, period) from which both sequences are jointly periodic."""
+        start = max(k0, len(self.prefix), len(other.prefix))
+        return start, lcm(self.period, other.period)
+
+    def _key(self) -> tuple:
+        return self.prefix, self.tail
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._key()!r}"
+
+
+class CoeffSequence(EventuallyPeriodic):
+    """Coefficient sequence {a_k} over Q(zeta_{p^infty}).
+
+    A tail of None, "zero", or only zeros is stored as the block (0,): the
+    support is finite and the shift map is a polynomial automorphism.
     """
 
-    __slots__ = ("prime", "prefix", "tail")
+    __slots__ = ("prime",)
 
     def __init__(self, prime: int, prefix=(), tail=None):
         if not is_prime(prime):
             raise ValueError(f"{prime} is not prime")
         self.prime = prime
-        self.prefix = tuple(as_cycnum(c) for c in prefix)
-        if tail is None or tail == "zero":
-            self.tail = None
-        else:
-            block = tuple(as_cycnum(c) for c in tail)
-            self.tail = block if any(not c.is_zero for c in block) else None
+        block = () if tail is None or tail == "zero" else tuple(as_cycnum(c) for c in tail)
+        if not any(block):
+            block = (CycNum.zero(),)
+        super().__init__((as_cycnum(c) for c in prefix), block)
 
-    def coeff(self, k: int) -> CycNum:
-        if k < 0:
-            raise IndexError("sequence indices start at 0")
-        if k < len(self.prefix):
-            return self.prefix[k]
-        if self.tail is None:
-            return CycNum.zero()
-        return self.tail[(k - len(self.prefix)) % len(self.tail)]
-
-    @property
-    def period(self) -> int:
-        return 1 if self.tail is None else len(self.tail)
+    coeff = EventuallyPeriodic.entry
 
     @property
     def has_finite_support(self) -> bool:
-        return self.tail is None
+        return not any(self.tail)
 
-    def joint_region(self, other: "CoeffSequence", k0: int = 0) -> tuple[int, int]:
-        """(start, period) from which both sequences are jointly periodic."""
-        start = max(k0, len(self.prefix), len(other.prefix))
-        return start, lcm(self.period, other.period)
+    def _key(self) -> tuple:
+        return self.prime, self.prefix, self.tail
 
     def to_manifest(self) -> dict:
-        return {
-            "prime": self.prime,
-            "prefix": [str(c) for c in self.prefix],
-            "tail": "zero" if self.tail is None else [str(c) for c in self.tail],
-        }
+        return {"prime": self.prime, "prefix": [str(c) for c in self.prefix],
+                "tail": [str(c) for c in self.tail]}
 
     @classmethod
     def from_manifest(cls, record: dict) -> "CoeffSequence":
         """Read a to_manifest record; a malformed field raises ValueError
         naming it."""
-        from .parsing import parse_scalar
         prime = manifest_field(record, "prime", int)
         prefix = [parse_scalar(s) for s in manifest_field(record, "prefix", list, [])]
         tail = manifest_field(record, "tail", list, "zero")
         if tail != "zero":
             tail = [parse_scalar(s) for s in tail]
         return cls(prime, prefix, tail)
-
-    def __eq__(self, other):
-        if not isinstance(other, CoeffSequence):
-            return NotImplemented
-        return (self.prime, self.prefix, self.tail) == (other.prime, other.prefix, other.tail)
-
-    __hash__ = None
-
-    def __repr__(self):
-        tail = "zero" if self.tail is None else [str(c) for c in self.tail]
-        return (f"CoeffSequence(p={self.prime}, "
-                f"prefix={[str(c) for c in self.prefix]}, tail={tail})")
 
 
 def exponent_of(p: int, k: int) -> int:

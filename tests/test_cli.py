@@ -169,28 +169,67 @@ class TestInputErrors:
         assert code == 2
         assert "twice" in err
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("verify-formula", "--prefix", "5,7,z(3)", "--tail", "9",
+                      "--alpha", "1/4"), id="one-sequence"),
+        pytest.param(("nonconj-check", "--prefix", "1", "--prefix", "1"),
+                     id="two-sequences"),
+    ])
+    def test_sequence_flags_need_p(self, capsys, monkeypatch, argv):
+        # without --p the sequences come from stdin, where these flags have no say
+        stdin = io.StringIO('{"prime":2,"a":{"prefix":["1","1"]},"alpha":"1/2"}')
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: --prefix and --tail need --p\n"
+        assert stdin.tell() == 0
+
     def test_missing_subcommand_is_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
 
 
-class TestManifestInput:
-    def test_verify_formula_from_stdin(self, capsys, monkeypatch):
-        manifest = {"prime": 2, "a": {"prefix": ["1", "1"], "tail": "zero"},
-                    "alpha": "1/2"}
-        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(manifest)))
-        code, out, _ = run(capsys, "verify-formula")
-        assert (code, out) == (0, GOLDEN_VERIFY)
+MIN_DEGREE_MANIFEST = {"prime": 2, "a": {"prefix": ["1", "1", "1"]},
+                       "alpha": "1/8", "max_degree": 10}
+CONJUGATOR_MANIFEST = {"prime": 2, "a": {"prefix": ["1", "1", "1"]},
+                       "b": {"prefix": ["4", "8", "32"], "tail": "zero"},
+                       "theta": "(x1, 2*x2)", "levels": 3}
 
-    def test_nonconj_from_stdin(self, capsys, monkeypatch):
-        manifest = {"prime": 2,
-                    "a": {"prefix": [], "tail": ["1"]},
-                    "b": {"prefix": [], "tail": ["1", "0"]},
-                    "k0": 0}
+
+class TestManifestInput:
+    @pytest.mark.parametrize("argv,manifest,flags,expected", [
+        pytest.param(("verify-formula",),
+                     {"prime": 2, "a": {"prefix": ["1", "1"], "tail": "zero"},
+                      "alpha": "1/2"},
+                     ("--p", "2", "--prefix", "1,1", "--alpha", "1/2"),
+                     (0, GOLDEN_VERIFY), id="verify-formula"),
+        pytest.param(("nonconj-check",),
+                     {"prime": 2, "a": {"prefix": [], "tail": ["1"]},
+                      "b": {"prefix": [], "tail": ["1", "0"]}, "k0": 0},
+                     ("--p", "2", "--tail", "1", "--tail", "1,0", "--k0", "0"),
+                     (1, GOLDEN_NONCONJ), id="nonconj-check"),
+        pytest.param(("min-degree",), MIN_DEGREE_MANIFEST,
+                     ("--p", "2", "--prefix", "1,1,1", "--alpha", "1/8",
+                      "--max-degree", "10"),
+                     (0, "minimal degree = 5\n"), id="min-degree"),
+        pytest.param(("verify-conjugator",), CONJUGATOR_MANIFEST,
+                     ("--p", "2", "--prefix", "1,1,1", "--prefix", "4,8,32",
+                      "--theta", "(x1, 2*x2)", "--levels", "3"),
+                     (0, "OK: conjugator intertwines levels 1..3\n"),
+                     id="verify-conjugator"),
+        pytest.param(("min-degree", "--alpha", "1/4"), MIN_DEGREE_MANIFEST,
+                     ("--p", "2", "--prefix", "1,1,1", "--alpha", "1/4",
+                      "--max-degree", "10"),
+                     (0, "minimal degree = 3\n"), id="alpha-flag-overrides"),
+    ])
+    def test_stdin_matches_flags(self, capsys, monkeypatch, argv, manifest,
+                                 flags, expected):
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(manifest)))
-        code, out, _ = run(capsys, "nonconj-check")
-        assert (code, out) == (1, GOLDEN_NONCONJ)
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == expected
+        code, out, _ = run(capsys, argv[0], *flags)
+        assert (code, out) == expected
 
     @pytest.mark.parametrize("command,text,field", [
         pytest.param("verify-formula", "not json", None, id="not-json"),

@@ -12,7 +12,7 @@ from planeaut import (BinarySequence, CERTIFICATE, CoeffSequence, CycNum,
                       necessary_condition, omega0_family,
                       verify_subgroup_conjugator)
 
-from conftest import random_cycnum, random_root
+from conftest import random_cycnum, random_root, random_sequence
 
 
 def brute_differ(lam, mu):
@@ -51,6 +51,33 @@ class TestDifferInfinitely:
         for _ in range(300):
             lam, mu = random_binary(rng), random_binary(rng)
             assert differ_infinitely(lam, mu) == brute_differ(lam, mu)
+
+    def test_coeff_sequences_agree_with_certificate_and_brute_force(self):
+        # the support of a coefficient sequence is its bit pattern
+        def support(s):
+            return BinarySequence([bool(c) for c in s.prefix],
+                                  [bool(c) for c in s.tail])
+
+        rng = random.Random(107)
+        verdicts = set()
+        for _ in range(200):
+            p = rng.choice([2, 3])
+            a, b = random_sequence(rng, p), random_sequence(rng, p)
+            certified = (necessary_condition(a, b).reason
+                         == "supports disagree on a periodic index set")
+            assert differ_infinitely(a, b) == certified
+            assert certified == brute_differ(support(a), support(b))
+            verdicts.add(certified)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("prefix,tail", [
+        pytest.param((), (), id="empty-block"),
+        pytest.param((1, 2), (1,), id="two-in-prefix"),
+        pytest.param((), (0, 1, -1), id="minus-one-in-block"),
+    ])
+    def test_rejects_empty_block_and_non_bits(self, prefix, tail):
+        with pytest.raises(ValueError):
+            BinarySequence(prefix, tail)
 
     def test_symmetry(self):
         rng = random.Random(101)

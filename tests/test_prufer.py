@@ -28,6 +28,17 @@ class TestCoeffSequence:
     def test_all_zero_block_normalizes_to_zero_tail(self):
         assert CoeffSequence(2, [1], [0, 0]).has_finite_support
 
+    def test_empty_block_is_zero_tail(self):
+        # what the CLI builds from --tail " "
+        s = CoeffSequence(2, [1], [])
+        assert s.has_finite_support
+        assert s.tail == (CycNum.zero(),) and s.period == 1
+        assert s == CoeffSequence(2, [1])
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(IndexError):
+            CoeffSequence(2, [1], [1]).coeff(-1)
+
     def test_manifest_round_trip(self):
         s = CoeffSequence(2, [1, Fraction(1, 2), CycNum.zeta(2, 2)], [1, 0])
         assert CoeffSequence.from_manifest(s.to_manifest()) == s
