@@ -7,7 +7,7 @@ from .endo import (PlaneEndo, TriangularAffine, as_triangular_affine,
                    compose, conjugate, endo_order, is_diagonal, is_linear)
 from .prufer import (CoeffSequence, conj_closed_form, diag, embedding_check,
                      EventuallyPeriodic, series_truncation, verify_formula)
-from .linearize import (LinearizationProblem, LinearizationResult, ShapeError,
+from .linearize import (LinearizationResult, ShapeError,
                         minimal_linearizer_degree, solve_linearization)
 from .conjugacy import (BinarySequence, ConjugacyReport, CERTIFICATE,
                         SATISFIABLE, differ_infinitely, necessary_condition,
@@ -26,7 +26,7 @@ __all__ = [
     "conjugate", "endo_order", "is_diagonal", "is_linear",
     "CoeffSequence", "conj_closed_form", "diag", "embedding_check",
     "EventuallyPeriodic", "series_truncation", "verify_formula",
-    "LinearizationProblem", "LinearizationResult", "ShapeError",
+    "LinearizationResult", "ShapeError",
     "minimal_linearizer_degree", "solve_linearization",
     "BinarySequence", "ConjugacyReport", "CERTIFICATE", "SATISFIABLE",
     "differ_infinitely", "necessary_condition", "omega0_family",

@@ -5,9 +5,10 @@ report text.  Exit codes: 0 for success / true verdicts, 1 for false or
 obstruction verdicts (still a valid run), 2 for input errors.
 
 Sequence-taking commands read one manifest: the one spelled by --p, --prefix
-and --tail (given twice for the two-sequence commands; --prefix and --tail
-need --p), or, when --p is omitted, the JSON object on stdin.  Any other flag
-that is given overrides the manifest field of its name:
+and --tail (each given once per sequence or not at all, so twice for the
+two-sequence commands; --prefix and --tail need --p), or, when --p is
+omitted, the JSON object on stdin.  Any other flag that is given overrides
+the manifest field of its name:
 
     {"prime": 2,
      "a": {"prefix": ["1", "1"], "tail": "zero"},
@@ -26,8 +27,7 @@ from fractions import Fraction
 from .cyclotomic import RootOfUnity
 from .endo import endo_order
 from .prufer import CoeffSequence, manifest_field as _field, verify_formula
-from .linearize import (LinearizationProblem, minimal_linearizer_degree,
-                        solve_linearization)
+from .linearize import minimal_linearizer_degree, solve_linearization
 from .conjugacy import (differ_infinitely, necessary_condition, omega0_family,
                         verify_subgroup_conjugator)
 # parse_scalar is unused here, but perfbench/tracing.py wraps it under this name
@@ -54,12 +54,13 @@ def _read(args, *keys: str) -> tuple:
         if not isinstance(manifest, dict):
             raise ValueError("manifest must be a JSON object")
     else:
-        one = len(keys) == 1
-        prefixes = [args.prefix] if one else args.prefix or [None, None]
-        tails = [args.tail] if one else args.tail or [None, None]
+        prefixes = args.prefix or [None] * len(keys)
+        tails = args.tail or [None] * len(keys)
         if len(prefixes) != len(keys) or len(tails) != len(keys):
-            raise ValueError("give --prefix and --tail twice (or not at all) "
-                             "to describe the two sequences")
+            times, what = (("once", "sequence") if len(keys) == 1
+                           else ("twice", "two sequences"))
+            raise ValueError(f"give --prefix and --tail {times} (or not at all) "
+                             f"to describe the {what}")
         manifest = {"prime": args.p}
         for key, prefix, tail in zip(keys, prefixes, tails):
             tail = (tail or "zero").strip()
@@ -120,7 +121,7 @@ def _cmd_verify_formula(args) -> int:
 
 def _cmd_linearize(args) -> int:
     target = parse_endo(args.target)
-    result = solve_linearization(LinearizationProblem(target, args.max_degree))
+    result = solve_linearization(target, args.max_degree)
     if result.found:
         print("LINEARIZED")
         print(f"theta = {result.theta}")
@@ -186,15 +187,12 @@ def _cmd_omega_family(args) -> int:
 
 # -- wiring -----------------------------------------------------------------
 
-def _add_sequence_flags(sub, two: bool):
-    if two:
-        sub.add_argument("--prefix", action="append",
-                         help="comma-separated scalars; give twice (a then b)")
-        sub.add_argument("--tail", action="append",
-                         help="'zero' or a comma-separated repeating block; give twice")
-    else:
-        sub.add_argument("--prefix", help="comma-separated scalars")
-        sub.add_argument("--tail", help="'zero' or a comma-separated repeating block")
+def _add_sequence_flags(sub):
+    sub.add_argument("--prefix", action="append",
+                     help="comma-separated scalars; once per sequence (a then b)")
+    sub.add_argument("--tail", action="append",
+                     help="'zero' or a comma-separated repeating block; "
+                          "once per sequence")
     sub.add_argument("--p", type=int, default=None,
                      help="the prime (omit to read a JSON manifest from stdin)")
 
@@ -228,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("verify-formula",
                               help="closed-form conjugate vs brute-force composition")
-    _add_sequence_flags(sub, two=False)
+    _add_sequence_flags(sub)
     sub.add_argument("--alpha", help="root exponent j/p^n, e.g. 3/8 for z(8)^3")
     sub.set_defaults(run=_cmd_verify_formula)
 
@@ -240,20 +238,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("min-degree",
                               help="smallest degree bound that linearizes")
-    _add_sequence_flags(sub, two=False)
+    _add_sequence_flags(sub)
     sub.add_argument("--alpha")
     sub.add_argument("--max-degree", type=int, default=None)
     sub.set_defaults(run=_cmd_min_degree)
 
     sub = commands.add_parser("nonconj-check",
                               help="necessary condition for subgroup conjugacy")
-    _add_sequence_flags(sub, two=True)
+    _add_sequence_flags(sub)
     sub.add_argument("--k0", type=int, default=None)
     sub.set_defaults(run=_cmd_nonconj_check)
 
     sub = commands.add_parser("verify-conjugator",
                               help="check a claimed conjugator level by level")
-    _add_sequence_flags(sub, two=True)
+    _add_sequence_flags(sub)
     sub.add_argument("--theta")
     sub.add_argument("--levels", type=int, default=None)
     sub.set_defaults(run=_cmd_verify_conjugator)

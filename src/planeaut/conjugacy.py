@@ -290,11 +290,10 @@ def verify_subgroup_conjugator(a: CoeffSequence, b: CoeffSequence,
         raise DomainMismatchError(f"mixed primes {a.prime} and {b.prime}")
     if levels < 1:
         raise ValueError("levels must be at least 1")
-    te = theta.as_endo()
     for n in range(1, levels + 1):
         alpha = RootOfUnity(a.prime, n, 1)
-        lhs = compose(conj_closed_form(a, alpha), te)
-        rhs = compose(te, conj_closed_form(b, alpha))
+        lhs = compose(conj_closed_form(a, alpha), theta)
+        rhs = compose(theta, conj_closed_form(b, alpha))
         if lhs != rhs:
             return False
     return True

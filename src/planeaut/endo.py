@@ -27,7 +27,8 @@ class PlaneEndo:
 
     @classmethod
     def diagonal(cls, a1, a2) -> "PlaneEndo":
-        return cls(SparsePoly.x1() * as_cycnum(a1), SparsePoly.x2() * as_cycnum(a2))
+        return PlaneEndo(SparsePoly.x1() * as_cycnum(a1),
+                         SparsePoly.x2() * as_cycnum(a2))
 
     def __mul__(self, other):
         if not isinstance(other, PlaneEndo):
@@ -49,7 +50,7 @@ class PlaneEndo:
         return f"({self.f1}, {self.f2})"
 
     def __repr__(self):
-        return f"PlaneEndo({str(self)!r})"
+        return f"{type(self).__name__}({str(self)!r})"
 
 
 def compose(phi: PlaneEndo, psi: PlaneEndo) -> PlaneEndo:
@@ -58,7 +59,7 @@ def compose(phi: PlaneEndo, psi: PlaneEndo) -> PlaneEndo:
                      phi.f2.substitute(psi.f1, psi.f2))
 
 
-class TriangularAffine:
+class TriangularAffine(PlaneEndo):
     """The automorphism (gamma*x1 + g(x2), beta*x2 + beta0), gamma, beta != 0.
 
     Closed under inversion, which is the only inversion this package needs:
@@ -76,6 +77,8 @@ class TriangularAffine:
         if g.involves_x1():
             raise ValueError("the shift part must be a polynomial in x2 alone")
         self.g = g
+        super().__init__(SparsePoly.x1() * self.gamma + g,
+                         SparsePoly.x2() * self.beta + SparsePoly.constant(self.beta0))
 
     @classmethod
     def identity(cls) -> "TriangularAffine":
@@ -90,32 +93,13 @@ class TriangularAffine:
     def scaling(cls, gamma, beta) -> "TriangularAffine":
         return cls(gamma, SparsePoly.zero(), beta)
 
-    def as_endo(self) -> PlaneEndo:
-        f1 = SparsePoly.x1() * self.gamma + self.g
-        f2 = SparsePoly.x2() * self.beta + SparsePoly.constant(self.beta0)
-        return PlaneEndo(f1, f2)
-
     def inverse(self) -> "TriangularAffine":
         """Closed-form inverse: x2 -> (x2 - beta0)/beta, x1 -> (x1 - g(...))/gamma."""
         binv = self.beta.inverse()
+        ginv = self.gamma.inverse()
         y = (SparsePoly.x2() - SparsePoly.constant(self.beta0)) * binv
-        ginv = -(self.g.substitute(SparsePoly.x1(), y)) * self.gamma.inverse()
-        return TriangularAffine(self.gamma.inverse(), ginv, binv,
-                                -(self.beta0 * binv))
-
-    def __eq__(self, other):
-        if not isinstance(other, TriangularAffine):
-            return NotImplemented
-        return (self.gamma == other.gamma and self.beta == other.beta
-                and self.beta0 == other.beta0 and self.g == other.g)
-
-    __hash__ = None
-
-    def __str__(self):
-        return str(self.as_endo())
-
-    def __repr__(self):
-        return f"TriangularAffine({str(self)!r})"
+        return TriangularAffine(ginv, -(self.g.substitute(SparsePoly.x1(), y)) * ginv,
+                                binv, -(self.beta0 * binv))
 
 
 def as_triangular_affine(psi: PlaneEndo) -> TriangularAffine | None:
@@ -138,8 +122,7 @@ def as_triangular_affine(psi: PlaneEndo) -> TriangularAffine | None:
 
 def conjugate(psi: PlaneEndo, theta: TriangularAffine) -> PlaneEndo:
     """theta^-1 * psi * theta in the left-to-right orientation."""
-    te = theta.as_endo()
-    return compose(compose(theta.inverse().as_endo(), psi), te)
+    return compose(compose(theta.inverse(), psi), theta)
 
 
 def endo_order(psi: PlaneEndo, max_order: int) -> int | None:

@@ -23,18 +23,6 @@ class ShapeError(ValueError):
     """The target is not of the solvable shape."""
 
 
-class LinearizationProblem:
-    """A target automorphism plus the degree bound for the conjugator's shift part."""
-
-    __slots__ = ("target", "degree_bound")
-
-    def __init__(self, target: PlaneEndo, degree_bound: int):
-        if degree_bound < 1:
-            raise ValueError("degree bound must be at least 1")
-        self.target = target
-        self.degree_bound = degree_bound
-
-
 class LinearizationResult:
     """Either a verified conjugator with its diagonal image, or an obstruction.
 
@@ -76,10 +64,12 @@ def _target_shape(target: PlaneEndo) -> tuple[CycNum, dict[int, CycNum]]:
     return alpha, shift.x2_profile()
 
 
-def solve_linearization(problem: LinearizationProblem) -> LinearizationResult:
-    """Find theta = (x1 + g(x2), x2) with deg g <= bound diagonalizing the target."""
-    alpha, profile = _target_shape(problem.target)
-    bound = problem.degree_bound
+def solve_linearization(target: PlaneEndo, degree_bound: int) -> LinearizationResult:
+    """Find theta = (x1 + g(x2), x2) with deg g <= degree_bound diagonalizing
+    the target."""
+    if degree_bound < 1:
+        raise ValueError("degree bound must be at least 1")
+    alpha, profile = _target_shape(target)
     unsolvable: list[int] = []
     forced_beyond: list[int] = []
     g = SparsePoly.zero()
@@ -92,7 +82,7 @@ def solve_linearization(problem: LinearizationProblem) -> LinearizationResult:
         g_d = s_d / (alpha ** d - alpha)
         if g_d.is_zero:
             continue
-        if d > bound:
+        if d > degree_bound:
             forced_beyond.append(d)
         else:
             g = g + SparsePoly.monomial(0, d, g_d)
@@ -102,7 +92,7 @@ def solve_linearization(problem: LinearizationProblem) -> LinearizationResult:
         return LinearizationResult(obstruction_degree=max(forced_beyond))
     theta = TriangularAffine.shift(g)
     h = PlaneEndo.diagonal(alpha, alpha)
-    check = conjugate(problem.target, theta)
+    check = conjugate(target, theta)
     if check != h or not is_diagonal(check):
         raise AssertionError("per-monomial solve failed its composition check")
     return LinearizationResult(theta=theta, h=h)
@@ -119,5 +109,5 @@ def minimal_linearizer_degree(s: CoeffSequence, alpha: RootOfUnity,
     if max_bound < 1:
         return None
     target = conj_closed_form(s, alpha)
-    result = solve_linearization(LinearizationProblem(target, max_bound))
+    result = solve_linearization(target, max_bound)
     return max(1, result.theta.g.degree) if result.found else None

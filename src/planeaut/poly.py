@@ -16,11 +16,6 @@ Monomial = tuple[int, int]
 NEG_INF = float("-inf")
 
 
-def grlex_key(m: Monomial) -> tuple[int, int]:
-    """Sort key for graded lexicographic order with x1 > x2."""
-    return (m[0] + m[1], m[0])
-
-
 _PRINT_KEY = lambda m: (m[0] + m[1], m[1])  # ascending degree, x1-part first
 
 
@@ -75,8 +70,8 @@ class SparsePoly:
         return not self._terms
 
     def terms(self):
-        """Iterator over (monomial, coefficient) pairs, canonical order."""
-        for mono in sorted(self._terms, key=grlex_key):
+        """Iterator over (monomial, coefficient) pairs in print order."""
+        for mono in sorted(self._terms, key=_PRINT_KEY):
             yield mono, self._terms[mono]
 
     def __len__(self) -> int:
@@ -168,17 +163,7 @@ class SparsePoly:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        if len(self._terms) == 1 and e:
-            ((e1, e2), c), = self._terms.items()
-            return _raw({(e1 * e, e2 * e): c ** e})
-        result = SparsePoly.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _cached_pow(self, e, {0: SparsePoly.one(), 1: self})
 
     # -- substitution -----------------------------------------------------
 
@@ -238,7 +223,8 @@ def _cached_pow(base: SparsePoly, e: int, cache: dict[int, SparsePoly]) -> Spars
     if hit is not None:
         return hit
     if len(base._terms) == 1:
-        out = base ** e
+        ((e1, e2), c), = base._terms.items()
+        out = _raw({(e1 * e, e2 * e): c ** e})
     else:
         half = _cached_pow(base, e // 2, cache)
         out = half * half

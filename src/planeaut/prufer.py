@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from .cyclotomic import CycNum, RootOfUnity, as_cycnum, is_prime
+from .cyclotomic import (CycNum, DomainMismatchError, RootOfUnity, as_cycnum,
+                         is_prime)
 from .poly import SparsePoly
 from .endo import PlaneEndo, TriangularAffine, compose, conjugate, endo_order
 from .parsing import parse_scalar
@@ -30,7 +31,9 @@ _REQUIRED = object()
 def manifest_field(record: dict, key: str, kind: type, default=_REQUIRED):
     """record[key] (or the default, if given, when it is absent) checked to be
     a JSON value of the kind; a bad field raises ValueError naming it."""
-    if default is not _REQUIRED and key not in record:
+    if key not in record:
+        if default is _REQUIRED:
+            raise ValueError(f"manifest field {key!r} is missing")
         return default
     value = record[key]
     valid = isinstance(value, kind) and not isinstance(value, bool)
@@ -86,7 +89,8 @@ class CoeffSequence(EventuallyPeriodic):
     """Coefficient sequence {a_k} over Q(zeta_{p^infty}).
 
     A tail of None, "zero", or only zeros is stored as the block (0,): the
-    support is finite and the shift map is a polynomial automorphism.
+    support is finite and the shift map is a polynomial automorphism.  An
+    entry from the tower of another prime raises DomainMismatchError.
     """
 
     __slots__ = ("prime",)
@@ -99,6 +103,10 @@ class CoeffSequence(EventuallyPeriodic):
         if not any(block):
             block = (CycNum.zero(),)
         super().__init__((as_cycnum(c) for c in prefix), block)
+        for c in self.prefix + self.tail:
+            if c.level and c.prime != prime:
+                raise DomainMismatchError(
+                    f"entry {c} lives over p={c.prime}, not {prime}")
 
     coeff = EventuallyPeriodic.entry
 

@@ -15,7 +15,7 @@ from planeaut import (BinarySequence, CERTIFICATE, CoeffSequence,
                       endo_order, is_diagonal, conjugate,
                       minimal_linearizer_degree, necessary_condition,
                       omega0_family, solve_linearization,
-                      LinearizationProblem, verify_subgroup_conjugator)
+                      verify_subgroup_conjugator)
 from planeaut.cli import main
 from planeaut.prufer import exponent_of, series_truncation
 
@@ -49,11 +49,10 @@ def test_c1_conjugation_formula_oracle():
         for prefix in prefixes:
             seq = CoeffSequence(p, prefix)
             theta = series_truncation(seq, 3)
-            theta_endo = theta.as_endo()
-            theta_inv = theta.inverse().as_endo()
+            theta_inv = theta.inverse()
             for j in range(p ** 3):
                 alpha = RootOfUnity(p, 3, j)
-                brute = compose(compose(theta_inv, diag(alpha)), theta_endo)
+                brute = compose(compose(theta_inv, diag(alpha)), theta)
                 assert conj_closed_form(seq, alpha) == brute
 
 
@@ -116,7 +115,7 @@ def test_c5_linearizer_soundness():
         seq = CoeffSequence(p, prefix, tail)
         target = conj_closed_form(seq, alpha)
         bound = max(int(target.f1.degree), 1)
-        result = solve_linearization(LinearizationProblem(target, bound))
+        result = solve_linearization(target, bound)
         assert result.found
         image = conjugate(target, result.theta)
         assert is_diagonal(image)

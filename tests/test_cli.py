@@ -170,6 +170,35 @@ class TestInputErrors:
         assert "twice" in err
 
     @pytest.mark.parametrize("argv", [
+        pytest.param(("verify-formula", "--p", "2", "--prefix", "1",
+                      "--prefix", "1,1", "--alpha", "1/2"), id="verify-formula"),
+        pytest.param(("min-degree", "--p", "2", "--tail", "1", "--tail", "1",
+                      "--alpha", "1/2", "--max-degree", "3"), id="min-degree"),
+    ])
+    def test_repeated_sequence_flag_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "give --prefix and --tail once (or not at all)" in err
+
+    @pytest.mark.parametrize("argv,field", [
+        pytest.param(("verify-formula", "--p", "2", "--prefix", "1"), "alpha",
+                     id="alpha"),
+        pytest.param(("min-degree", "--p", "2", "--prefix", "1", "--alpha", "1/2"),
+                     "max_degree", id="max-degree"),
+        pytest.param(("verify-conjugator", "--p", "2", "--prefix", "1",
+                      "--prefix", "1"), "theta", id="theta"),
+    ])
+    def test_missing_field_is_named(self, capsys, argv, field):
+        message = f"error: manifest field {field!r} is missing\n"
+        assert run(capsys, *argv) == (2, "", message)
+
+    @pytest.mark.parametrize("alpha", ["1/2", "1/4"])
+    def test_foreign_prime_entry(self, capsys, alpha):
+        code, out, err = run(capsys, "verify-formula", "--p", "2",
+                             "--prefix", "z(3)", "--alpha", alpha)
+        assert (code, out, err) == (2, "", "error: entry z(3) lives over p=3, not 2\n")
+
+    @pytest.mark.parametrize("argv", [
         pytest.param(("verify-formula", "--prefix", "5,7,z(3)", "--tail", "9",
                       "--alpha", "1/4"), id="one-sequence"),
         pytest.param(("nonconj-check", "--prefix", "1", "--prefix", "1"),

@@ -58,17 +58,17 @@ class TestCompose:
 class TestTriangularInverse:
     def test_unipotent_shift(self):
         theta = TriangularAffine.shift(x2() ** 2)
-        assert theta.inverse().as_endo() == parse_endo("(x1 - x2^2, x2)")
+        assert theta.inverse() == parse_endo("(x1 - x2^2, x2)")
 
     def test_affine(self):
         theta = TriangularAffine(2, SparsePoly.zero(), 1, 1)  # (2x1, x2+1)
-        assert theta.inverse().as_endo() == parse_endo("(x1/2, x2 - 1)")
+        assert theta.inverse() == parse_endo("(x1/2, x2 - 1)")
 
     def test_two_term_shift_round_trip(self):
         theta = TriangularAffine.shift(x2() ** 2 + x2() ** 3)
         inv = theta.inverse()
-        assert inv.as_endo() == parse_endo("(x1 - x2^2 - x2^3, x2)")
-        assert compose(theta.as_endo(), inv.as_endo()) == PlaneEndo.identity()
+        assert inv == parse_endo("(x1 - x2^2 - x2^3, x2)")
+        assert compose(theta, inv) == PlaneEndo.identity()
 
     def test_randomized_two_sided_inverse(self):
         rng = random.Random(43)
@@ -76,14 +76,34 @@ class TestTriangularInverse:
         for _ in range(25):
             theta = random_triangular(rng)
             inv = theta.inverse()
-            assert compose(theta.as_endo(), inv.as_endo()) == ident
-            assert compose(inv.as_endo(), theta.as_endo()) == ident
+            assert compose(theta, inv) == ident
+            assert compose(inv, theta) == ident
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             TriangularAffine(0, SparsePoly.zero(), 1)
         with pytest.raises(ValueError):
             TriangularAffine(1, x1(), 1)
+
+
+class TestTriangularIsPlaneEndo:
+    def test_equals_plane_endo_of_same_map(self):
+        theta = TriangularAffine(2, x2() ** 2, 3, 1)
+        same = parse_endo("(2*x1 + x2^2, 3*x2 + 1)")
+        assert isinstance(theta, PlaneEndo)
+        assert theta == same and same == theta
+        assert theta != parse_endo("(2*x1 + x2^2, 3*x2)")
+        assert repr(theta) == "TriangularAffine('(2*x1 + x2^2, 1 + 3*x2)')"
+        assert repr(same) == "PlaneEndo('(2*x1 + x2^2, 1 + 3*x2)')"
+
+    def test_randomized_components(self):
+        rng = random.Random(61)
+        for _ in range(20):
+            theta = random_triangular(rng)
+            for t in (theta, theta.inverse()):
+                assert isinstance(t, PlaneEndo)
+                assert t.f1 == x1() * t.gamma + t.g
+                assert t.f2 == x2() * t.beta + t.beta0
 
 
 class TestConjugate:
@@ -156,7 +176,7 @@ class TestRecognition:
         rng = random.Random(59)
         for _ in range(20):
             theta = random_triangular(rng)
-            again = as_triangular_affine(theta.as_endo())
+            again = as_triangular_affine(theta)
             assert again == theta
 
     def test_rejects_non_triangular(self):

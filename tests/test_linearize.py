@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from planeaut import (CoeffSequence, CycNum, LinearizationProblem, PlaneEndo,
+from planeaut import (CoeffSequence, CycNum, PlaneEndo,
                       RootOfUnity, ShapeError, SparsePoly, TriangularAffine,
                       conj_closed_form, conjugate, is_diagonal,
                       minimal_linearizer_degree, parse_endo,
@@ -13,48 +13,48 @@ from planeaut import (CoeffSequence, CycNum, LinearizationProblem, PlaneEndo,
 from conftest import random_sequence
 
 
-def solve(target, bound):
-    return solve_linearization(LinearizationProblem(target, bound))
-
-
 class TestSolve:
     def test_worked_example(self):
         # sign pinned by the composition oracle: g_2 = S_2/(alpha^2 - alpha) = -1
-        result = solve(parse_endo("(-x1 - 2*x2^2, -x2)"), 2)
+        result = solve_linearization(parse_endo("(-x1 - 2*x2^2, -x2)"), 2)
         assert result.found
-        assert result.theta.as_endo() == parse_endo("(x1 - x2^2, x2)")
+        assert result.theta == parse_endo("(x1 - x2^2, x2)")
         assert result.h == parse_endo("(-x1, -x2)")
         assert conjugate(parse_endo("(-x1 - 2*x2^2, -x2)"), result.theta) == result.h
 
     def test_already_diagonal(self):
         z = CycNum.zeta(3, 1)
-        result = solve(PlaneEndo.diagonal(z, z), 3)
+        result = solve_linearization(PlaneEndo.diagonal(z, z), 3)
         assert result.found
         assert result.theta == TriangularAffine.identity()
 
     def test_obstruction_reports_required_degree(self):
         # level 3, all prefix entries nonzero: the k=2 term survives at degree 5
         target = conj_closed_form(CoeffSequence(2, [1, 1, 1]), RootOfUnity(2, 3, 1))
-        result = solve(target, 1)
+        result = solve_linearization(target, 1)
         assert not result.found
         assert result.obstruction_degree == 5
 
     def test_alpha_one_with_shift_is_obstructed(self):
-        result = solve(parse_endo("(x1 + x2^3 + x2^5, x2)"), 9)
+        result = solve_linearization(parse_endo("(x1 + x2^3 + x2^5, x2)"), 9)
         assert not result.found
         assert result.obstruction_degree == 3
 
     def test_shape_check_failures(self):
         with pytest.raises(ShapeError):
-            solve(parse_endo("(x1 + x1*x2, x2)"), 2)       # shift involves x1
+            solve_linearization(parse_endo("(x1 + x1*x2, x2)"), 2)  # shift involves x1
         with pytest.raises(ShapeError):
-            solve(parse_endo("(2*x1, 2*x2)"), 2)           # scaling of infinite order
+            solve_linearization(parse_endo("(2*x1, 2*x2)"), 2)  # infinite-order scaling
         with pytest.raises(ShapeError):
-            solve(parse_endo("(-x1, x2 + 1)"), 2)          # x2 image not a scaling
+            solve_linearization(parse_endo("(-x1, x2 + 1)"), 2)  # x2 image not a scaling
+
+    def test_bound_below_one_rejected(self):
+        with pytest.raises(ValueError, match="degree bound must be at least 1"):
+            solve_linearization(parse_endo("(-x1 - 2*x2^2, -x2)"), 0)
 
     def test_free_coefficient_set_to_zero(self):
         # alpha = -1: degree-3 equation is degenerate with S_3 = 0, so g_3 = 0
-        result = solve(parse_endo("(-x1 - 2*x2^2, -x2)"), 5)
+        result = solve_linearization(parse_endo("(-x1 - 2*x2^2, -x2)"), 5)
         assert result.theta.g.coefficient(0, 3).is_zero
 
 
@@ -68,21 +68,22 @@ class TestSoundnessAndCompleteness:
             s = random_sequence(rng, p)
             target = conj_closed_form(s, alpha)
             bound = max(int(target.f1.degree), 1)
-            result = solve(target, bound)
+            result = solve_linearization(target, bound)
             assert result.found
             image = conjugate(target, result.theta)
             assert is_diagonal(image) and image == result.h
 
     def test_monotonicity_in_bound(self):
         target = conj_closed_form(CoeffSequence(2, [1, 1, 1]), RootOfUnity(2, 3, 1))
-        succeeded = [bound for bound in range(1, 10) if solve(target, bound).found]
+        succeeded = [bound for bound in range(1, 10)
+                     if solve_linearization(target, bound).found]
         assert succeeded == list(range(5, 10))
 
     def test_obstructed_target_defeats_random_conjugators(self):
         rng = random.Random(89)
         target = conj_closed_form(CoeffSequence(2, [1, 1]), RootOfUnity(2, 2, 1))
         bound = 2  # needs degree 3
-        assert not solve(target, bound).found
+        assert not solve_linearization(target, bound).found
         pool = [CycNum.one(), CycNum.rational(-1), CycNum.rational(2),
                 CycNum.zeta(2, 2)]
         for _ in range(200):
@@ -123,7 +124,7 @@ class TestMinimalDegree:
             target = conj_closed_form(s, alpha)
             for max_bound in (-1, 0, rng.randint(1, p ** level + 2)):
                 expected = next((bound for bound in range(1, max_bound + 1)
-                                 if solve(target, bound).found), None)
+                                 if solve_linearization(target, bound).found), None)
                 assert minimal_linearizer_degree(s, alpha, max_bound) == expected
 
     def test_strictly_increasing_in_level(self):

@@ -150,6 +150,20 @@ def test_construction_drops_zeros(triples):
     assert all(not c.is_zero for _, c in poly.terms())
 
 
+@pytest.mark.parametrize("base", [x2() * 3, x1() + x2() ** 2, x1() * z(3, 1) - 1])
+def test_pow_matches_repeated_product(base):
+    product = SparsePoly.one()
+    for e in range(7):
+        assert base ** e == product
+        product = product * base
+
+
+def test_terms_follow_print_order():
+    f = SparsePoly({(0, 2): 1, (1, 1): 2, (2, 0): 3, (0, 0): 4, (1, 0): 5})
+    assert [m for m, _ in f.terms()] == [(0, 0), (1, 0), (2, 0), (1, 1), (0, 2)]
+    assert str(f) == "4 + 5*x1 + 3*x1^2 + 2*x1*x2 + x2^2"
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         SparsePoly({(-1, 0): CycNum.one()})

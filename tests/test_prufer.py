@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from planeaut import (CoeffSequence, CycNum, PlaneEndo,
+from planeaut import (CoeffSequence, CycNum, DomainMismatchError, PlaneEndo,
                       RootOfUnity, SparsePoly, compose, conj_closed_form,
                       conjugate, diag, embedding_check, endo_order, parse_endo,
                       series_truncation, verify_formula)
@@ -49,10 +49,19 @@ class TestCoeffSequence:
         ({"prime": 2, "prefix": [1]}, "prefix"),
         ({"prime": "2"}, "prime"),
         ({"prime": 2, "tail": 5}, "tail"),
+        ({"prefix": []}, "prime"),
     ])
     def test_malformed_manifest_names_field(self, record, field):
         with pytest.raises(ValueError, match=f"manifest field '{field}'"):
             CoeffSequence.from_manifest(record)
+
+    @pytest.mark.parametrize("prime,prefix,tail", [
+        pytest.param(2, [CycNum.zeta(3, 1)], None, id="prefix"),
+        pytest.param(3, [1], [0, CycNum.zeta(2, 2)], id="tail"),
+    ])
+    def test_foreign_prime_entry_rejected(self, prime, prefix, tail):
+        with pytest.raises(DomainMismatchError, match=f"not {prime}$"):
+            CoeffSequence(prime, prefix, tail)
 
     def test_manifest_round_trip_randomized(self):
         rng = random.Random(137)
@@ -77,19 +86,19 @@ class TestSeriesTruncation:
     def test_exponent_schedule_p2(self):
         # w_k = x2^(p^k + 1): exponents 2, 3 at p = 2
         s = CoeffSequence(2, [1, 1])
-        assert series_truncation(s, 1).as_endo() == parse_endo("(x1 + x2^2 + x2^3, x2)")
+        assert series_truncation(s, 1) == parse_endo("(x1 + x2^2 + x2^3, x2)")
 
     def test_all_zero_gives_identity(self):
         s = CoeffSequence(5, [0, 0])
-        assert series_truncation(s, 3).as_endo() == PlaneEndo.identity()
+        assert series_truncation(s, 3) == PlaneEndo.identity()
 
     def test_single_term_p3(self):
         s = CoeffSequence(3, [2])
-        assert series_truncation(s, 0).as_endo() == parse_endo("(x1 + 2*x2^2, x2)")
+        assert series_truncation(s, 0) == parse_endo("(x1 + 2*x2^2, x2)")
 
     def test_truncation_reads_tail(self):
         s = CoeffSequence(2, [], [1])
-        assert series_truncation(s, 2).as_endo() == parse_endo(
+        assert series_truncation(s, 2) == parse_endo(
             "(x1 + x2^2 + x2^3 + x2^5, x2)")
 
 
