@@ -1,10 +1,13 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_m) for m = p^n.
 
-Values are represented on the power basis 1, zeta, ..., zeta^(phi(m)-1)
-modulo the m-th cyclotomic polynomial, with Fraction coefficients.  The
-representation is canonical: a value is always stored at the lowest level
-that contains it (plain rationals at level 0), so equality and hashing are
-plain tuple comparisons.
+A value is a sparse combination of the power basis 1, zeta, ...,
+zeta^(phi(m)-1) modulo the m-th cyclotomic polynomial: the sorted
+(exponent, Fraction) pairs of its nonzero coefficients.  The form is
+canonical: a value is stored at the lowest level that contains it (plain
+rationals at level 0, zero as no terms), so equality and hashing are plain
+tuple comparisons, and a root of unity of any order is one term.  Dense
+coefficient vectors appear only at the edges, in from_coeffs and
+coeffs_at_level.
 
 A fixed prime p is assumed per computation; combining values from the
 towers of two different primes raises DomainMismatchError.
@@ -80,34 +83,32 @@ class CycNum:
     """An element of Q(zeta_{p^level}), canonically demoted to its minimal level.
 
     Level 0 is the rational field; such values carry prime None and mix
-    freely with any tower.
+    freely with any tower.  terms holds the nonzero coefficients as sorted
+    (exponent, Fraction) pairs, every exponent below phi(p^level).
     """
 
-    __slots__ = ("prime", "level", "coeffs")
+    __slots__ = ("prime", "level", "terms")
 
-    def __init__(self, prime: int | None, level: int, coeffs: tuple[Fraction, ...]):
+    def __init__(self, prime: int | None, level: int, terms: tuple):
         # assumes canonical data; use the factory methods below
         self.prime = prime
         self.level = level
-        self.coeffs = coeffs
+        self.terms = terms
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _make(cls, prime: int | None, level: int, coeffs: list[Fraction]) -> "CycNum":
-        p = prime
-        while level >= 1:
-            if any(coeffs[i] for i in range(len(coeffs)) if i % p):
-                break
-            coeffs = [coeffs[i * p] for i in range(phi_prime_power(p, level - 1))]
+    def _make(cls, prime: int | None, level: int, coeffs: dict[int, Fraction]) -> "CycNum":
+        terms = sorted((e, c) for e, c in coeffs.items() if c)
+        while level and all(e % prime == 0 for e, _ in terms):
+            terms = [(e // prime, c) for e, c in terms]
             level -= 1
-        if level == 0:
-            return cls(None, 0, (coeffs[0],))
-        return cls(p, level, tuple(coeffs))
+        return cls(prime if level else None, level, tuple(terms))
 
     @classmethod
     def rational(cls, value) -> "CycNum":
-        return cls(None, 0, (Fraction(value),))
+        q = Fraction(value)
+        return cls(None, 0, ((0, q),) if q else ())
 
     @classmethod
     def zero(cls) -> "CycNum":
@@ -133,7 +134,7 @@ class CycNum:
         cs = [Fraction(c) for c in coeffs]
         if len(cs) != phi_prime_power(p, level):
             raise ValueError("coefficient vector has wrong length")
-        return cls._make(p, level, cs)
+        return cls._make(p, level, dict(enumerate(cs)))
 
     @classmethod
     def _from_exponent_map(cls, p: int, n: int, emap: dict[int, Fraction]) -> "CycNum":
@@ -145,24 +146,21 @@ class CycNum:
         m = p ** n
         phi = phi_prime_power(p, n)
         q = p ** (n - 1)
-        dense = [_ZERO] * phi
+        out: dict[int, Fraction] = {}
         for e, c in emap.items():
-            if not c:
-                continue
             e %= m
             if e < phi:
-                dense[e] += c
+                out[e] = out.get(e, _ZERO) + c
             else:
-                r = e - phi
-                for i in range(p - 1):
-                    dense[r + i * q] -= c
-        return cls._make(p, n, dense)
+                for r in range(e - phi, phi, q):
+                    out[r] = out.get(r, _ZERO) - c
+        return cls._make(p, n, out)
 
     # -- queries -----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self.level == 0 and not self.coeffs[0]
+        return not self.terms
 
     @property
     def is_rational(self) -> bool:
@@ -171,7 +169,7 @@ class CycNum:
     def as_fraction(self) -> Fraction:
         if self.level != 0:
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return self.terms[0][1] if self.terms else _ZERO
 
     def modulus(self) -> int:
         """The m of the minimal field Q(zeta_m) containing the value."""
@@ -186,17 +184,17 @@ class CycNum:
             raise DomainMismatchError(f"value lives over p={self.prime}, not {prime}")
         if level < self.level:
             raise ValueError("cannot lower the level of an embedding")
-        return tuple(self._lift(p, level))
+        out = [_ZERO] * phi_prime_power(p, level)
+        for e, c in self._lift(p, level):
+            out[e] = c
+        return tuple(out)
 
-    def _lift(self, p: int, n: int) -> list[Fraction]:
+    def _lift(self, p: int, n: int) -> tuple[tuple[int, Fraction], ...]:
+        """The terms of the canonical embedding into Q(zeta_{p^n})."""
         if self.level == n:
-            return list(self.coeffs)
+            return self.terms
         f = p ** (n - self.level)
-        out = [_ZERO] * phi_prime_power(p, n)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * f] = c
-        return out
+        return tuple((e * f, c) for e, c in self.terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -220,15 +218,15 @@ class CycNum:
         if o is None:
             return NotImplemented
         p, n = self._common(o)
-        if n == 0:
-            return CycNum.rational(self.coeffs[0] + o.coeffs[0])
-        a, b = self._lift(p, n), o._lift(p, n)
-        return CycNum._make(p, n, [x + y if y else x for x, y in zip(a, b)])
+        out = dict(self._lift(p, n))
+        for e, c in o._lift(p, n):
+            out[e] = out.get(e, _ZERO) + c
+        return CycNum._make(p, n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.prime, self.level, tuple(-c for c in self.coeffs))
+        return CycNum(self.prime, self.level, tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -247,23 +245,17 @@ class CycNum:
         if o is None:
             return NotImplemented
         p, n = self._common(o)
-        if n == 0:
-            return CycNum.rational(self.coeffs[0] * o.coeffs[0])
         if self.level == 0 or o.level == 0:
-            scalar, val = (self.coeffs[0], o) if self.level == 0 else (o.coeffs[0], self)
-            if not scalar:
+            scalar, val = (self, o) if self.level == 0 else (o, self)
+            s = scalar.as_fraction()
+            if not s:
                 return CycNum.zero()
-            return CycNum._make(val.prime, val.level,
-                                [scalar * c if c else c for c in val.coeffs])
-        a, b = self._lift(p, n), o._lift(p, n)
+            return CycNum(val.prime, val.level, tuple((e, s * c) for e, c in val.terms))
+        b = o._lift(p, n)
         emap: dict[int, Fraction] = {}
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    k = i + j
-                    emap[k] = emap.get(k, _ZERO) + x * y
+        for i, x in self._lift(p, n):
+            for j, y in b:
+                emap[i + j] = emap.get(i + j, _ZERO) + x * y
         return CycNum._from_exponent_map(p, n, emap)
 
     __rmul__ = __mul__
@@ -285,10 +277,10 @@ class CycNum:
             p, n = norm.prime, norm.level
             q = p ** (n - 1)
             c = reduce(mul, [CycNum._from_exponent_map(
-                p, n, {i * a: x for i, x in enumerate(norm.coeffs) if x})
+                p, n, {i * a: x for i, x in norm.terms})
                 for a in range(1 + q, p ** n, q)])
             cofactor, norm = cofactor * c, norm * c
-        return cofactor * CycNum.rational(1 / norm.coeffs[0])
+        return cofactor * CycNum.rational(1 / norm.as_fraction())
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -309,10 +301,10 @@ class CycNum:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        if self.level and exponent and self.term_count == 1:
-            i = next(k for k, c in enumerate(self.coeffs) if c)
+        if self.level and exponent and len(self.terms) == 1:
+            (i, c), = self.terms
             return CycNum._from_exponent_map(
-                self.prime, self.level, {i * exponent: self.coeffs[i] ** exponent})
+                self.prime, self.level, {i * exponent: c ** exponent})
         result = CycNum.one()
         base = self
         e = exponent
@@ -330,22 +322,18 @@ class CycNum:
         if o is None:
             return NotImplemented
         return (self.level == o.level and self.prime == o.prime
-                and self.coeffs == o.coeffs)
+                and self.terms == o.terms)
 
     def __hash__(self):
-        return hash((self.prime, self.level, self.coeffs))
+        return hash((self.prime, self.level, self.terms))
 
     def __bool__(self):
         return not self.is_zero
 
     def __str__(self):
-        if self.level == 0:
-            return str(self.coeffs[0])
         m = self.modulus()
         parts = []
-        for e, c in enumerate(self.coeffs):
-            if not c:
-                continue
+        for e, c in self.terms:
             if e == 0:
                 parts.append(str(c))
                 continue
@@ -356,18 +344,14 @@ class CycNum:
                 parts.append("-" + base)
             else:
                 parts.append(f"{c}*{base}")
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"CycNum({str(self)!r})"
 
-    @property
-    def term_count(self) -> int:
-        return sum(1 for c in self.coeffs if c)
 
-
-_CYC_ZERO = CycNum(None, 0, (_ZERO,))
-_CYC_ONE = CycNum(None, 0, (_ONE,))
+_CYC_ZERO = CycNum(None, 0, ())
+_CYC_ONE = CycNum(None, 0, ((0, _ONE),))
 
 
 def as_cycnum(value) -> CycNum:
@@ -484,25 +468,26 @@ class RootOfUnity:
 def root_of_unity_splits(u: CycNum, p: int) -> list[tuple[Fraction, RootOfUnity]]:
     """Every split u = q * omega with q rational and omega in C_{p^infty}.
 
-    Read off the canonical vector at level n = max(level, 1): q * zeta^j is
-    the single term q at j < phi, else the p-1 terms -q on the stride p^(n-1)
-    from j - phi; for p = 2 both shapes are one term, giving two splits.
+    Read off the canonical terms at level n = max(level, 1) (a rational's
+    single term sits at exponent 0 on every level): q * zeta^j is the single
+    term q at j < phi, else the p-1 terms -q on the stride p^(n-1) from
+    j - phi; for p = 2 both shapes are one term, giving two splits.
     """
     _check_prime(p)
     if u.level and u.prime != p:
         return []
     n = max(u.level, 1)
     phi = phi_prime_power(p, n)
-    terms = [(i, c) for i, c in enumerate(u.coeffs_at_level(n, p)) if c]
+    terms = u.terms
     if len(terms) == 1:
-        j, q = terms[0]
+        (j, q), = terms
         splits = [(q, RootOfUnity(p, n, j))]
         if p == 2:
             splits.append((-q, RootOfUnity(p, n, j + phi)))
         return splits
     if len(terms) == p - 1:
         j, q = terms[0]
-        if terms == [(j + i * p ** (n - 1), q) for i in range(p - 1)]:
+        if terms == tuple((j + i * p ** (n - 1), q) for i in range(p - 1)):
             return [(-q, RootOfUnity(p, n, j + phi))]
     return []
 

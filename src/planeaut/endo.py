@@ -25,11 +25,6 @@ class PlaneEndo:
     def identity(cls) -> "PlaneEndo":
         return cls(SparsePoly.x1(), SparsePoly.x2())
 
-    @classmethod
-    def diagonal(cls, a1, a2) -> "PlaneEndo":
-        return PlaneEndo(SparsePoly.x1() * as_cycnum(a1),
-                         SparsePoly.x2() * as_cycnum(a2))
-
     def __mul__(self, other):
         if not isinstance(other, PlaneEndo):
             return NotImplemented

@@ -91,7 +91,7 @@ def solve_linearization(target: PlaneEndo, degree_bound: int) -> LinearizationRe
     if forced_beyond:
         return LinearizationResult(obstruction_degree=max(forced_beyond))
     theta = TriangularAffine.shift(g)
-    h = PlaneEndo.diagonal(alpha, alpha)
+    h = TriangularAffine.scaling(alpha, alpha)
     check = conjugate(target, theta)
     if check != h or not is_diagonal(check):
         raise AssertionError("per-monomial solve failed its composition check")

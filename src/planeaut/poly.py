@@ -253,6 +253,6 @@ def _term_str(mono: Monomial, coeff: CycNum) -> str:
     if coeff == -1:
         return "-" + ms
     cs = str(coeff)
-    if not coeff.is_rational and coeff.term_count > 1:
+    if len(coeff.terms) > 1:
         cs = f"({cs})"
     return f"{cs}*{ms}"

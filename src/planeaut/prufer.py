@@ -138,10 +138,10 @@ def exponent_of(p: int, k: int) -> int:
     return p ** k + 1
 
 
-def diag(alpha: RootOfUnity) -> PlaneEndo:
+def diag(alpha: RootOfUnity) -> TriangularAffine:
     """The diagonal automorphism (alpha*x1, alpha*x2)."""
     a = alpha.to_field()
-    return PlaneEndo.diagonal(a, a)
+    return TriangularAffine.scaling(a, a)
 
 
 def series_truncation(s: CoeffSequence, n_terms: int) -> TriangularAffine:

@@ -131,6 +131,17 @@ class TestCommands:
                            "--theta", "(x1, x2/2)", "--levels", "3")
         assert (code, out) == (1, "FAIL: conjugator does not intertwine levels 1..3\n")
 
+    @pytest.mark.parametrize("argv,expected", [
+        (("verify-formula", "--p", "2", "--prefix", "1,0,1",
+          "--alpha=1/1099511627776"), GOLDEN_VERIFY),
+        (("verify-conjugator", "--p", "2", "--prefix", "1", "--prefix", "1",
+          "--theta", "(x1,x2)", "--levels", "40"),
+         "OK: conjugator intertwines levels 1..40\n"),
+    ], ids=["verify-formula", "verify-conjugator"])
+    def test_level_forty_roots(self, capsys, argv, expected):
+        # a root of order 2^40 is one term, not a vector of 2^39 coefficients
+        assert run(capsys, *argv) == (0, expected, "")
+
     def test_omega_family(self, capsys):
         code, out, _ = run(capsys, "omega-family", "--count", "3")
         assert code == 0

@@ -99,8 +99,29 @@ class TestInverse:
             u = CycNum.from_coeffs(p, level, [
                 rng.choice(NONZERO_POOL)
                 for _ in range(phi_prime_power(p, level))])
-            assert u.term_count == phi_prime_power(p, level)
+            assert len(u.terms) == phi_prime_power(p, level)
             assert u * u.inverse() == 1
+
+    @pytest.mark.parametrize("p,level", [(2, 40), (3, 25)])
+    def test_high_level_root(self, p, level):
+        # one term at any level; a dense vector would need phi(p^level) slots
+        u = zeta(p, level)
+        assert len(u.terms) == 1
+        assert u * u.inverse() == 1
+        assert u ** (p ** level) == 1
+        assert u ** (p ** (level - 1)) != 1
+
+
+def is_canonical(w):
+    """Sorted exponents below phi(p^level), nonzero coefficients, and the
+    minimal level: at level >= 1 some exponent is prime to p.  Together
+    these leave zero only one form, no terms at level 0."""
+    exps = [e for e, _ in w.terms]
+    return (isinstance(w.terms, tuple)
+            and exps == sorted(set(exps))
+            and all(0 <= e < phi_prime_power(w.prime, w.level) for e in exps)
+            and all(c for _, c in w.terms)
+            and (w.level == 0 or any(e % w.prime for e in exps)))
 
 
 class TestLevelRaise:
@@ -123,6 +144,7 @@ class TestLevelRaise:
             v = random_cycnum(rng, p, max_level=2)
             n = 3
             for op in (lambda a, b: a + b, lambda a, b: a * b):
+                assert is_canonical(op(u, v))
                 combined = op(u, v).coeffs_at_level(n, prime=p)
                 lifted = op(CycNum.from_coeffs(p, n, u.coeffs_at_level(n, prime=p)),
                             CycNum.from_coeffs(p, n, v.coeffs_at_level(n, prime=p)))
@@ -198,6 +220,38 @@ class TestFieldLaws:
         assert multiplicative_order(CycNum.rational(-1), 5) == 2
         assert multiplicative_order(zeta(2, 3), 8) == 8
         assert multiplicative_order(CycNum.rational(2), 50) is None
+
+
+class TestSympyOracle:
+    """Products and inverses against SymPy's arithmetic modulo the
+    cyclotomic polynomial, an implementation independent of this one."""
+
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (3, 3), (5, 2), (7, 1), (2, 6)])
+    def test_mul_and_inverse(self, p, n):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        phi = phi_prime_power(p, n)
+        modulus = sympy.Poly(sympy.cyclotomic_poly(p ** n, x), x, domain="QQ")
+
+        def to_poly(u):
+            return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                               for c in reversed(u.coeffs_at_level(n, prime=p))],
+                              x, domain="QQ")
+
+        def from_poly(f):
+            cs = [Fraction(int(c.p), int(c.q))
+                  for c in reversed(f.rem(modulus).all_coeffs())]
+            return CycNum.from_coeffs(p, n, cs + [0] * (phi - len(cs)))
+
+        rng = random.Random(700 + 10 * p + n)
+        sparse = [random_cycnum(rng, p, max_level=n, nonzero=True) for _ in range(4)]
+        dense = [CycNum.from_coeffs(p, n, [rng.choice(NONZERO_POOL) for _ in range(phi)])
+                 for _ in range(2)]
+        values = sparse + dense
+        for u in values:
+            for v in values:
+                assert u * v == from_poly(to_poly(u) * to_poly(v))
+            assert u.inverse() == from_poly(sympy.invert(to_poly(u), modulus))
 
 
 def brute_splits(u, p):

@@ -113,13 +113,13 @@ class TestConjugate:
 
     def test_shift_conjugate_of_negation(self):
         # brute-force composition; matches the closed form for p=2, a0=1, alpha=-1
-        psi = PlaneEndo.diagonal(-1, -1)
+        psi = TriangularAffine.scaling(-1, -1)
         theta = TriangularAffine.shift(x2() ** 2)
         assert conjugate(psi, theta) == parse_endo("(-x1 - 2*x2^2, -x2)")
 
     def test_diagonal_maps_commute(self):
         alpha = CycNum.zeta(2, 2)
-        psi = PlaneEndo.diagonal(alpha, alpha)
+        psi = TriangularAffine.scaling(alpha, alpha)
         theta = TriangularAffine.scaling(3, Fraction(1, 2))
         assert conjugate(psi, theta) == psi
 
@@ -150,14 +150,14 @@ class TestOrder:
         rng = random.Random(53)
         for _ in range(10):
             theta = random_triangular(rng)
-            psi = PlaneEndo.diagonal(CycNum.zeta(2, 2), CycNum.zeta(2, 2))
+            psi = TriangularAffine.scaling(CycNum.zeta(2, 2), CycNum.zeta(2, 2))
             assert endo_order(conjugate(psi, theta), 8) == endo_order(psi, 8)
 
 
 class TestShapePredicates:
     def test_diagonal(self):
         alpha = CycNum.zeta(3, 1)
-        psi = PlaneEndo.diagonal(alpha, alpha)
+        psi = TriangularAffine.scaling(alpha, alpha)
         assert is_linear(psi) and is_diagonal(psi)
 
     def test_nonlinear(self):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from planeaut import (CoeffSequence, CycNum, PlaneEndo,
+from planeaut import (CoeffSequence, CycNum,
                       RootOfUnity, ShapeError, SparsePoly, TriangularAffine,
                       conj_closed_form, conjugate, is_diagonal,
                       minimal_linearizer_degree, parse_endo,
@@ -24,7 +24,7 @@ class TestSolve:
 
     def test_already_diagonal(self):
         z = CycNum.zeta(3, 1)
-        result = solve_linearization(PlaneEndo.diagonal(z, z), 3)
+        result = solve_linearization(TriangularAffine.scaling(z, z), 3)
         assert result.found
         assert result.theta == TriangularAffine.identity()
 

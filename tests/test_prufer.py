@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from planeaut import (CoeffSequence, CycNum, DomainMismatchError, PlaneEndo,
-                      RootOfUnity, SparsePoly, compose, conj_closed_form,
-                      conjugate, diag, embedding_check, endo_order, parse_endo,
-                      series_truncation, verify_formula)
+                      RootOfUnity, SparsePoly, TriangularAffine, compose,
+                      conj_closed_form, conjugate, diag, embedding_check,
+                      endo_order, parse_endo, series_truncation, verify_formula)
 
 from conftest import random_prefix, random_root, random_sequence
 
@@ -79,7 +79,7 @@ class TestDiag:
 
     def test_zeta3(self):
         z3 = CycNum.zeta(3, 1)
-        assert diag(RootOfUnity(3, 1, 1)) == PlaneEndo.diagonal(z3, z3)
+        assert diag(RootOfUnity(3, 1, 1)) == TriangularAffine.scaling(z3, z3)
 
 
 class TestSeriesTruncation:
