@@ -3,8 +3,8 @@
 from .cyclotomic import (CycNum, DomainMismatchError, RootOfUnity,
                          as_cycnum, as_root_of_unity, multiplicative_order)
 from .poly import NEG_INF, SparsePoly
-from .endo import (PlaneEndo, TriangularAffine, as_triangular_affine,
-                   compose, conjugate, endo_order, is_diagonal, is_linear)
+from .endo import (PlaneEndo, TriangularAffine, compose, conjugate,
+                   endo_order, is_diagonal)
 from .prufer import (CoeffSequence, conj_closed_form, diag, embedding_check,
                      EventuallyPeriodic, series_truncation, verify_formula)
 from .linearize import (LinearizationResult, ShapeError,
@@ -22,8 +22,8 @@ __all__ = [
     "CycNum", "DomainMismatchError", "RootOfUnity", "as_cycnum",
     "as_root_of_unity", "multiplicative_order",
     "NEG_INF", "SparsePoly",
-    "PlaneEndo", "TriangularAffine", "as_triangular_affine", "compose",
-    "conjugate", "endo_order", "is_diagonal", "is_linear",
+    "PlaneEndo", "TriangularAffine", "compose", "conjugate", "endo_order",
+    "is_diagonal",
     "CoeffSequence", "conj_closed_form", "diag", "embedding_check",
     "EventuallyPeriodic", "series_truncation", "verify_formula",
     "LinearizationResult", "ShapeError",

@@ -8,7 +8,6 @@ orientation.
 
 from __future__ import annotations
 
-from .cyclotomic import as_cycnum
 from .poly import SparsePoly
 
 
@@ -37,10 +36,6 @@ class PlaneEndo:
 
     __hash__ = None
 
-    @property
-    def is_identity(self) -> bool:
-        return self == PlaneEndo.identity()
-
     def __str__(self):
         return f"({self.f1}, {self.f2})"
 
@@ -57,62 +52,41 @@ def compose(phi: PlaneEndo, psi: PlaneEndo) -> PlaneEndo:
 class TriangularAffine(PlaneEndo):
     """The automorphism (gamma*x1 + g(x2), beta*x2 + beta0), gamma, beta != 0.
 
-    Closed under inversion, which is the only inversion this package needs:
-    every conjugator in the constructions here is of this shape.
+    Built from its two polynomials: the constructor checks the shape, keeps
+    f1 and f2 as given and reads gamma, g, beta and beta0 off them once;
+    any other map raises ValueError.  Closed under inversion, which is the
+    only inversion this package needs: every conjugator in the
+    constructions here is of this shape.
     """
 
     __slots__ = ("gamma", "g", "beta", "beta0")
 
-    def __init__(self, gamma, g: SparsePoly, beta, beta0=0):
-        self.gamma = as_cycnum(gamma)
-        self.beta = as_cycnum(beta)
-        self.beta0 = as_cycnum(beta0)
-        if self.gamma.is_zero or self.beta.is_zero:
-            raise ValueError("triangular-affine maps need gamma != 0 and beta != 0")
-        if g.involves_x1():
-            raise ValueError("the shift part must be a polynomial in x2 alone")
-        self.g = g
-        super().__init__(SparsePoly.x1() * self.gamma + g,
-                         SparsePoly.x2() * self.beta + SparsePoly.constant(self.beta0))
-
-    @classmethod
-    def identity(cls) -> "TriangularAffine":
-        return cls(1, SparsePoly.zero(), 1)
+    def __init__(self, f1: SparsePoly, f2: SparsePoly):
+        gamma = f1.coefficient(1, 0)
+        g = f1 - SparsePoly.x1() * gamma
+        beta = f2.coefficient(0, 1)
+        beta0 = f2.coefficient(0, 0)
+        if (gamma.is_zero or beta.is_zero or g.involves_x1()
+                or len(f2) != (2 if beta0 else 1)):
+            raise ValueError("not triangular-affine: need (gamma*x1 + g(x2), "
+                             "beta*x2 + beta0) with gamma, beta != 0")
+        super().__init__(f1, f2)
+        self.gamma, self.g, self.beta, self.beta0 = gamma, g, beta, beta0
 
     @classmethod
     def shift(cls, g: SparsePoly) -> "TriangularAffine":
         """(x1 + g(x2), x2)."""
-        return cls(1, g, 1)
+        return cls(SparsePoly.x1() + g, SparsePoly.x2())
 
     @classmethod
     def scaling(cls, gamma, beta) -> "TriangularAffine":
-        return cls(gamma, SparsePoly.zero(), beta)
+        return cls(SparsePoly.monomial(1, 0, gamma), SparsePoly.monomial(0, 1, beta))
 
     def inverse(self) -> "TriangularAffine":
         """Closed-form inverse: x2 -> (x2 - beta0)/beta, x1 -> (x1 - g(...))/gamma."""
-        binv = self.beta.inverse()
-        ginv = self.gamma.inverse()
-        y = (SparsePoly.x2() - SparsePoly.constant(self.beta0)) * binv
-        return TriangularAffine(ginv, -(self.g.substitute(SparsePoly.x1(), y)) * ginv,
-                                binv, -(self.beta0 * binv))
-
-
-def as_triangular_affine(psi: PlaneEndo) -> TriangularAffine | None:
-    """Recognize an endomorphism as triangular-affine, or return None."""
-    f2 = psi.f2
-    if f2.involves_x1():
-        return None
-    beta = f2.coefficient(0, 1)
-    beta0 = f2.coefficient(0, 0)
-    if beta.is_zero or len(f2) > (2 if beta0 else 1):
-        return None
-    gamma = psi.f1.coefficient(1, 0)
-    if gamma.is_zero:
-        return None
-    g = psi.f1 - SparsePoly.x1() * gamma
-    if g.involves_x1():
-        return None
-    return TriangularAffine(gamma, g, beta, beta0)
+        x1 = SparsePoly.x1()
+        y = (SparsePoly.x2() - SparsePoly.constant(self.beta0)) * self.beta.inverse()
+        return TriangularAffine((x1 - self.g.substitute(x1, y)) * self.gamma.inverse(), y)
 
 
 def conjugate(psi: PlaneEndo, theta: TriangularAffine) -> PlaneEndo:
@@ -131,16 +105,6 @@ def endo_order(psi: PlaneEndo, max_order: int) -> int | None:
             return k
         power = compose(power, psi)
     return None
-
-
-def is_linear(psi: PlaneEndo) -> bool:
-    """Both components homogeneous of degree one."""
-    for f in (psi.f1, psi.f2):
-        if f.is_zero:
-            return False
-        if any(e1 + e2 != 1 for (e1, e2), _ in f.terms()):
-            return False
-    return True
 
 
 def is_diagonal(psi: PlaneEndo) -> bool:

@@ -5,21 +5,25 @@ Grammar (whitespace-insensitive):
     endo    := '(' expr ',' expr ')'
     expr    := term { ('+' | '-') term }
     term    := unary { ('*' | '/') unary }
-    unary   := '-' unary | power
+    unary   := { '-' } power
     power   := atom [ '^' INT ]
     atom    := INT | 'z' '(' INT ')' | 'x1' | 'x2' | '(' expr ')'
 
 Scalars: rationals as `a/b` or integers, roots of unity as `z(m)` meaning
 e^(2*pi*i/m) with m a prime power.  Division requires a nonzero constant
-divisor.  The printers on CycNum/SparsePoly/PlaneEndo emit canonical forms
-this grammar parses back bit-exactly.
+divisor.  Parentheses nest at most MAX_NESTING deep, so that no input
+exhausts the recursion limit.  The printers on CycNum/SparsePoly/PlaneEndo
+emit canonical forms this grammar parses back bit-exactly.
 """
 
 from __future__ import annotations
 
 from .cyclotomic import CycNum, prime_power_decompose
 from .poly import SparsePoly
-from .endo import PlaneEndo, TriangularAffine, as_triangular_affine
+from .endo import PlaneEndo, TriangularAffine
+
+
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -87,6 +91,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -136,10 +141,12 @@ class _Parser:
         return value
 
     def unary(self) -> SparsePoly:
-        if self.peek().kind == "-":
+        negate = False
+        while self.peek().kind == "-":
             self.advance()
-            return -self.unary()
-        return self.power()
+            negate = not negate
+        value = self.power()
+        return -value if negate else value
 
     def power(self) -> SparsePoly:
         base = self.atom()
@@ -155,8 +162,13 @@ class _Parser:
             self.advance()
             return SparsePoly.constant(int(tok.text))
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 tok.line, tok.column)
             self.advance()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect(")")
             return inner
         if tok.kind == "name":
@@ -205,8 +217,7 @@ def parse_poly(text: str) -> SparsePoly:
 def parse_scalar(text: str) -> CycNum:
     value = parse_poly(text)
     if not value.is_constant():
-        tok_line = 1
-        raise ParseError("expected a scalar, found a polynomial", tok_line, 1)
+        raise ParseError("expected a scalar, found a polynomial", 1, 1)
     return value.constant_value()
 
 
@@ -219,8 +230,8 @@ def parse_endo(text: str) -> PlaneEndo:
 
 def parse_triangular(text: str) -> TriangularAffine:
     endo = parse_endo(text)
-    theta = as_triangular_affine(endo)
-    if theta is None:
+    try:
+        return TriangularAffine(endo.f1, endo.f2)
+    except ValueError:
         raise ParseError("automorphism is not triangular-affine "
-                         "(need (gamma*x1 + g(x2), beta*x2 + beta0))", 1, 1)
-    return theta
+                         "(need (gamma*x1 + g(x2), beta*x2 + beta0))", 1, 1) from None

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from planeaut.cli import main
 
@@ -224,6 +225,31 @@ class TestInputErrors:
         assert err == "error: --prefix and --tail need --p\n"
         assert stdin.tell() == 0
 
+    @pytest.mark.parametrize("argv,column", [
+        pytest.param(("compose", "(" + "(" * 250 + "x1" + ")" * 250 + ", x2)",
+                      "(x1, x2)"), 102, id="parentheses"),
+        pytest.param(("invert", "(x1, " + "-(" * 250 + "x2" + ")" * 250 + ")"),
+                     207, id="minus-parentheses"),
+        pytest.param(("verify-formula", "--p", "2", "--prefix",
+                      "1," + "(" * 400 + "1" + ")" * 400, "--alpha", "1/2"),
+                     101, id="prefix-entry"),
+    ])
+    def test_deep_nesting_is_one_line_error(self, capsys, argv, column):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: parentheses nested deeper than 100 "
+                       f"(line 1, column {column})\n")
+
+    @pytest.mark.parametrize("argv,expected", [
+        pytest.param(("compose", "(x1, " + "-" * 1001 + "x2)", "(x1, x2)"),
+                     "(x1, -x2)\n", id="compose"),
+        pytest.param(("verify-formula", "--p", "2", "--prefix=" + "-" * 1000 + "1,1",
+                      "--alpha", "1/2"), GOLDEN_VERIFY,
+                     id="prefix-entry"),
+    ])
+    def test_long_minus_run_is_a_verdict(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
+
     def test_missing_subcommand_is_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -312,6 +338,83 @@ class TestManifestInput:
         assert err.startswith("error:") and err.count("\n") == 1
         if field is not None:
             assert repr(field) in err
+
+
+SCALARS = st.sampled_from(["0", "1", "2", "3/2", "1/3"]
+                          + [f"z({m})" for m in (1, 2, 3, 4, 5, 8, 9)])
+ATOMS = st.sampled_from(["x1", "x2"]) | SCALARS
+
+
+@st.composite
+def expressions(draw, depth=3, atoms=3, leaves=ATOMS):
+    """A grammar string with at most `depth` nested groups or minus signs and
+    at most `atoms` atoms drawn from `leaves`, each raised to at most ^3."""
+    shapes = ["atom"]
+    if depth:
+        shapes += ["group", "minus"] + (["binary"] if atoms > 1 else [])
+    shape = draw(st.sampled_from(shapes))
+    if shape == "atom":
+        return draw(leaves) + draw(st.sampled_from(["", "^0", "^1", "^2", "^3"]))
+    if shape == "group":
+        return "(" + draw(expressions(depth - 1, atoms, leaves)) + ")"
+    if shape == "minus":
+        return "-" + draw(expressions(depth - 1, atoms, leaves))
+    left = draw(st.integers(1, atoms - 1))
+    op = draw(st.sampled_from(["+", "-", "*", "/"]))
+    return (draw(expressions(depth - 1, left, leaves)) + f" {op} "
+            + draw(expressions(depth - 1, atoms - left, leaves)))
+
+
+@st.composite
+def plane_maps(draw):
+    """Any pair of expressions, or one spelled in the triangular-affine shape
+    (gamma*x1 + g(x2), beta*x2 + beta0), or the linearize target shape
+    (alpha*x1 + S(x2), alpha*x2) with a root of unity alpha."""
+    shape = draw(st.sampled_from(["any", "triangular", "target"]))
+    if shape == "any":
+        return f"({draw(expressions())}, {draw(expressions())})"
+    scalar = expressions(depth=1, atoms=2, leaves=SCALARS)
+    g = draw(expressions(leaves=st.just("x2") | SCALARS))
+    if shape == "triangular":
+        return f"({draw(scalar)}*x1 + {g}, {draw(scalar)}*x2 + {draw(scalar)})"
+    alpha = draw(st.sampled_from(["1", "-1", "z(4)", "z(8)^3", "z(3)", "z(9)^2", "z(5)"]))
+    return f"({alpha}*x1 + {g}, {alpha}*x2)"
+
+
+# Deeper than the parser's nesting limit, or a long run of minus signs.  Up to
+# 2,000 levels, since Hypothesis raises the recursion limit while a test runs.
+DEEP = st.builds(lambda n, opener, atom: opener * n + atom + ")" * opener.count("(") * n,
+                 st.integers(150, 2000), st.sampled_from(["(", "-(", "-"]), ATOMS)
+
+
+@st.composite
+def cli_requests(draw):
+    first, second = draw(plane_maps()), draw(plane_maps())
+    if draw(st.integers(0, 3)) == 0:
+        deep = draw(DEEP)
+        first = draw(st.sampled_from([f"({deep}, x2)", f"(x1, {deep})"]))
+    command = draw(st.sampled_from(["compose", "invert", "conjugate", "linearize"]))
+    if command == "compose":
+        return [command, first, second]
+    if command == "invert":
+        return [command, first]
+    if command == "conjugate":
+        return [command, second, f"--theta={first}"]
+    return [command, f"--target={first}", f"--max-degree={draw(st.integers(0, 6))}"]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_requests())
+def test_generated_requests_end_in_verdict_or_one_line_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    else:
+        assert captured.err == ""
 
 
 def test_module_invocation_subprocess():

@@ -282,6 +282,7 @@ class TestVerifyConjugator:
         for _ in range(60):
             g = SparsePoly({(0, d): rng.choice(pool + [CycNum.zero()])
                             for d in range(rng.randint(0, 3))})
-            theta = TriangularAffine(rng.choice(pool), g, rng.choice(pool),
-                                     rng.choice(pool + [CycNum.zero()]))
+            theta = TriangularAffine(
+                SparsePoly.x1() * rng.choice(pool) + g,
+                SparsePoly.x2() * rng.choice(pool) + rng.choice(pool + [CycNum.zero()]))
             assert not verify_subgroup_conjugator(a, b, theta, 3)

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from planeaut import (CycNum, PlaneEndo, SparsePoly, TriangularAffine,
-                      as_triangular_affine, compose, conjugate, endo_order,
-                      is_diagonal, is_linear, parse_endo)
+                      compose, conjugate, endo_order, is_diagonal, parse_endo)
 
 from conftest import random_cycnum, random_poly
 
@@ -15,13 +14,19 @@ x1 = SparsePoly.x1
 x2 = SparsePoly.x2
 
 
-def random_triangular(rng, p=2, max_g_degree=4):
+def random_parameters(rng, p=2, max_g_degree=4):
+    """(gamma, g, beta, beta0) of a random triangular-affine map."""
     gamma = random_cycnum(rng, p, max_level=2, nonzero=True)
     beta = random_cycnum(rng, p, max_level=2, nonzero=True)
     beta0 = random_cycnum(rng, p, max_level=2)
     g = SparsePoly({(0, d): random_cycnum(rng, p, max_level=2)
                     for d in rng.sample(range(max_g_degree + 1), rng.randint(0, 3))})
-    return TriangularAffine(gamma, g, beta, beta0)
+    return gamma, g, beta, beta0
+
+
+def random_triangular(rng, p=2, max_g_degree=4):
+    gamma, g, beta, beta0 = random_parameters(rng, p, max_g_degree)
+    return TriangularAffine(x1() * gamma + g, x2() * beta + beta0)
 
 
 class TestCompose:
@@ -61,7 +66,7 @@ class TestTriangularInverse:
         assert theta.inverse() == parse_endo("(x1 - x2^2, x2)")
 
     def test_affine(self):
-        theta = TriangularAffine(2, SparsePoly.zero(), 1, 1)  # (2x1, x2+1)
+        theta = TriangularAffine(x1() * 2, x2() + 1)
         assert theta.inverse() == parse_endo("(x1/2, x2 - 1)")
 
     def test_two_term_shift_round_trip(self):
@@ -81,14 +86,14 @@ class TestTriangularInverse:
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            TriangularAffine(0, SparsePoly.zero(), 1)
+            TriangularAffine(x1() * 0, x2())        # gamma = 0
         with pytest.raises(ValueError):
-            TriangularAffine(1, x1(), 1)
+            TriangularAffine(x1() + x1() * x2(), x2())  # shift part involves x1
 
 
 class TestTriangularIsPlaneEndo:
     def test_equals_plane_endo_of_same_map(self):
-        theta = TriangularAffine(2, x2() ** 2, 3, 1)
+        theta = TriangularAffine(x1() * 2 + x2() ** 2, x2() * 3 + 1)
         same = parse_endo("(2*x1 + x2^2, 3*x2 + 1)")
         assert isinstance(theta, PlaneEndo)
         assert theta == same and same == theta
@@ -158,28 +163,32 @@ class TestShapePredicates:
     def test_diagonal(self):
         alpha = CycNum.zeta(3, 1)
         psi = TriangularAffine.scaling(alpha, alpha)
-        assert is_linear(psi) and is_diagonal(psi)
-
-    def test_nonlinear(self):
-        assert not is_linear(parse_endo("(x1 + x2^2, x2)"))
+        assert is_diagonal(psi)
 
     def test_swap_is_linear_not_diagonal(self):
-        swap = parse_endo("(x2, x1)")
-        assert is_linear(swap) and not is_diagonal(swap)
-
-    def test_affine_not_linear(self):
-        assert not is_linear(parse_endo("(x1 + 1, x2)"))
+        assert not is_diagonal(parse_endo("(x2, x1)"))
 
 
 class TestRecognition:
+    """The constructor recognizes the triangular-affine shape."""
+
     def test_round_trip(self):
         rng = random.Random(59)
         for _ in range(20):
-            theta = random_triangular(rng)
-            again = as_triangular_affine(theta)
+            gamma, g, beta, beta0 = params = random_parameters(rng)
+            theta = TriangularAffine(x1() * gamma + g, x2() * beta + beta0)
+            again = TriangularAffine(theta.f1, theta.f2)
             assert again == theta
+            for t in (theta, again):
+                assert (t.gamma, t.g, t.beta, t.beta0) == params
+
+    def test_keeps_given_polynomials(self):
+        f1, f2 = x1() * 2 + x2() ** 3, x2() + 1
+        theta = TriangularAffine(f1, f2)
+        assert theta.f1 is f1 and theta.f2 is f2
 
     def test_rejects_non_triangular(self):
-        assert as_triangular_affine(parse_endo("(x1, x1 + x2)")) is None
-        assert as_triangular_affine(parse_endo("(x2, x1)")) is None
-        assert as_triangular_affine(parse_endo("(x1 + x1*x2, x2)")) is None
+        for text in ("(x1, x1 + x2)", "(x2, x1)", "(x1 + x1*x2, x2)"):
+            endo = parse_endo(text)
+            with pytest.raises(ValueError):
+                TriangularAffine(endo.f1, endo.f2)

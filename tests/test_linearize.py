@@ -89,8 +89,9 @@ class TestSoundnessAndCompleteness:
         for _ in range(200):
             g = SparsePoly({(0, d): rng.choice(pool + [CycNum.zero()])
                             for d in range(bound + 1)})
-            theta = TriangularAffine(rng.choice(pool), g, rng.choice(pool),
-                                     rng.choice(pool + [CycNum.zero()]))
+            theta = TriangularAffine(
+                SparsePoly.x1() * rng.choice(pool) + g,
+                SparsePoly.x2() * rng.choice(pool) + rng.choice(pool + [CycNum.zero()]))
             assert not is_diagonal(conjugate(target, theta))
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from planeaut import (CycNum, ParseError, PlaneEndo, SparsePoly, parse_endo,
                       parse_poly, parse_scalar, parse_triangular)
+from planeaut.parsing import MAX_NESTING
 
 from conftest import random_cycnum, random_poly
 
@@ -76,6 +77,46 @@ class TestParseErrors:
             parse_poly("x1 +\n  x3")
         assert err.value.line == 2
         assert err.value.column == 3
+
+
+def nested(depth: int, inner: str = "x1") -> str:
+    return "(" * depth + inner + ")" * depth
+
+
+class TestNesting:
+    def test_nesting_limit_parses(self):
+        assert parse_poly(nested(MAX_NESTING)) == SparsePoly.x1()
+        assert parse_endo(f"({nested(MAX_NESTING)}, x2)") == PlaneEndo.identity()
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 250, 1000])
+    def test_deeper_parentheses_rejected_at_their_position(self, depth):
+        with pytest.raises(ParseError, match="nested deeper") as err:
+            parse_poly(nested(depth))
+        assert (err.value.line, err.value.column) == (1, MAX_NESTING + 1)
+
+    def test_position_counts_lines(self):
+        text = "x1 +\n" + nested(MAX_NESTING + 1)
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert (err.value.line, err.value.column) == (2, MAX_NESTING + 1)
+
+    def test_depth_restored_after_each_group(self):
+        text = " + ".join([nested(MAX_NESTING)] * 3)
+        assert parse_poly(text) == SparsePoly.x1() * 3
+
+    @pytest.mark.parametrize("count,sign", [(1000, 1), (1001, -1), (5000, 1)])
+    def test_long_minus_run(self, count, sign):
+        assert parse_poly("-" * count + "x1") == SparsePoly.x1() * sign
+
+    def test_minus_before_each_parenthesis(self):
+        assert parse_poly("-(" * MAX_NESTING + "x1" + ")" * MAX_NESTING) == SparsePoly.x1()
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_poly("-(" * 250 + "x1" + ")" * 250)
+
+    def test_scalar(self):
+        assert parse_scalar("-" * 1001 + nested(MAX_NESTING, "1/2")) == Fraction(-1, 2)
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_scalar(nested(250, "1"))
 
 
 class TestParseScalar:
