@@ -89,21 +89,19 @@ def omega0_family(count: int) -> list[BinarySequence]:
 class ConjugacyReport:
     """Outcome of the necessary-condition search.
 
-    On a satisfiable verdict: beta (= beta_scale * beta_root), gamma, and the
-    index effective_from from which the condition holds.  On a certificate:
-    a description (preamble, period, offsets) of the periodic index set
-    witnessing failure, and the reason.
+    On a satisfiable verdict: beta (root part beta_root), gamma and the index
+    effective_from from which it holds.  On a certificate: the periodic index
+    set (preamble, period, offsets) witnessing failure, and the reason.
     """
 
-    __slots__ = ("verdict", "beta", "beta_scale", "beta_root", "gamma",
-                 "effective_from", "preamble", "period", "offsets", "reason")
+    __slots__ = ("verdict", "beta", "beta_root", "gamma", "effective_from",
+                 "preamble", "period", "offsets", "reason")
 
-    def __init__(self, verdict, beta=None, beta_scale=None, beta_root=None,
-                 gamma=None, effective_from=None, preamble=None, period=None,
-                 offsets=None, reason=""):
+    def __init__(self, verdict, beta=None, beta_root=None, gamma=None,
+                 effective_from=None, preamble=None, period=None, offsets=None,
+                 reason=""):
         self.verdict = verdict
         self.beta = beta
-        self.beta_scale = beta_scale
         self.beta_root = beta_root
         self.gamma = gamma
         self.effective_from = effective_from
@@ -192,8 +190,6 @@ def _verify_candidate(a: CoeffSequence, b: CoeffSequence, start: int,
         ca, cb = a.coeff(k), b.coeff(k)
         if ca.is_zero and cb.is_zero:
             continue
-        if ca.is_zero != cb.is_zero:
-            return False
         if ca * _beta_power(scale, root, p ** k + 1) != gamma * cb:
             return False
     return True
@@ -273,8 +269,8 @@ def necessary_condition(a: CoeffSequence, b: CoeffSequence,
             scale, root, gamma = hit
             beta = CycNum.rational(scale) * root.to_field()
             return ConjugacyReport(
-                SATISFIABLE, beta=beta, beta_scale=scale, beta_root=root,
-                gamma=gamma, effective_from=start,
+                SATISFIABLE, beta=beta, beta_root=root, gamma=gamma,
+                effective_from=start,
                 reason="witness verified on the full periodic window")
     raise AssertionError("periodic structure admitted no witness and no certificate")
 

@@ -492,17 +492,16 @@ def root_of_unity_splits(u: CycNum, p: int) -> list[tuple[Fraction, RootOfUnity]
     return []
 
 
-def multiplicative_order(u: CycNum, bound: int) -> int | None:
-    """Smallest t <= bound with u^t = 1, or None.
+def multiplicative_order(u: CycNum) -> int | None:
+    """Smallest t >= 1 with u^t = 1, or None if u is not a root of unity.
 
     Only +-omega has finite order (a rational u is read in the 2-tower).
     -omega has order lcm(2, order of omega), or less for p = 2, where the
     split with q = 1 is listed as well, so the least candidate is the order.
     """
-    orders = [lcm(2, omega.order) if q == -1 else omega.order
-              for q, omega in root_of_unity_splits(u, u.prime or 2)
-              if abs(q) == 1]
-    return min((t for t in orders if t <= bound), default=None)
+    return min((lcm(2, omega.order) if q == -1 else omega.order
+                for q, omega in root_of_unity_splits(u, u.prime or 2)
+                if abs(q) == 1), default=None)
 
 
 def as_root_of_unity(u: CycNum, p: int) -> RootOfUnity | None:

@@ -9,6 +9,10 @@ matching the coefficient of x2^d in target*theta = theta*h gives
 
 solvable exactly unless alpha^(d-1) = 1 while S_d != 0.  The orientation of
 that formula is pinned by the composition check run on every solution.
+
+On the shift-conjugate of diag(alpha) the solve gives g_d = -a_k at each
+d = p^k+1 with k < level(alpha) and a_k != 0, so minimal_linearizer_degree
+reads its answer off the sequence and builds no target.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from __future__ import annotations
 from .cyclotomic import CycNum, RootOfUnity, multiplicative_order
 from .poly import SparsePoly
 from .endo import PlaneEndo, TriangularAffine, conjugate, is_diagonal
-from .prufer import CoeffSequence, conj_closed_form
+# conj_closed_form is unused here, but perfbench/tracing.py wraps it under this name
+from .prufer import CoeffSequence, conj_closed_form, exponent_of  # noqa: F401
 
 
 class ShapeError(ValueError):
@@ -55,8 +60,7 @@ def _target_shape(target: PlaneEndo) -> tuple[CycNum, dict[int, CycNum]]:
     alpha = f2.coefficient(0, 1)
     if alpha.is_zero or len(f2) != 1:
         raise ShapeError("x2 must map to a nonzero scalar multiple of itself")
-    order_bound = 2 * (alpha.prime ** alpha.level if alpha.level else 1)
-    if multiplicative_order(alpha, order_bound) is None:
+    if multiplicative_order(alpha) is None:
         raise ShapeError("the x2 scaling must be a root of unity")
     shift = target.f1 - SparsePoly.x1() * alpha
     if shift.involves_x1():
@@ -102,12 +106,12 @@ def minimal_linearizer_degree(s: CoeffSequence, alpha: RootOfUnity,
                               max_bound: int) -> int | None:
     """Smallest bound <= max_bound at which the shift-conjugate linearizes.
 
-    One solve at max_bound finds every coefficient the conjugator needs, so
-    the answer is max(1, deg g) of its shift part g; None if that solve
-    fails or max_bound < 1.
+    The conjugator needs x2^(p^k+1) exactly for the k < level(alpha) with
+    a_k != 0, so the answer is p^k*+1 for the last such k*, or 1 if there
+    is none; None if that exceeds max_bound.
     """
-    if max_bound < 1:
-        return None
-    target = conj_closed_form(s, alpha)
-    result = solve_linearization(target, max_bound)
-    return max(1, result.theta.g.degree) if result.found else None
+    if alpha.prime != s.prime:
+        raise ValueError(f"root lives over p={alpha.prime}, sequence over p={s.prime}")
+    degree = next((exponent_of(s.prime, k) for k in reversed(range(alpha.level))
+                   if not s.coeff(k).is_zero), 1)
+    return degree if degree <= max_bound else None

@@ -179,15 +179,15 @@ def conj_closed_form(s: CoeffSequence, alpha: RootOfUnity) -> PlaneEndo:
     return PlaneEndo(f1, SparsePoly.x2() * af)
 
 
-def verify_formula(s: CoeffSequence, alpha: RootOfUnity, extra_levels: int = 2) -> bool:
+def verify_formula(s: CoeffSequence, alpha: RootOfUnity) -> bool:
     """Check the closed form against brute-force conjugation.
 
     Conjugates diag(alpha) by every truncation N = level(alpha), ...,
-    level(alpha) + extra_levels; all must agree exactly with the closed form.
+    level(alpha) + 2; all must agree exactly with the closed form.
     """
     expected = conj_closed_form(s, alpha)
     n = alpha.level
-    for trunc in range(n, n + extra_levels + 1):
+    for trunc in range(n, n + 3):
         theta = series_truncation(s, trunc)
         if conjugate(diag(alpha), theta) != expected:
             return False

@@ -106,6 +106,16 @@ class TestCommands:
                        "gamma = 1\n"
                        "holds from k = 0\n")
 
+    def test_nonconj_rejected_candidates(self, capsys):
+        # the witness from k=0 fails and k=1 has none; k=2 holds
+        code, out, _ = run(capsys, "nonconj-check", "--p", "2",
+                           "--prefix", "1,1,1", "--prefix", "1,2,3", "--k0", "0")
+        assert code == 0
+        assert out == ("CONDITION SATISFIABLE\n"
+                       "beta = 1\n"
+                       "gamma = 1/3\n"
+                       "holds from k = 2\n")
+
     def test_nonconj_long_zero_prefix(self, capsys):
         # the root search kernel here has 2^20 elements, all absorbed into gamma
         zeros = ",".join(["0"] * 20)
@@ -163,6 +173,10 @@ class TestInputErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_missing_value_is_exit_two(self, capsys):
+        assert run(capsys, "compose", "(x1, )", "(x1, x2)") == (
+            2, "", "error: expected a value but found ')' (line 1, column 6)\n")
 
     def test_bad_alpha_denominator(self, capsys):
         code, _, err = run(capsys, "verify-formula", "--p", "2",

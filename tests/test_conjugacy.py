@@ -183,6 +183,28 @@ class TestNecessaryCondition:
         assert report.verdict == SATISFIABLE
         assert report.beta in (z4, -z4, z4.inverse(), -z4.inverse())
 
+    def test_rejected_candidate_moves_start_past_anchor(self):
+        # from k=0 the anchors force beta = 2, which fails verification at
+        # k=2; from k=1 the anchor ratio 3/2 has no rational square root;
+        # from k=2 the one common index fixes gamma alone
+        a = CoeffSequence(2, [1, 1, 1])
+        b = CoeffSequence(2, [1, 2, 3])
+        report = necessary_condition(a, b, 0)
+        assert report.verdict == SATISFIABLE
+        assert report.beta == 1
+        assert report.gamma == Fraction(1, 3)
+        assert report.effective_from == 2
+
+    def test_non_unit_scale_skipped_on_infinite_support(self):
+        # from k=0 the anchors force beta = 2, a non-unit scale that the
+        # infinite common support rules out; from k=1 the ratio is constant
+        a = CoeffSequence(2, [1, 1], [1])
+        b = CoeffSequence(2, [1, 2], [2])
+        report = necessary_condition(a, b, 0)
+        assert report.verdict == SATISFIABLE
+        assert report.gamma == Fraction(1, 2)
+        assert report.effective_from == 1
+
     def test_early_mismatch_raises_effective_start(self):
         a = CoeffSequence(2, [1, 0])
         b = CoeffSequence(2, [0, 1])

@@ -216,10 +216,10 @@ class TestFieldLaws:
             assert u + (-u) == 0
 
     def test_multiplicative_order(self):
-        assert multiplicative_order(CycNum.one(), 5) == 1
-        assert multiplicative_order(CycNum.rational(-1), 5) == 2
-        assert multiplicative_order(zeta(2, 3), 8) == 8
-        assert multiplicative_order(CycNum.rational(2), 50) is None
+        assert multiplicative_order(CycNum.one()) == 1
+        assert multiplicative_order(CycNum.rational(-1)) == 2
+        assert multiplicative_order(zeta(2, 3)) == 8
+        assert multiplicative_order(CycNum.rational(2)) is None
 
 
 class TestSympyOracle:
@@ -284,8 +284,7 @@ def check_root_readers(u, p):
     assert as_root_of_unity(u, p) == next(
         (omega for q, omega in expected if q == 1), None)
     top = p ** max(u.level, 1)
-    for bound in (top // 2, 2 * top):
-        assert multiplicative_order(u, bound) == brute_order(u, bound)
+    assert multiplicative_order(u) == brute_order(u, 2 * top)
 
 
 class TestRootOfUnitySplits:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import planeaut.linearize as linearize
 from planeaut import (CoeffSequence, CycNum,
                       RootOfUnity, ShapeError, SparsePoly, TriangularAffine,
                       conj_closed_form, conjugate, is_diagonal,
@@ -127,6 +128,22 @@ class TestMinimalDegree:
                 expected = next((bound for bound in range(1, max_bound + 1)
                                  if solve_linearization(target, bound).found), None)
                 assert minimal_linearizer_degree(s, alpha, max_bound) == expected
+
+    def test_mismatched_prime_rejected(self):
+        s = CoeffSequence(2, [1, 1])
+        with pytest.raises(ValueError, match="root lives over p=3, sequence over p=2"):
+            minimal_linearizer_degree(s, RootOfUnity(3, 1, 1), 5)
+
+    def test_read_off_the_sequence(self, monkeypatch):
+        # no closed form is built and nothing is solved on this path
+        def forbidden(*args):
+            raise AssertionError("min-degree built a target or ran a solve")
+        monkeypatch.setattr(linearize, "conj_closed_form", forbidden)
+        monkeypatch.setattr(linearize, "solve_linearization", forbidden)
+        s = CoeffSequence(2, [], [1])
+        alpha = RootOfUnity(2, 40, 1)
+        assert minimal_linearizer_degree(s, alpha, 2 ** 39 + 1) == 2 ** 39 + 1
+        assert minimal_linearizer_degree(s, alpha, 2 ** 39) is None
 
     def test_strictly_increasing_in_level(self):
         s = CoeffSequence(2, [1, 1, 1, 1], [1])

@@ -52,6 +52,11 @@ class TestParseErrors:
         assert err.value.line == 1
         assert err.value.column == 6
 
+    def test_missing_operand_at_end(self):
+        with pytest.raises(ParseError, match="expected a value but found 'end of input'") as err:
+            parse_poly("x1 +")
+        assert (err.value.line, err.value.column) == (1, 5)
+
     def test_unknown_variable(self):
         with pytest.raises(ParseError, match="unknown name 'x3'"):
             parse_poly("x1 + x3")

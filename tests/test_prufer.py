@@ -155,7 +155,7 @@ class TestVerifyFormula:
                     alpha = RootOfUnity(p, level, exp)
                     for _ in range(3):
                         s = random_sequence(rng, p)
-                        assert verify_formula(s, alpha, extra_levels=1)
+                        assert verify_formula(s, alpha)
 
     def test_truncation_consistency(self):
         rng = random.Random(67)
