@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .cyclotomic import RootOfUnity
 from .endo import endo_order
@@ -264,9 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main call, not at import; parse_args keeps no state
+    # between calls, so one tree serves them all
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     # ParseError, DomainMismatchError and json.JSONDecodeError are ValueErrors

@@ -2,12 +2,14 @@
 
 A value is a sparse combination of the power basis 1, zeta, ...,
 zeta^(phi(m)-1) modulo the m-th cyclotomic polynomial: the sorted
-(exponent, Fraction) pairs of its nonzero coefficients.  The form is
+(exponent, int) pairs of its nonzero numerators over one positive
+denominator, which shares no factor with them (Cohen, GTM 138, 4.2).  A
+product then reduces once per value, not once per coefficient.  The form is
 canonical: a value is stored at the lowest level that contains it (plain
-rationals at level 0, zero as no terms), so equality and hashing are plain
-tuple comparisons, and a root of unity of any order is one term.  Dense
-coefficient vectors appear only at the edges, in from_coeffs and
-coeffs_at_level.
+rationals at level 0, zero as no terms over 1), so equality is a plain
+tuple comparison, and a root of unity of any order is one term.  Fractions
+and dense coefficient vectors appear only at the edges: rational,
+from_coeffs, as_fraction, coeffs_at_level, str and root_of_unity_splits.
 
 A fixed prime p is assumed per computation; combining values from the
 towers of two different primes raises DomainMismatchError.
@@ -17,11 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class DomainMismatchError(ValueError):
@@ -83,32 +82,46 @@ class CycNum:
     """An element of Q(zeta_{p^level}), canonically demoted to its minimal level.
 
     Level 0 is the rational field; such values carry prime None and mix
-    freely with any tower.  terms holds the nonzero coefficients as sorted
-    (exponent, Fraction) pairs, every exponent below phi(p^level).
+    freely with any tower.  The value is sum(c * zeta^e for e, c in terms)
+    / den: terms holds the nonzero numerators as sorted (exponent, int)
+    pairs, every exponent below phi(p^level), and den > 0 is prime to them
+    all (1 for zero).
     """
 
-    __slots__ = ("prime", "level", "terms")
+    __slots__ = ("prime", "level", "terms", "den")
 
-    def __init__(self, prime: int | None, level: int, terms: tuple):
+    def __init__(self, prime: int | None, level: int, terms: tuple, den: int = 1):
         # assumes canonical data; use the factory methods below
         self.prime = prime
         self.level = level
         self.terms = terms
+        self.den = den
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _make(cls, prime: int | None, level: int, coeffs: dict[int, Fraction]) -> "CycNum":
+    def _make(cls, prime: int | None, level: int, coeffs: dict[int, int],
+              den: int = 1) -> "CycNum":
+        """The canonical form of sum(c * zeta^e) / den, den > 0."""
         terms = sorted((e, c) for e, c in coeffs.items() if c)
         while level and all(e % prime == 0 for e, _ in terms):
             terms = [(e // prime, c) for e, c in terms]
             level -= 1
-        return cls(prime if level else None, level, tuple(terms))
+        if den != 1:
+            g = gcd(den, *(c for _, c in terms))
+            if g != 1:
+                terms = [(e, c // g) for e, c in terms]
+                den //= g
+        return cls(prime if level else None, level, tuple(terms), den)
 
     @classmethod
     def rational(cls, value) -> "CycNum":
-        q = Fraction(value)
-        return cls(None, 0, ((0, q),) if q else ())
+        if isinstance(value, int):
+            num, den = int(value), 1
+        else:
+            q = Fraction(value)
+            num, den = q.numerator, q.denominator
+        return cls(None, 0, ((0, num),), den) if num else _CYC_ZERO
 
     @classmethod
     def zero(cls) -> "CycNum":
@@ -126,7 +139,7 @@ class CycNum:
             raise ValueError("level must be nonnegative")
         if level == 0:
             return cls.one()
-        return cls._from_exponent_map(p, level, {exp: _ONE})
+        return cls._from_exponent_map(p, level, {exp: 1})
 
     @classmethod
     def from_coeffs(cls, p: int, level: int, coeffs) -> "CycNum":
@@ -134,11 +147,15 @@ class CycNum:
         cs = [Fraction(c) for c in coeffs]
         if len(cs) != phi_prime_power(p, level):
             raise ValueError("coefficient vector has wrong length")
-        return cls._make(p, level, dict(enumerate(cs)))
+        den = lcm(*(c.denominator for c in cs))
+        return cls._make(p, level, {e: c.numerator * (den // c.denominator)
+                                    for e, c in enumerate(cs)}, den)
 
     @classmethod
-    def _from_exponent_map(cls, p: int, n: int, emap: dict[int, Fraction]) -> "CycNum":
-        """Reduce a zeta-exponent/coefficient map modulo the cyclotomic polynomial.
+    def _from_exponent_map(cls, p: int, n: int, emap: dict[int, int],
+                           den: int = 1) -> "CycNum":
+        """Reduce a zeta-exponent/numerator map over den modulo the
+        cyclotomic polynomial.
 
         Uses Phi_{p^n}(x) = 1 + x^q + ... + x^{(p-1)q} with q = p^(n-1), so a
         single rewrite step lands every exponent below phi(p^n).
@@ -146,15 +163,15 @@ class CycNum:
         m = p ** n
         phi = phi_prime_power(p, n)
         q = p ** (n - 1)
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for e, c in emap.items():
             e %= m
             if e < phi:
-                out[e] = out.get(e, _ZERO) + c
+                out[e] = out.get(e, 0) + c
             else:
                 for r in range(e - phi, phi, q):
-                    out[r] = out.get(r, _ZERO) - c
-        return cls._make(p, n, out)
+                    out[r] = out.get(r, 0) - c
+        return cls._make(p, n, out, den)
 
     # -- queries -----------------------------------------------------------
 
@@ -169,7 +186,7 @@ class CycNum:
     def as_fraction(self) -> Fraction:
         if self.level != 0:
             raise ValueError(f"{self} is not rational")
-        return self.terms[0][1] if self.terms else _ZERO
+        return Fraction(self.terms[0][1], self.den) if self.terms else Fraction(0)
 
     def modulus(self) -> int:
         """The m of the minimal field Q(zeta_m) containing the value."""
@@ -184,13 +201,13 @@ class CycNum:
             raise DomainMismatchError(f"value lives over p={self.prime}, not {prime}")
         if level < self.level:
             raise ValueError("cannot lower the level of an embedding")
-        out = [_ZERO] * phi_prime_power(p, level)
+        out = [Fraction(0)] * phi_prime_power(p, level)
         for e, c in self._lift(p, level):
-            out[e] = c
+            out[e] = Fraction(c, self.den)
         return tuple(out)
 
-    def _lift(self, p: int, n: int) -> tuple[tuple[int, Fraction], ...]:
-        """The terms of the canonical embedding into Q(zeta_{p^n})."""
+    def _lift(self, p: int, n: int) -> tuple[tuple[int, int], ...]:
+        """The numerators of the canonical embedding into Q(zeta_{p^n})."""
         if self.level == n:
             return self.terms
         f = p ** (n - self.level)
@@ -218,15 +235,23 @@ class CycNum:
         if o is None:
             return NotImplemented
         p, n = self._common(o)
-        out = dict(self._lift(p, n))
-        for e, c in o._lift(p, n):
-            out[e] = out.get(e, _ZERO) + c
-        return CycNum._make(p, n, out)
+        a, b = self._lift(p, n), o._lift(p, n)
+        den = self.den
+        if o.den != den:
+            den = lcm(den, o.den)
+            fa, fb = den // self.den, den // o.den
+            a = [(e, fa * c) for e, c in a]
+            b = [(e, fb * c) for e, c in b]
+        out = dict(a)
+        for e, c in b:
+            out[e] = out.get(e, 0) + c
+        return CycNum._make(p, n, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.prime, self.level, tuple((e, -c) for e, c in self.terms))
+        return CycNum(self.prime, self.level,
+                      tuple((e, -c) for e, c in self.terms), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -247,16 +272,21 @@ class CycNum:
         p, n = self._common(o)
         if self.level == 0 or o.level == 0:
             scalar, val = (self, o) if self.level == 0 else (o, self)
-            s = scalar.as_fraction()
-            if not s:
+            if not scalar.terms:
                 return CycNum.zero()
-            return CycNum(val.prime, val.level, tuple((e, s * c) for e, c in val.terms))
+            (_, s), = scalar.terms
+            den = scalar.den * val.den
+            # each factor is in lowest terms, so only s against val.den and
+            # scalar.den against val's numerators can share a factor
+            g = gcd(s, val.den) * gcd(scalar.den, *(c for _, c in val.terms))
+            return CycNum(val.prime, val.level,
+                          tuple((e, s * c // g) for e, c in val.terms), den // g)
         b = o._lift(p, n)
-        emap: dict[int, Fraction] = {}
+        emap: dict[int, int] = {}
         for i, x in self._lift(p, n):
             for j, y in b:
-                emap[i + j] = emap.get(i + j, _ZERO) + x * y
-        return CycNum._from_exponent_map(p, n, emap)
+                emap[i + j] = emap.get(i + j, 0) + x * y
+        return CycNum._from_exponent_map(p, n, emap, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -277,10 +307,12 @@ class CycNum:
             p, n = norm.prime, norm.level
             q = p ** (n - 1)
             c = reduce(mul, [CycNum._from_exponent_map(
-                p, n, {i * a: x for i, x in norm.terms})
+                p, n, {i * a: x for i, x in norm.terms}, norm.den)
                 for a in range(1 + q, p ** n, q)])
             cofactor, norm = cofactor * c, norm * c
-        return cofactor * CycNum.rational(1 / norm.as_fraction())
+        (_, num), = norm.terms
+        sign = 1 if num > 0 else -1
+        return cofactor * CycNum(None, 0, ((0, sign * norm.den),), sign * num)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -304,7 +336,8 @@ class CycNum:
         if self.level and exponent and len(self.terms) == 1:
             (i, c), = self.terms
             return CycNum._from_exponent_map(
-                self.prime, self.level, {i * exponent: c ** exponent})
+                self.prime, self.level, {i * exponent: c ** exponent},
+                self.den ** exponent)
         result = CycNum.one()
         base = self
         e = exponent
@@ -322,10 +355,13 @@ class CycNum:
         if o is None:
             return NotImplemented
         return (self.level == o.level and self.prime == o.prime
-                and self.terms == o.terms)
+                and self.den == o.den and self.terms == o.terms)
 
     def __hash__(self):
-        return hash((self.prime, self.level, self.terms))
+        # a rational hashes as the Fraction (or int) it equals
+        if self.level == 0:
+            return hash(self.as_fraction())
+        return hash((self.prime, self.level, self.terms, self.den))
 
     def __bool__(self):
         return not self.is_zero
@@ -333,7 +369,8 @@ class CycNum:
     def __str__(self):
         m = self.modulus()
         parts = []
-        for e, c in self.terms:
+        for e, num in self.terms:
+            c = Fraction(num, self.den)
             if e == 0:
                 parts.append(str(c))
                 continue
@@ -351,7 +388,7 @@ class CycNum:
 
 
 _CYC_ZERO = CycNum(None, 0, ())
-_CYC_ONE = CycNum(None, 0, ((0, _ONE),))
+_CYC_ONE = CycNum(None, 0, ((0, 1),))
 
 
 def as_cycnum(value) -> CycNum:
@@ -480,15 +517,16 @@ def root_of_unity_splits(u: CycNum, p: int) -> list[tuple[Fraction, RootOfUnity]
     phi = phi_prime_power(p, n)
     terms = u.terms
     if len(terms) == 1:
-        (j, q), = terms
+        (j, c), = terms
+        q = Fraction(c, u.den)
         splits = [(q, RootOfUnity(p, n, j))]
         if p == 2:
             splits.append((-q, RootOfUnity(p, n, j + phi)))
         return splits
     if len(terms) == p - 1:
-        j, q = terms[0]
-        if terms == tuple((j + i * p ** (n - 1), q) for i in range(p - 1)):
-            return [(-q, RootOfUnity(p, n, j + phi))]
+        j, c = terms[0]
+        if terms == tuple((j + i * p ** (n - 1), c) for i in range(p - 1)):
+            return [(Fraction(-c, u.den), RootOfUnity(p, n, j + phi))]
     return []
 
 

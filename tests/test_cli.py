@@ -438,3 +438,56 @@ def test_module_invocation_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN_VERIFY
+
+
+def fresh_process(*argv):
+    proc = subprocess.run([sys.executable, "-m", "planeaut.cli", *argv],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    """main parses every call with one argparse tree, built on its first
+    call; no call may see what an earlier one parsed."""
+
+    NONCONJ = ("nonconj-check", "--p", "2", "--tail", "1", "--tail", "1,0")
+    VERIFY = ("verify-formula", "--p", "2", "--prefix", "1,1", "--alpha", "1/2")
+
+    def test_append_flags_start_empty(self, capsys):
+        # the first call appends two --tail values, the second one --prefix;
+        # a leftover --tail would make the second a two-sequence error
+        for argv in (self.NONCONJ, self.VERIFY, self.NONCONJ):
+            assert run(capsys, *argv) == fresh_process(*argv)
+
+    def test_rejected_call_leaves_no_state(self, capsys):
+        expected = run(capsys, *self.VERIFY)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-formula", "--p", "2", "--tail", "1", "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *self.VERIFY) == expected == fresh_process(*self.VERIFY)
+
+    def test_built_once_and_not_at_import(self):
+        script = (
+            "import argparse, io, contextlib\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    built.append(k.get('prog'))\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import planeaut.cli as cli\n"
+            "print(len(built))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    cli.main({list(self.VERIFY)!r})\n"
+            "first = len(built)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    cli.main({list(self.NONCONJ)!r})\n"
+            "print(first, len(built))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        at_import, line = proc.stdout.splitlines()
+        first, second = map(int, line.split())
+        assert at_import == "0"
+        assert first > 0 and second == first

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from planeaut import (CycNum, DomainMismatchError, RootOfUnity,
                       as_root_of_unity, multiplicative_order)
 from planeaut.cyclotomic import (phi_prime_power, prime_power_decompose,
                                  root_of_unity_splits)
+from planeaut.parsing import parse_scalar
 
 from conftest import NONZERO_POOL, random_cycnum, random_root
 
@@ -113,14 +115,18 @@ class TestInverse:
 
 
 def is_canonical(w):
-    """Sorted exponents below phi(p^level), nonzero coefficients, and the
-    minimal level: at level >= 1 some exponent is prime to p.  Together
-    these leave zero only one form, no terms at level 0."""
+    """Sorted exponents below phi(p^level), nonzero int numerators over a
+    positive int denominator prime to them all, and the minimal level: at
+    level >= 1 some exponent is prime to p.  Together these leave zero only
+    one form, no terms over 1 at level 0."""
     exps = [e for e, _ in w.terms]
+    nums = [c for _, c in w.terms]
     return (isinstance(w.terms, tuple)
             and exps == sorted(set(exps))
             and all(0 <= e < phi_prime_power(w.prime, w.level) for e in exps)
-            and all(c for _, c in w.terms)
+            and all(type(c) is int and c for c in nums)
+            and type(w.den) is int and w.den > 0
+            and gcd(w.den, *nums) == 1
             and (w.level == 0 or any(e % w.prime for e in exps)))
 
 
@@ -143,12 +149,73 @@ class TestLevelRaise:
             u = random_cycnum(rng, p, max_level=2)
             v = random_cycnum(rng, p, max_level=2)
             n = 3
-            for op in (lambda a, b: a + b, lambda a, b: a * b):
+            for op in (lambda a, b: a + b, lambda a, b: a * b,
+                       lambda a, b: a - b, lambda a, b: -a * b ** 3):
                 assert is_canonical(op(u, v))
                 combined = op(u, v).coeffs_at_level(n, prime=p)
                 lifted = op(CycNum.from_coeffs(p, n, u.coeffs_at_level(n, prime=p)),
                             CycNum.from_coeffs(p, n, v.coeffs_at_level(n, prime=p)))
                 assert list(combined) == list(lifted.coeffs_at_level(n, prime=p))
+
+
+# large and coprime denominators, where a common denominator and the
+# per-coefficient Fractions differ most
+WIDE_POOL = [Fraction(7, 1000003), Fraction(-5, 65536), Fraction(3, 10007),
+             Fraction(-1, 3), Fraction(2), Fraction(11, 6)]
+
+
+def wide_cycnum(rng, p, level, terms=3):
+    """A nonzero value of Q(zeta_{p^level}) with WIDE_POOL coefficients."""
+    phi = phi_prime_power(p, level)
+    while True:
+        coeffs = [Fraction(0)] * phi
+        for _ in range(terms):
+            coeffs[rng.randrange(phi)] = rng.choice(WIDE_POOL)
+        value = CycNum.from_coeffs(p, level, coeffs)
+        if value:
+            return value
+
+
+class TestCommonDenominator:
+    def test_numerators_over_one_denominator(self):
+        u = CycNum.from_coeffs(3, 1, [Fraction(1, 6), Fraction(-3, 4)])
+        assert u.terms == ((0, 2), (1, -9)) and u.den == 12
+        assert u * 12 == CycNum.from_coeffs(3, 1, [2, -9])
+        assert (u + u).den == 6
+        assert (u - u).terms == () and (u - u).den == 1
+        assert is_canonical(u.inverse())
+
+    @pytest.mark.parametrize("value", [0, 1, -1, 7, 10 ** 30, Fraction(1, 2),
+                                       Fraction(-7, 1000003), Fraction(0, 5),
+                                       Fraction(6, 3)])
+    def test_rational_hash_matches_equality(self, value):
+        u = CycNum.rational(value)
+        assert u == value and hash(u) == hash(value)
+        assert u in {value} and value in {u}
+        assert {u: "x"}[value] == "x"
+        assert is_canonical(u)
+
+    def test_demoted_values_hash_as_rationals(self):
+        assert hash(zeta(2, 2) ** 2) == hash(-1)
+        assert (zeta(3, 2) - zeta(3, 2)) in {0}
+        assert CycNum.one() in {1} and CycNum.zero() in {Fraction(0)}
+
+    @pytest.mark.parametrize("p,max_level", [(2, 4), (3, 2), (5, 2), (7, 1)])
+    def test_round_trip(self, p, max_level):
+        rng = random.Random(900 + p)
+        for _ in range(30):
+            level = rng.randint(1, max_level)
+            phi = phi_prime_power(p, level)
+            vector = [rng.choice(WIDE_POOL + [Fraction(0)] * 3)
+                      for _ in range(phi)]
+            u = CycNum.from_coeffs(p, level, vector)
+            assert is_canonical(u)
+            assert u.coeffs_at_level(level, prime=p) == tuple(vector)
+            assert all(type(c) is Fraction
+                       for c in u.coeffs_at_level(level + 1, prime=p))
+            assert parse_scalar(str(u)) == u
+            v = random_cycnum(rng, p, max_level)
+            assert parse_scalar(str(u * v)) == u * v
 
 
 class TestRootOfUnity:
@@ -247,10 +314,13 @@ class TestSympyOracle:
         sparse = [random_cycnum(rng, p, max_level=n, nonzero=True) for _ in range(4)]
         dense = [CycNum.from_coeffs(p, n, [rng.choice(NONZERO_POOL) for _ in range(phi)])
                  for _ in range(2)]
-        values = sparse + dense
+        # large coprime denominators at mixed levels
+        wide = [wide_cycnum(rng, p, level) for level in sorted({1, (n + 1) // 2, n})]
+        values = sparse + dense + wide
         for u in values:
             for v in values:
                 assert u * v == from_poly(to_poly(u) * to_poly(v))
+                assert u + v == from_poly(to_poly(u) + to_poly(v))
             assert u.inverse() == from_poly(sympy.invert(to_poly(u), modulus))
 
 
