@@ -318,8 +318,6 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.level == 0:
-            return self * CycNum.rational(1 / o.as_fraction())
         return self * o.inverse()
 
     def __rtruediv__(self, other):
@@ -463,14 +461,14 @@ class RootOfUnity:
         if self.prime != other.prime:
             raise DomainMismatchError(
                 f"mixed primes {self.prime} and {other.prime}")
-        s = self.exponent + other.exponent
-        return RootOfUnity.from_exponent(self.prime, s - int(s))
+        p, level = self.prime, max(self.level, other.level)
+        return RootOfUnity(p, level, self.exp * p ** (level - self.level)
+                           + other.exp * p ** (level - other.level))
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        s = self.exponent * e
-        return RootOfUnity.from_exponent(self.prime, s - int(s))
+        return RootOfUnity(self.prime, self.level, self.exp * e)
 
     def inverse(self) -> "RootOfUnity":
         return self ** -1

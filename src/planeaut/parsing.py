@@ -8,22 +8,36 @@ Grammar (whitespace-insensitive):
     unary   := { '-' } power
     power   := atom [ '^' INT ]
     atom    := INT | 'z' '(' INT ')' | 'x1' | 'x2' | '(' expr ')'
+    INT     := [0-9]+
 
-Scalars: rationals as `a/b` or integers, roots of unity as `z(m)` meaning
-e^(2*pi*i/m) with m a prime power.  Division requires a nonzero constant
-divisor.  Parentheses nest at most MAX_NESTING deep, so that no input
-exhausts the recursion limit.  The printers on CycNum/SparsePoly/PlaneEndo
-emit canonical forms this grammar parses back bit-exactly.
+Names are ASCII (a letter, then letters, digits or '_'); any other
+character, a non-ASCII digit or letter included, is an unexpected
+character.  Scalars: rationals as `a/b` or integers, roots of unity as
+`z(m)` meaning e^(2*pi*i/m) with m a prime power.  Division requires a
+nonzero constant divisor.  Parentheses nest at most MAX_NESTING deep, so
+that no input exhausts the recursion limit.  The printers on
+CycNum/SparsePoly/PlaneEndo emit canonical forms this grammar parses back
+bit-exactly.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import CycNum, prime_power_decompose
+import re
+from operator import add, mul, sub
+
+from .cyclotomic import CycNum, DomainMismatchError, prime_power_decompose
 from .poly import SparsePoly
 from .endo import PlaneEndo, TriangularAffine
 
 
 MAX_NESTING = 100
+
+_OPS = {"+": add, "-": sub, "*": mul, "/": mul}
+
+# One alternative per token kind; `bad` catches every character the others
+# leave, so the scan covers the whole text.
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+                    r"|(?P<symbol>[-+*/^(),])|(?P<space>\s+)|(?P<bad>.)", re.DOTALL)
 
 
 class ParseError(ValueError):
@@ -33,116 +47,73 @@ class ParseError(ValueError):
         self.column = column
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-
-
-_SYMBOLS = set("+-*/^(),")
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
-    return tokens
-
-
 class _Parser:
+    """Recursive descent over (kind, text, offset) tokens; a symbol's kind
+    is its own text, and the last token is ("end", "", len(text))."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = []
+        for m in _TOKEN.finditer(text):
+            kind, word = m.lastgroup, m.group()
+            tok = (word if kind == "symbol" else kind, word, m.start())
+            if kind == "bad":
+                raise self.error(f"unexpected character {word!r}", tok)
+            if kind != "space":
+                self.tokens.append(tok)
+        self.tokens.append(("end", "", len(text)))
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
+    def error(self, message: str, tok) -> ParseError:
+        off = tok[2]
+        return ParseError(message, self.text.count("\n", 0, off) + 1,
+                          off - self.text.rfind("\n", 0, off))
+
+    def peek(self):
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self):
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str):
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r} but found {tok.text or 'end of input'!r}",
-                tok.line, tok.column)
+        if tok[0] != kind:
+            raise self.error(
+                f"expected {kind!r} but found {tok[1] or 'end of input'!r}", tok)
         return self.advance()
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
 
     # grammar ----------------------------------------------------------
 
-    def expr(self) -> SparsePoly:
-        value = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> SparsePoly:
-        value = self.unary()
-        while self.peek().kind in ("*", "/"):
+    def binary(self, ops, operand) -> SparsePoly:
+        value = operand()
+        while self.peek()[0] in ops:
             tok = self.advance()
-            rhs = self.unary()
-            if tok.kind == "*":
-                value = value * rhs
-            else:
+            rhs = operand()
+            if tok[0] == "/":
                 if not rhs.is_constant():
-                    raise ParseError("division by a non-constant expression",
-                                     tok.line, tok.column)
+                    raise self.error("division by a non-constant expression", tok)
                 divisor = rhs.constant_value()
                 if divisor.is_zero:
-                    raise ParseError("division by zero", tok.line, tok.column)
-                value = value * divisor.inverse()
+                    raise self.error("division by zero", tok)
+                rhs = divisor.inverse()
+            try:
+                value = _OPS[tok[0]](value, rhs)
+            except DomainMismatchError as exc:
+                raise self.error(str(exc), tok) from None
         return value
+
+    def expr(self) -> SparsePoly:
+        return self.binary(("+", "-"), self.term)
+
+    def term(self) -> SparsePoly:
+        return self.binary(("*", "/"), self.unary)
 
     def unary(self) -> SparsePoly:
         negate = False
-        while self.peek().kind == "-":
+        while self.peek()[0] == "-":
             self.advance()
             negate = not negate
         value = self.power()
@@ -150,47 +121,42 @@ class _Parser:
 
     def power(self) -> SparsePoly:
         base = self.atom()
-        if self.peek().kind == "^":
+        if self.peek()[0] == "^":
             self.advance()
-            tok = self.expect("int")
-            return base ** int(tok.text)
+            return base ** int(self.expect("int")[1])
         return base
 
     def atom(self) -> SparsePoly:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return SparsePoly.constant(int(tok.text))
-        if tok.kind == "(":
+        tok = self.advance()
+        kind, word, _ = tok
+        if kind == "int":
+            return SparsePoly.constant(int(word))
+        if kind == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
-                                 tok.line, tok.column)
-            self.advance()
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}", tok)
             self.depth += 1
             inner = self.expr()
             self.depth -= 1
             self.expect(")")
             return inner
-        if tok.kind == "name":
-            self.advance()
-            if tok.text == "x1":
-                return SparsePoly.x1()
-            if tok.text == "x2":
-                return SparsePoly.x2()
-            if tok.text == "z":
-                self.expect("(")
-                mtok = self.expect("int")
-                self.expect(")")
-                try:
-                    p, n = prime_power_decompose(int(mtok.text))
-                except ValueError as exc:
-                    raise ParseError(str(exc), mtok.line, mtok.column) from None
-                if n == 0:
-                    return SparsePoly.one()
-                return SparsePoly.constant(CycNum.zeta(p, n))
-            raise ParseError(f"unknown name {tok.text!r} (expected x1, x2 or z)",
-                             tok.line, tok.column)
-        self.fail(f"expected a value but found {tok.text or 'end of input'!r}")
+        if word == "x1":
+            return SparsePoly.x1()
+        if word == "x2":
+            return SparsePoly.x2()
+        if word == "z":
+            self.expect("(")
+            mtok = self.expect("int")
+            self.expect(")")
+            try:
+                p, n = prime_power_decompose(int(mtok[1]))
+            except ValueError as exc:
+                raise self.error(str(exc), mtok) from None
+            if n == 0:
+                return SparsePoly.one()
+            return SparsePoly.constant(CycNum.zeta(p, n))
+        if kind == "name":
+            raise self.error(f"unknown name {word!r} (expected x1, x2 or z)", tok)
+        raise self.error(f"expected a value but found {word or 'end of input'!r}", tok)
 
     def endo(self) -> PlaneEndo:
         self.expect("(")
@@ -202,9 +168,8 @@ class _Parser:
 
     def finish(self):
         tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}",
-                             tok.line, tok.column)
+        if tok[0] != "end":
+            raise self.error(f"unexpected trailing input {tok[1]!r}", tok)
 
 
 def parse_poly(text: str) -> SparsePoly:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import lcm
 
 from .cyclotomic import (CycNum, DomainMismatchError, RootOfUnity, as_cycnum,
-                         is_prime)
+                         _check_prime)
 from .poly import SparsePoly
 from .endo import PlaneEndo, TriangularAffine, compose, conjugate, endo_order
 from .parsing import parse_scalar
@@ -96,9 +96,7 @@ class CoeffSequence(EventuallyPeriodic):
     __slots__ = ("prime",)
 
     def __init__(self, prime: int, prefix=(), tail=None):
-        if not is_prime(prime):
-            raise ValueError(f"{prime} is not prime")
-        self.prime = prime
+        self.prime = _check_prime(prime)
         block = () if tail is None or tail == "zero" else tuple(as_cycnum(c) for c in tail)
         if not any(block):
             block = (CycNum.zero(),)

@@ -178,6 +178,10 @@ class TestInputErrors:
         assert run(capsys, "compose", "(x1, )", "(x1, x2)") == (
             2, "", "error: expected a value but found ')' (line 1, column 6)\n")
 
+    def test_non_ascii_digit_is_positional_error(self, capsys):
+        assert run(capsys, "compose", "(x2^², x2)", "(x1, x2)") == (
+            2, "", "error: unexpected character '²' (line 1, column 5)\n")
+
     def test_bad_alpha_denominator(self, capsys):
         code, _, err = run(capsys, "verify-formula", "--p", "2",
                            "--prefix", "1", "--alpha", "1/3")

@@ -244,6 +244,8 @@ class TestRootOfUnity:
             p = rng.choice([2, 3, 5])
             a, b = random_root(rng, p), random_root(rng, p)
             assert (a * b).to_field() == a.to_field() * b.to_field()
+            for e in [*range(-3, 4), p ** rng.randint(0, 3) + 1]:
+                assert (a ** e).to_field() == a.to_field() ** e
 
     def test_order_of_field_image(self):
         for p, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from planeaut import (CycNum, ParseError, PlaneEndo, SparsePoly, parse_endo,
                       parse_poly, parse_scalar, parse_triangular)
@@ -46,11 +46,35 @@ class TestParsePoly:
 
 
 class TestParseErrors:
-    def test_position_reported(self):
+    @pytest.mark.parametrize("text,line,column", [
+        pytest.param("x1 + @", 1, 6, id="bad-character"),
+        pytest.param("x1 +\n  x3", 2, 3, id="second-line"),
+        pytest.param("x1 x2", 1, 4, id="trailing-input"),
+        pytest.param("z(6)", 1, 3, id="root-modulus"),
+        pytest.param("x1/0", 1, 3, id="division-by-zero"),
+        pytest.param("x1^x2", 1, 4, id="exponent"),
+        pytest.param("x1\t+ @", 1, 6, id="tab"),
+        pytest.param("x1 +\n\n  @", 3, 3, id="third-line"),
+    ])
+    def test_error_positions(self, text, line, column):
         with pytest.raises(ParseError) as err:
-            parse_poly("x1 + @")
-        assert err.value.line == 1
-        assert err.value.column == 6
+            parse_poly(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    @pytest.mark.parametrize("text,char,column", [
+        ("²", "²", 1),
+        ("٣*x1", "٣", 1),
+        ("x1 + é", "é", 6),
+    ])
+    def test_non_ascii_character(self, text, char, column):
+        with pytest.raises(ParseError, match=f"unexpected character {char!r}") as err:
+            parse_poly(text)
+        assert (err.value.line, err.value.column) == (1, column)
+
+    def test_mixed_primes_at_operator(self):
+        with pytest.raises(ParseError, match="mixed primes 2 and 3") as err:
+            parse_poly("x1 + z(4)*z(3)")
+        assert (err.value.line, err.value.column) == (1, 10)
 
     def test_missing_operand_at_end(self):
         with pytest.raises(ParseError, match="expected a value but found 'end of input'") as err:
@@ -76,12 +100,6 @@ class TestParseErrors:
     def test_trailing_input(self):
         with pytest.raises(ParseError, match="trailing"):
             parse_poly("x1 x2")
-
-    def test_multiline_position(self):
-        with pytest.raises(ParseError) as err:
-            parse_poly("x1 +\n  x3")
-        assert err.value.line == 2
-        assert err.value.column == 3
 
 
 def nested(depth: int, inner: str = "x1") -> str:
@@ -182,3 +200,19 @@ def test_fraction_literal_round_trip(num, den):
 def test_root_literal_round_trip(p, level, exp):
     value = CycNum.zeta(p, level, exp)
     assert parse_scalar(str(value)) == value
+
+
+# The grammar's characters without '^' (so no input asks for a large power),
+# whitespace, and characters that are digits or letters only outside ASCII.
+PARSER_INPUT = st.text(alphabet="0123456789xz_+-*/(), \t\n²٣é", max_size=30)
+
+
+@settings(deadline=None)
+@given(PARSER_INPUT)
+def test_every_input_parses_or_fails_inside_the_text(text):
+    try:
+        parse_poly(text)
+    except ParseError as err:
+        lines = text.split("\n")
+        assert 1 <= err.line <= len(lines)
+        assert 1 <= err.column <= len(lines[err.line - 1]) + 1
