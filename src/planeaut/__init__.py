@@ -5,8 +5,8 @@ from .cyclotomic import (CycNum, DomainMismatchError, RootOfUnity,
 from .poly import NEG_INF, SparsePoly
 from .endo import (PlaneEndo, TriangularAffine, compose, conjugate,
                    endo_order, is_diagonal)
-from .prufer import (CoeffSequence, conj_closed_form, diag, embedding_check,
-                     EventuallyPeriodic, series_truncation, verify_formula)
+from .prufer import (CoeffSequence, conj_closed_form, diag, EventuallyPeriodic,
+                     series_truncation, verify_formula)
 from .linearize import (LinearizationResult, ShapeError,
                         minimal_linearizer_degree, solve_linearization)
 from .conjugacy import (BinarySequence, ConjugacyReport, CERTIFICATE,
@@ -24,8 +24,8 @@ __all__ = [
     "NEG_INF", "SparsePoly",
     "PlaneEndo", "TriangularAffine", "compose", "conjugate", "endo_order",
     "is_diagonal",
-    "CoeffSequence", "conj_closed_form", "diag", "embedding_check",
-    "EventuallyPeriodic", "series_truncation", "verify_formula",
+    "CoeffSequence", "conj_closed_form", "diag", "EventuallyPeriodic",
+    "series_truncation", "verify_formula",
     "LinearizationResult", "ShapeError",
     "minimal_linearizer_degree", "solve_linearization",
     "BinarySequence", "ConjugacyReport", "CERTIFICATE", "SATISFIABLE",

@@ -15,6 +15,10 @@ the manifest field of its name:
      "b": {"prefix": [], "tail": ["1", "0"]},
      "alpha": "1/2", "max_degree": 2, "levels": 3, "k0": 0,
      "theta": "(x1, 2*x2)"}
+
+The CLI checks each field it reads; a missing or ill-typed one is an input
+error naming it.  Both sequences live over the top-level "prime": "a" and
+"b" are read for "prefix" and "tail" only.
 """
 
 from __future__ import annotations
@@ -27,13 +31,34 @@ from functools import cache
 
 from .cyclotomic import RootOfUnity
 from .endo import endo_order
-from .prufer import CoeffSequence, manifest_field as _field, verify_formula
+from .prufer import CoeffSequence, verify_formula
 from .linearize import minimal_linearizer_degree, solve_linearization
 from .conjugacy import (differ_infinitely, necessary_condition, omega0_family,
                         verify_subgroup_conjugator)
-# parse_scalar is unused here, but perfbench/tracing.py wraps it under this name
-from .parsing import parse_endo, parse_scalar, parse_triangular  # noqa: F401
+from .parsing import parse_endo, parse_scalar, parse_triangular
 from . import conjugate as conjugate_endo, compose
+
+
+_KINDS = {int: "an integer", str: "a string", dict: "an object",
+          list: "a list of strings"}
+_REQUIRED = object()
+
+
+def _field(record: dict, key: str, kind: type, default=_REQUIRED):
+    """record[key] (or the default, if given, when it is absent) checked to be
+    a JSON value of the kind; a bad field raises ValueError naming it."""
+    if key not in record:
+        if default is _REQUIRED:
+            raise ValueError(f"manifest field {key!r} is missing")
+        return default
+    value = record[key]
+    valid = isinstance(value, kind) and not isinstance(value, bool)
+    if valid and kind is list:
+        valid = all(isinstance(item, str) for item in value)
+    if not valid and not (key == "tail" and value == "zero"):
+        either = '"zero" or ' if key == "tail" else ""
+        raise ValueError(f"manifest field {key!r} must be {either}{_KINDS[kind]}")
+    return value
 
 
 def _alpha(prime: int, text: str) -> RootOfUnity:
@@ -73,8 +98,11 @@ def _read(args, *keys: str) -> tuple:
     sequences = []
     for key in keys:
         record = _field(manifest, key, dict)
-        sequences.append(CoeffSequence.from_manifest(
-            {"prime": _field(manifest, "prime", int), **record}))
+        prime = _field(manifest, "prime", int)
+        prefix = [parse_scalar(s) for s in _field(record, "prefix", list, [])]
+        tail = _field(record, "tail", list, "zero")
+        tail = None if tail == "zero" else [parse_scalar(s) for s in tail]
+        sequences.append(CoeffSequence(prime, prefix, tail))
     return (manifest, *sequences)
 
 

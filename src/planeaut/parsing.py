@@ -12,12 +12,12 @@ Grammar (whitespace-insensitive):
 
 Names are ASCII (a letter, then letters, digits or '_'); any other
 character, a non-ASCII digit or letter included, is an unexpected
-character.  Scalars: rationals as `a/b` or integers, roots of unity as
-`z(m)` meaning e^(2*pi*i/m) with m a prime power.  Division requires a
-nonzero constant divisor.  Parentheses nest at most MAX_NESTING deep, so
-that no input exhausts the recursion limit.  The printers on
-CycNum/SparsePoly/PlaneEndo emit canonical forms this grammar parses back
-bit-exactly.
+character, and an INT with more digits than int() converts is too long.
+Scalars: rationals as `a/b` or integers, roots of unity as `z(m)` meaning
+e^(2*pi*i/m) with m a prime power.  Division requires a nonzero constant
+divisor.  Parentheses nest at most MAX_NESTING deep, so that no input
+exhausts the recursion limit.  The printers on CycNum/SparsePoly/PlaneEndo
+emit canonical forms this grammar parses back bit-exactly.
 """
 
 from __future__ import annotations
@@ -78,6 +78,12 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def integer(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:   # more digits than int() converts
+            raise self.error("integer literal too long", tok) from None
+
     def expect(self, kind: str):
         tok = self.peek()
         if tok[0] != kind:
@@ -123,14 +129,14 @@ class _Parser:
         base = self.atom()
         if self.peek()[0] == "^":
             self.advance()
-            return base ** int(self.expect("int")[1])
+            return base ** self.integer(self.expect("int"))
         return base
 
     def atom(self) -> SparsePoly:
         tok = self.advance()
         kind, word, _ = tok
         if kind == "int":
-            return SparsePoly.constant(int(word))
+            return SparsePoly.constant(self.integer(tok))
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise self.error(f"parentheses nested deeper than {MAX_NESTING}", tok)
@@ -147,8 +153,9 @@ class _Parser:
             self.expect("(")
             mtok = self.expect("int")
             self.expect(")")
+            m = self.integer(mtok)
             try:
-                p, n = prime_power_decompose(int(mtok[1]))
+                p, n = prime_power_decompose(m)
             except ValueError as exc:
                 raise self.error(str(exc), mtok) from None
             if n == 0:

@@ -19,30 +19,8 @@ from math import lcm
 from .cyclotomic import (CycNum, DomainMismatchError, RootOfUnity, as_cycnum,
                          _check_prime)
 from .poly import SparsePoly
-from .endo import PlaneEndo, TriangularAffine, compose, conjugate, endo_order
-from .parsing import parse_scalar
-
-
-_KINDS = {int: "an integer", str: "a string", dict: "an object",
-          list: "a list of strings"}
-_REQUIRED = object()
-
-
-def manifest_field(record: dict, key: str, kind: type, default=_REQUIRED):
-    """record[key] (or the default, if given, when it is absent) checked to be
-    a JSON value of the kind; a bad field raises ValueError naming it."""
-    if key not in record:
-        if default is _REQUIRED:
-            raise ValueError(f"manifest field {key!r} is missing")
-        return default
-    value = record[key]
-    valid = isinstance(value, kind) and not isinstance(value, bool)
-    if valid and kind is list:
-        valid = all(isinstance(item, str) for item in value)
-    if not valid and not (key == "tail" and value == "zero"):
-        either = '"zero" or ' if key == "tail" else ""
-        raise ValueError(f"manifest field {key!r} must be {either}{_KINDS[kind]}")
-    return value
+# compose and endo_order are unused here, but perfbench/tracing.py wraps them
+from .endo import PlaneEndo, TriangularAffine, compose, conjugate, endo_order  # noqa: F401
 
 
 class EventuallyPeriodic:
@@ -88,7 +66,7 @@ class EventuallyPeriodic:
 class CoeffSequence(EventuallyPeriodic):
     """Coefficient sequence {a_k} over Q(zeta_{p^infty}).
 
-    A tail of None, "zero", or only zeros is stored as the block (0,): the
+    A tail of None, or only zeros, is stored as the block (0,): the
     support is finite and the shift map is a polynomial automorphism.  An
     entry from the tower of another prime raises DomainMismatchError.
     """
@@ -97,7 +75,7 @@ class CoeffSequence(EventuallyPeriodic):
 
     def __init__(self, prime: int, prefix=(), tail=None):
         self.prime = _check_prime(prime)
-        block = () if tail is None or tail == "zero" else tuple(as_cycnum(c) for c in tail)
+        block = () if tail is None else tuple(as_cycnum(c) for c in tail)
         if not any(block):
             block = (CycNum.zero(),)
         super().__init__((as_cycnum(c) for c in prefix), block)
@@ -114,21 +92,6 @@ class CoeffSequence(EventuallyPeriodic):
 
     def _key(self) -> tuple:
         return self.prime, self.prefix, self.tail
-
-    def to_manifest(self) -> dict:
-        return {"prime": self.prime, "prefix": [str(c) for c in self.prefix],
-                "tail": [str(c) for c in self.tail]}
-
-    @classmethod
-    def from_manifest(cls, record: dict) -> "CoeffSequence":
-        """Read a to_manifest record; a malformed field raises ValueError
-        naming it."""
-        prime = manifest_field(record, "prime", int)
-        prefix = [parse_scalar(s) for s in manifest_field(record, "prefix", list, [])]
-        tail = manifest_field(record, "tail", list, "zero")
-        if tail != "zero":
-            tail = [parse_scalar(s) for s in tail]
-        return cls(prime, prefix, tail)
 
 
 def exponent_of(p: int, k: int) -> int:
@@ -190,12 +153,3 @@ def verify_formula(s: CoeffSequence, alpha: RootOfUnity) -> bool:
         if conjugate(diag(alpha), theta) != expected:
             return False
     return True
-
-
-def embedding_check(s: CoeffSequence, alpha: RootOfUnity, beta: RootOfUnity) -> bool:
-    """Homomorphism and order preservation of alpha -> shift-conjugate of diag(alpha)."""
-    product = conj_closed_form(s, alpha * beta)
-    composed = compose(conj_closed_form(s, alpha), conj_closed_form(s, beta))
-    if product != composed:
-        return False
-    return endo_order(conj_closed_form(s, alpha), alpha.order) == alpha.order

@@ -182,6 +182,14 @@ class TestInputErrors:
         assert run(capsys, "compose", "(x2^², x2)", "(x1, x2)") == (
             2, "", "error: unexpected character '²' (line 1, column 5)\n")
 
+    @pytest.mark.parametrize("first,column", [
+        pytest.param("(" + "1" * 5000 + "*x1, x2)", 2, id="literal"),
+        pytest.param("(x1^" + "1" * 5000 + ", x2)", 5, id="exponent"),
+    ])
+    def test_over_long_integer_is_positional_error(self, capsys, first, column):
+        assert run(capsys, "compose", first, "(x1, x2)") == (
+            2, "", f"error: integer literal too long (line 1, column {column})\n")
+
     def test_bad_alpha_denominator(self, capsys):
         code, _, err = run(capsys, "verify-formula", "--p", "2",
                            "--prefix", "1", "--alpha", "1/3")
@@ -347,6 +355,9 @@ class TestManifestInput:
         pytest.param("verify-formula",
                      '{"prime":true,"a":{"prefix":["1"]},"alpha":"1/2"}', "prime",
                      id="prime-boolean"),
+        pytest.param("verify-formula",
+                     '{"a":{"prime":2,"prefix":["1"]},"alpha":"1/2"}', "prime",
+                     id="prime-missing"),
     ])
     def test_bad_manifest_json(self, capsys, monkeypatch, command, text, field):
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -356,6 +367,14 @@ class TestManifestInput:
         assert err.startswith("error:") and err.count("\n") == 1
         if field is not None:
             assert repr(field) in err
+
+    def test_sequence_prime_is_the_top_level_one(self, capsys, monkeypatch):
+        # a "prime" inside "a" is an unknown key: the run is over p = 2
+        text = ('{"prime": 2, "a": {"prime": 3, "prefix": ["1", "1"]}, '
+                '"alpha": "1/3"}')
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(capsys, "verify-formula") == (
+            2, "", "error: exponent denominator must be a power of 2, got 1/3\n")
 
 
 SCALARS = st.sampled_from(["0", "1", "2", "3/2", "1/3"]

@@ -101,6 +101,21 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="trailing"):
             parse_poly("x1 x2")
 
+    @pytest.mark.parametrize("text,column", [
+        pytest.param("1" * 5000 + "*x1", 1, id="literal"),
+        pytest.param("x1^" + "1" * 5000, 4, id="exponent"),
+        pytest.param("z(" + "1" * 5000 + ")", 3, id="root-modulus"),
+    ])
+    def test_integer_literal_too_long(self, text, column):
+        # more digits than int() converts from text
+        with pytest.raises(ParseError, match="^integer literal too long") as err:
+            parse_poly(text)
+        assert (err.value.line, err.value.column) == (1, column)
+
+    def test_unclosed_long_root_modulus_reports_the_parenthesis(self):
+        with pytest.raises(ParseError, match="expected '\\)' but found 'end of input'"):
+            parse_poly("z(" + "1" * 5000)
+
 
 def nested(depth: int, inner: str = "x1") -> str:
     return "(" * depth + inner + ")" * depth
