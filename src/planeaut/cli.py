@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 
 from .cyclotomic import RootOfUnity
@@ -62,7 +61,7 @@ def _field(record: dict, key: str, kind: type, default=_REQUIRED):
 
 
 def _alpha(prime: int, text: str) -> RootOfUnity:
-    return RootOfUnity.from_exponent(prime, Fraction(text))
+    return RootOfUnity.from_exponent(prime, parse_scalar(text).as_fraction())
 
 
 def _split(text: str) -> list[str]:

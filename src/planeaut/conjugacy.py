@@ -38,6 +38,8 @@ from .prufer import CoeffSequence, EventuallyPeriodic, conj_closed_form
 
 SATISFIABLE = "condition-satisfiable"
 CERTIFICATE = "non-conjugate-certificate"
+# omega-family compares count*(count-1)/2 pairs at a cost near count^4 (64: 1 s)
+MAX_FAMILY = 64
 
 
 class BinarySequence(EventuallyPeriodic):
@@ -81,6 +83,8 @@ def omega0_family(count: int) -> list[BinarySequence]:
     """
     if count < 2:
         raise ValueError("need at least two sequences to compare")
+    if count > MAX_FAMILY:
+        raise ValueError(f"count must be at most {MAX_FAMILY}")
     return [BinarySequence((), (1,) + (0,) * (i + 1)) for i in range(count)]
 
 

@@ -85,7 +85,7 @@ class TriangularAffine(PlaneEndo):
     def inverse(self) -> "TriangularAffine":
         """Closed-form inverse: x2 -> (x2 - beta0)/beta, x1 -> (x1 - g(...))/gamma."""
         x1 = SparsePoly.x1()
-        y = (SparsePoly.x2() - SparsePoly.constant(self.beta0)) * self.beta.inverse()
+        y = (SparsePoly.x2() - self.beta0) * self.beta.inverse()
         return TriangularAffine((x1 - self.g.substitute(x1, y)) * self.gamma.inverse(), y)
 
 

@@ -14,10 +14,13 @@ Names are ASCII (a letter, then letters, digits or '_'); any other
 character, a non-ASCII digit or letter included, is an unexpected
 character, and an INT with more digits than int() converts is too long.
 Scalars: rationals as `a/b` or integers, roots of unity as `z(m)` meaning
-e^(2*pi*i/m) with m a prime power.  Division requires a nonzero constant
-divisor.  Parentheses nest at most MAX_NESTING deep, so that no input
-exhausts the recursion limit.  The printers on CycNum/SparsePoly/PlaneEndo
-emit canonical forms this grammar parses back bit-exactly.
+e^(2*pi*i/m) with m a prime power.  Constants are evaluated in the field
+(CycNum); a value becomes a SparsePoly only where it meets x1 or x2, so a
+scalar, and a divisor, is an expression that mentions neither x1 nor x2.
+Division requires a nonzero scalar divisor.  Parentheses nest at most
+MAX_NESTING deep, so that no input exhausts the recursion limit.  The
+printers on CycNum/SparsePoly/PlaneEndo emit canonical forms this grammar
+parses back bit-exactly.
 """
 
 from __future__ import annotations
@@ -93,31 +96,30 @@ class _Parser:
 
     # grammar ----------------------------------------------------------
 
-    def binary(self, ops, operand) -> SparsePoly:
+    def binary(self, ops, operand) -> CycNum | SparsePoly:
         value = operand()
         while self.peek()[0] in ops:
             tok = self.advance()
             rhs = operand()
             if tok[0] == "/":
-                if not rhs.is_constant():
+                if isinstance(rhs, SparsePoly):
                     raise self.error("division by a non-constant expression", tok)
-                divisor = rhs.constant_value()
-                if divisor.is_zero:
+                if rhs.is_zero:
                     raise self.error("division by zero", tok)
-                rhs = divisor.inverse()
+                rhs = rhs.inverse()
             try:
                 value = _OPS[tok[0]](value, rhs)
             except DomainMismatchError as exc:
                 raise self.error(str(exc), tok) from None
         return value
 
-    def expr(self) -> SparsePoly:
+    def expr(self) -> CycNum | SparsePoly:
         return self.binary(("+", "-"), self.term)
 
-    def term(self) -> SparsePoly:
+    def term(self) -> CycNum | SparsePoly:
         return self.binary(("*", "/"), self.unary)
 
-    def unary(self) -> SparsePoly:
+    def unary(self) -> CycNum | SparsePoly:
         negate = False
         while self.peek()[0] == "-":
             self.advance()
@@ -125,18 +127,18 @@ class _Parser:
         value = self.power()
         return -value if negate else value
 
-    def power(self) -> SparsePoly:
+    def power(self) -> CycNum | SparsePoly:
         base = self.atom()
         if self.peek()[0] == "^":
             self.advance()
             return base ** self.integer(self.expect("int"))
         return base
 
-    def atom(self) -> SparsePoly:
+    def atom(self) -> CycNum | SparsePoly:
         tok = self.advance()
         kind, word, _ = tok
         if kind == "int":
-            return SparsePoly.constant(self.integer(tok))
+            return CycNum.rational(self.integer(tok))
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise self.error(f"parentheses nested deeper than {MAX_NESTING}", tok)
@@ -158,46 +160,46 @@ class _Parser:
                 p, n = prime_power_decompose(m)
             except ValueError as exc:
                 raise self.error(str(exc), mtok) from None
-            if n == 0:
-                return SparsePoly.one()
-            return SparsePoly.constant(CycNum.zeta(p, n))
+            return CycNum.zeta(p, n) if n else CycNum.one()
         if kind == "name":
             raise self.error(f"unknown name {word!r} (expected x1, x2 or z)", tok)
         raise self.error(f"expected a value but found {word or 'end of input'!r}", tok)
 
+    def poly(self) -> SparsePoly:
+        value = self.expr()
+        return value if isinstance(value, SparsePoly) else SparsePoly.constant(value)
+
     def endo(self) -> PlaneEndo:
         self.expect("(")
-        f1 = self.expr()
+        f1 = self.poly()
         self.expect(",")
-        f2 = self.expr()
+        f2 = self.poly()
         self.expect(")")
         return PlaneEndo(f1, f2)
 
-    def finish(self):
+    def finish(self, value):
         tok = self.peek()
         if tok[0] != "end":
             raise self.error(f"unexpected trailing input {tok[1]!r}", tok)
+        return value
 
 
 def parse_poly(text: str) -> SparsePoly:
     parser = _Parser(text)
-    value = parser.expr()
-    parser.finish()
-    return value
+    return parser.finish(parser.poly())
 
 
 def parse_scalar(text: str) -> CycNum:
-    value = parse_poly(text)
-    if not value.is_constant():
+    parser = _Parser(text)
+    value = parser.finish(parser.expr())
+    if isinstance(value, SparsePoly):
         raise ParseError("expected a scalar, found a polynomial", 1, 1)
-    return value.constant_value()
+    return value
 
 
 def parse_endo(text: str) -> PlaneEndo:
     parser = _Parser(text)
-    value = parser.endo()
-    parser.finish()
-    return value
+    return parser.finish(parser.endo())
 
 
 def parse_triangular(text: str) -> TriangularAffine:

@@ -90,14 +90,6 @@ class SparsePoly:
     def involves_x1(self) -> bool:
         return any(e1 for e1, _ in self._terms)
 
-    def is_constant(self) -> bool:
-        return all(m == (0, 0) for m in self._terms)
-
-    def constant_value(self) -> CycNum:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.coefficient(0, 0)
-
     def x2_profile(self) -> dict[int, CycNum]:
         """Map degree -> coefficient for a polynomial in x2 alone."""
         if self.involves_x1():

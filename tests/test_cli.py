@@ -190,6 +190,47 @@ class TestInputErrors:
         assert run(capsys, "compose", first, "(x1, x2)") == (
             2, "", f"error: integer literal too long (line 1, column {column})\n")
 
+    @pytest.mark.parametrize("alpha,message", [
+        pytest.param("1.5", "unexpected character '.' (line 1, column 2)", id="decimal"),
+        pytest.param("1_1/4", "unexpected character '_' (line 1, column 2)",
+                     id="underscore"),
+        pytest.param("٣/٤", "unexpected character '٣' (line 1, column 1)",
+                     id="non-ascii-digits"),
+        pytest.param("z(8)", "z(8) is not rational", id="root"),
+        pytest.param("1/(x1 - x1 + 2)",
+                     "division by a non-constant expression (line 1, column 2)",
+                     id="cancelling-divisor"),
+    ])
+    def test_alpha_is_read_by_the_grammar(self, capsys, alpha, message):
+        assert run(capsys, "verify-formula", "--p", "2", "--prefix", "1,1",
+                   f"--alpha={alpha}") == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("alpha", ["3/-4", "(1 + 2)/4"])
+    def test_alpha_spelled_as_an_expression(self, capsys, alpha):
+        assert run(capsys, "verify-formula", "--p", "2", "--prefix", "1,1",
+                   f"--alpha={alpha}") == (0, GOLDEN_VERIFY, "")
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(("compose", "(z(1000000000000000003)*x1, x2)", "(x1, x2)"),
+                     "1000000000000000003 has no prime factor up to the limit "
+                     "1000 (line 1, column 4)", id="root-modulus"),
+        pytest.param(("verify-formula", "--p", "1000000000000000003",
+                      "--prefix", "1", "--alpha", "1/2"),
+                     "1000000000000000003 has no prime factor up to the limit 1000",
+                     id="prime-flag"),
+        pytest.param(("nonconj-check", "--p", "1009", "--tail", "1", "--tail", "1"),
+                     "1009 has no prime factor up to the limit 1000",
+                     id="prime-above-limit"),
+        pytest.param(("omega-family", "--count", "65"), "count must be at most 64",
+                     id="family-count"),
+    ])
+    def test_over_the_limit_is_one_line_error(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_prime_at_the_limit_is_a_verdict(self, capsys):
+        assert run(capsys, "verify-formula", "--p", "997", "--prefix", "1",
+                   "--alpha", "1/997") == (0, GOLDEN_VERIFY, "")
+
     def test_bad_alpha_denominator(self, capsys):
         code, _, err = run(capsys, "verify-formula", "--p", "2",
                            "--prefix", "1", "--alpha", "1/3")
@@ -375,6 +416,12 @@ class TestManifestInput:
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         assert run(capsys, "verify-formula") == (
             2, "", "error: exponent denominator must be a power of 2, got 1/3\n")
+
+    def test_manifest_prime_above_the_limit(self, capsys, monkeypatch):
+        text = '{"prime": 1000000000000000003, "a": {"prefix": ["1"]}, "alpha": "1/2"}'
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(capsys, "verify-formula") == (
+            2, "", "error: 1000000000000000003 has no prime factor up to the limit 1000\n")
 
 
 SCALARS = st.sampled_from(["0", "1", "2", "3/2", "1/3"]

@@ -11,6 +11,7 @@ from planeaut import (BinarySequence, CERTIFICATE, CoeffSequence, CycNum,
                       SparsePoly, TriangularAffine, differ_infinitely,
                       necessary_condition, omega0_family,
                       verify_subgroup_conjugator)
+from planeaut.conjugacy import MAX_FAMILY
 
 from conftest import random_cycnum, random_root, random_sequence
 
@@ -101,6 +102,11 @@ class TestOmega0Family:
     def test_count_one_rejected(self):
         with pytest.raises(ValueError):
             omega0_family(1)
+
+    def test_count_bounded(self):
+        assert len(omega0_family(MAX_FAMILY)) == MAX_FAMILY
+        with pytest.raises(ValueError, match=f"at most {MAX_FAMILY}"):
+            omega0_family(MAX_FAMILY + 1)
 
 
 def seq_from_bits(p, bits):

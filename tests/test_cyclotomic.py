@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from planeaut import (CycNum, DomainMismatchError, RootOfUnity,
                       as_root_of_unity, multiplicative_order)
-from planeaut.cyclotomic import (phi_prime_power, prime_power_decompose,
-                                 root_of_unity_splits)
+from planeaut.cyclotomic import (PRIME_LIMIT, is_prime, phi_prime_power,
+                                 prime_power_decompose, root_of_unity_splits)
 from planeaut.parsing import parse_scalar
 
 from conftest import NONZERO_POOL, random_cycnum, random_root
@@ -409,3 +409,29 @@ def test_prime_power_decompose():
     assert prime_power_decompose(7) == (7, 1)
     with pytest.raises(ValueError):
         prime_power_decompose(6)
+
+
+# 997 and 1009 are the primes on either side of the limit
+def test_primes_up_to_the_limit_are_recognized():
+    assert PRIME_LIMIT == 1000
+    assert prime_power_decompose(997) == (997, 1)
+    assert prime_power_decompose(997 ** 2) == (997, 2)
+    assert is_prime(997) and not is_prime(1001) and not is_prime(1)
+    assert CycNum.zeta(997, 1).modulus() == 997
+    with pytest.raises(ValueError, match="^1001 is not prime$"):
+        CycNum.zeta(1001, 1)
+    with pytest.raises(ValueError, match="^modulus is not a prime power$"):
+        prime_power_decompose(2 * 1009)
+
+
+@pytest.mark.parametrize("m", [1009, 1009 ** 2, 1009 * 1013,
+                               1000000000000000003])
+def test_no_prime_factor_up_to_the_limit_is_rejected(m):
+    # trial division stops at the limit, so even a 19-digit prime is quick
+    message = f"^{m} has no prime factor up to the limit 1000$"
+    with pytest.raises(ValueError, match=message):
+        prime_power_decompose(m)
+    with pytest.raises(ValueError, match=message):
+        is_prime(m)
+    with pytest.raises(ValueError, match=message):
+        RootOfUnity.one(m)

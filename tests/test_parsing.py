@@ -168,6 +168,26 @@ class TestParseScalar:
         with pytest.raises(ParseError):
             parse_scalar("x1 + 1")
 
+    def test_cancelling_variables_are_not_a_scalar(self):
+        # a scalar is an expression without x1 and x2, whatever it evaluates to
+        with pytest.raises(ParseError, match="expected a scalar") as err:
+            parse_scalar("x2 - x2 + 3")
+        assert (err.value.line, err.value.column) == (1, 1)
+
+    def test_cancelling_variables_are_not_a_divisor(self):
+        with pytest.raises(ParseError, match="division by a non-constant") as err:
+            parse_poly("1/(x1 - x1 + 2)")
+        assert (err.value.line, err.value.column) == (1, 2)
+
+    @pytest.mark.parametrize("text", ["1000000000000000003", "1009"])
+    def test_root_modulus_over_the_prime_limit(self, text):
+        with pytest.raises(ParseError, match=f"^{text} has no prime factor up to "
+                           "the limit 1000 \\(line 1, column 3\\)$"):
+            parse_scalar(f"z({text})")
+
+    def test_root_modulus_at_the_prime_limit(self):
+        assert parse_scalar("z(997)^996") == CycNum.zeta(997, 1, 996)
+
 
 class TestParseEndo:
     def test_pair(self):
@@ -205,16 +225,40 @@ class TestRoundTrips:
             assert parse_endo(str(e)) == e
 
 
-@given(st.integers(-40, 40), st.integers(1, 40))
-def test_fraction_literal_round_trip(num, den):
-    q = Fraction(num, den)
+RATIONALS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40))
+ROOTS = st.builds(CycNum.zeta, st.sampled_from([2, 3, 5]), st.integers(1, 2),
+                  st.integers(0, 24))
+
+
+@given(RATIONALS)
+def test_fraction_literal_round_trip(q):
     assert parse_scalar(str(CycNum.rational(q))) == q
 
 
-@given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.integers(0, 24))
-def test_root_literal_round_trip(p, level, exp):
-    value = CycNum.zeta(p, level, exp)
+@given(ROOTS)
+def test_root_literal_round_trip(value):
     assert parse_scalar(str(value)) == value
+
+
+# Literals of rationals, of roots, and of sparse elements of the p-towers.
+SCALAR_LITERALS = st.one_of(
+    RATIONALS.map(lambda q: str(CycNum.rational(q))), ROOTS.map(str),
+    st.builds(lambda seed, p: str(random_cycnum(random.Random(seed), p)),
+              st.integers(0, 2 ** 32), st.sampled_from([2, 3, 5])))
+
+
+@given(SCALAR_LITERALS)
+def test_scalar_meets_polynomial_through_every_mixed_operator(t):
+    c = parse_scalar(t)
+    assert parse_poly(f"({t})*x1") == SparsePoly.monomial(1, 0, c)
+    assert parse_poly(f"x1 - ({t}) - x1") == SparsePoly.constant(-c)
+    assert parse_poly(f"({t}) + x2 - x2") == SparsePoly.constant(c)
+    assert parse_poly(f"({t}) - x2") == SparsePoly.constant(c) - SparsePoly.x2()
+    assert parse_poly(f"x2*({t})") == SparsePoly.monomial(0, 1, c)
+    value = parse_poly(t)
+    assert isinstance(value, SparsePoly) and value == SparsePoly.constant(c)
+    if not c.is_zero:
+        assert parse_poly(f"x1/({t})") == SparsePoly.monomial(1, 0, c.inverse())
 
 
 # The grammar's characters without '^' (so no input asks for a large power),
