@@ -106,6 +106,9 @@ def _read(args, *keys: str) -> tuple:
 
 
 # -- command bodies ---------------------------------------------------------
+#
+# Each report is one print: every value is formatted before anything is
+# written, so a value that cannot be formatted leaves stdout empty.
 
 def _cmd_compose(args) -> int:
     first = parse_endo(args.first)
@@ -151,12 +154,9 @@ def _cmd_linearize(args) -> int:
     target = parse_endo(args.target)
     result = solve_linearization(target, args.max_degree)
     if result.found:
-        print("LINEARIZED")
-        print(f"theta = {result.theta}")
-        print(f"h = {result.h}")
+        print(f"LINEARIZED\ntheta = {result.theta}\nh = {result.h}")
         return 0
-    print("OBSTRUCTION")
-    print(f"degree = {result.obstruction_degree}")
+    print(f"OBSTRUCTION\ndegree = {result.obstruction_degree}")
     return 1
 
 
@@ -177,16 +177,12 @@ def _cmd_nonconj_check(args) -> int:
     manifest, a, b = _read(args, "a", "b")
     report = necessary_condition(a, b, _field(manifest, "k0", int, None))
     if report.satisfiable:
-        print("CONDITION SATISFIABLE")
-        print(f"beta = {report.beta}")
-        print(f"gamma = {report.gamma}")
-        print(f"holds from k = {report.effective_from}")
+        print(f"CONDITION SATISFIABLE\nbeta = {report.beta}\ngamma = {report.gamma}\n"
+              f"holds from k = {report.effective_from}")
         return 0
     offsets = ",".join(str(o) for o in report.offsets)
-    print("NON-CONJUGATE CERTIFICATE")
-    print(f"failing indices: preamble={report.preamble}, "
-          f"period={report.period}, offsets=[{offsets}]")
-    print(f"reason: {report.reason}")
+    print(f"NON-CONJUGATE CERTIFICATE\nfailing indices: preamble={report.preamble}, "
+          f"period={report.period}, offsets=[{offsets}]\nreason: {report.reason}")
     return 1
 
 

@@ -17,11 +17,12 @@ scalars:
   class members (the root part stabilizes, the rational part must be +-1),
   so the ratios b_k/a_k must be eventually constant;
 * candidate pairs come from the exact roots of the anchor ratio equation
-  beta^(p^k - p^k*) = (a_k* b_k)/(a_k b_k*), one root per rational split:
-  the other roots differ from it by a kernel element kappa of order
+  beta^(p^k - p^k*) = (a_k* b_k)/(a_k b_k*), one root per rational split;
+  as p^k - p^k* = p^k* (p^(k-k*) - 1), the p-part of the exponent is p^k*,
+  so the other roots differ from it by a kernel element kappa of order
   dividing p^k*, and kappa^(p^k + 1) = kappa for k >= k* is absorbed into
-  gamma, so there is no search cap.  Each candidate is verified over a
-  window long enough that periodicity covers the rest.
+  gamma, so there is no search cap.  Each candidate is verified over a window long
+  enough that periodicity covers the rest.
 
 A reported certificate therefore means: every (beta, gamma) in the searched
 class violates the condition at infinitely many indices.
@@ -128,11 +129,11 @@ class ConjugacyReport:
 
 def _integer_root(n: int, t: int) -> int | None:
     """Exact t-th root of n >= 0, or None."""
-    if n < 2 or t == 1:
+    if n < 2:
         return n
-    lo, hi = 1, 1
-    while hi ** t < n:
-        hi <<= 1
+    if t >= n.bit_length():
+        return None  # 2^t > n, so no root is 2 or more
+    lo, hi = 1, 1 << (n.bit_length() // t + 1)
     while lo < hi:
         mid = (lo + hi) // 2
         if mid ** t < n:
@@ -143,11 +144,7 @@ def _integer_root(n: int, t: int) -> int | None:
 
 
 def _rational_roots(q: Fraction, t: int) -> list[Fraction]:
-    """All rational r with r^t = q."""
-    if t == 1:
-        return [q]
-    if q == 0:
-        return []
+    """All rational r with r^t = q, for q != 0."""
     negative = q < 0
     if negative and t % 2 == 0:
         return []
@@ -161,12 +158,9 @@ def _rational_roots(q: Fraction, t: int) -> list[Fraction]:
     return [r, -r] if t % 2 == 0 else [r]
 
 
-def _root_power_solution(p: int, t: int, target: RootOfUnity) -> RootOfUnity:
-    """The omega in C_{p^infty} of least exponent with omega^t = target."""
-    a, u = 0, t
-    while u % p == 0:
-        u //= p
-        a += 1
+def _root_power_solution(p: int, a: int, u: int, target: RootOfUnity) -> RootOfUnity:
+    """The omega in C_{p^infty} of least exponent with omega^(p^a u) = target,
+    for u prime to p."""
     level, j = target.level, target.exp
     mod = p ** level
     e0 = (j * pow(u, -1, mod)) % mod if level else 0
@@ -176,27 +170,6 @@ def _root_power_solution(p: int, t: int, target: RootOfUnity) -> RootOfUnity:
 def _beta_power(scale: Fraction, root: RootOfUnity, e: int) -> CycNum:
     """(scale * root)^e without big field exponentiations."""
     return CycNum.rational(scale ** e) * (root ** e).to_field()
-
-
-def _verify_candidate(a: CoeffSequence, b: CoeffSequence, start: int,
-                      join: int, period: int, scale: Fraction,
-                      root: RootOfUnity, gamma: CycNum) -> bool:
-    """Exact check of a_k beta^(p^k+1) = gamma b_k for every k >= start.
-
-    Direct verification runs up to one period past the point where both the
-    sequences and beta^(p^k+1) have become periodic (root part stabilized,
-    |scale| = 1 whenever the common support is infinite); beyond that the
-    condition repeats verbatim.
-    """
-    p = a.prime
-    stabilized = max(join, root.level, 1)
-    for k in range(start, stabilized + period):
-        ca, cb = a.coeff(k), b.coeff(k)
-        if ca.is_zero and cb.is_zero:
-            continue
-        if ca * _beta_power(scale, root, p ** k + 1) != gamma * cb:
-            return False
-    return True
 
 
 def _candidates_from(a: CoeffSequence, b: CoeffSequence, start: int,
@@ -213,12 +186,12 @@ def _candidates_from(a: CoeffSequence, b: CoeffSequence, start: int,
         raw = [(Fraction(1), RootOfUnity.one(p))]
     else:
         k2 = common[1]
-        t = p ** k2 - p ** k_star
+        u = p ** (k2 - k_star) - 1  # the exponent p^k2 - p^k* is p^k* u
         c = (a.coeff(k_star) * b.coeff(k2)) / (a.coeff(k2) * b.coeff(k_star))
         raw = []
         for q, rho in root_of_unity_splits(c, p):
-            root = _root_power_solution(p, t, rho)
-            for scale in _rational_roots(q, t):
+            root = _root_power_solution(p, k_star, u, rho)
+            for scale in _rational_roots(q, p ** k_star * u):
                 raw.append((scale, root))
     raw.sort(key=lambda sr: (sr[1].level, sr[1].exp, abs(sr[0] - 1), sr[0] < 0))
     for scale, root in raw:
@@ -226,7 +199,12 @@ def _candidates_from(a: CoeffSequence, b: CoeffSequence, start: int,
             continue
         gamma = (a.coeff(k_star) * _beta_power(scale, root, p ** k_star + 1)
                  / b.coeff(k_star))
-        if _verify_candidate(a, b, start, join, period, scale, root, gamma):
+        # all is periodic past max(join, root.level, 1), so one more period
+        # decides every k >= start; where both entries vanish any beta holds,
+        # and skipping them spares scale^(p^k+1) past a finite support
+        if all((a.coeff(k).is_zero and b.coeff(k).is_zero)
+               or a.coeff(k) * _beta_power(scale, root, p ** k + 1) == gamma * b.coeff(k)
+               for k in range(start, max(join, root.level, 1) + period)):
             return (scale, root, gamma)
     return None
 

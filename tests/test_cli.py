@@ -128,6 +128,35 @@ class TestCommands:
                        "gamma = 1\n"
                        "holds from k = 20\n")
 
+    @pytest.mark.parametrize("first,second,beta", [
+        ("1,0,1", "1,0,8", "2"), ("1,0,1", "1,0,-8", "-2"),
+        ("1,0,0,1", "1,0,0,128", "2")], ids=["t=3", "t=3-negative", "t=7"])
+    def test_nonconj_anchors_apart(self, capsys, first, second, beta):
+        # anchors k* = 0 and k2 > 1, so beta is a t-th root with t = 2^k2 - 1
+        assert run(capsys, "nonconj-check", "--p", "2", "--prefix", first,
+                   f"--prefix={second}", "--k0", "0") == (
+            0, f"CONDITION SATISFIABLE\nbeta = {beta}\ngamma = 4\n"
+               "holds from k = 0\n", "")
+
+    @pytest.mark.parametrize("p", ["3", "7"])
+    def test_nonconj_no_rational_root_far_out(self, p):
+        # the anchor ratio 2 at k* = 20 needs a rational root of exponent
+        # p^21 - p^20, which 2 does not have; ruled out without forming 2^t
+        zeros = ",".join(["0"] * 20)
+        assert fresh_process("nonconj-check", "--p", p,
+                             "--prefix", zeros + ",1,1", "--tail", "1",
+                             "--prefix", zeros + ",1,2", "--tail", "2",
+                             "--k0", "0", timeout=5) == (
+            0, "CONDITION SATISFIABLE\nbeta = 1\ngamma = 1/2\n"
+               "holds from k = 21\n", "")
+
+    def test_nonconj_large_k0(self):
+        # the anchor exponent 2^1000001 - 2^1000000 is read as 2^k* times a unit
+        assert fresh_process("nonconj-check", "--p", "2", "--tail", "1",
+                             "--tail", "1", "--k0", "1000000", timeout=5) == (
+            0, "CONDITION SATISFIABLE\nbeta = 1\ngamma = 1\n"
+               "holds from k = 1000000\n", "")
+
     def test_verify_conjugator(self, capsys):
         code, out, _ = run(capsys, "verify-conjugator", "--p", "2",
                            "--prefix", "1,1,1", "--prefix", "4,8,32",
@@ -317,6 +346,19 @@ class TestInputErrors:
     def test_long_minus_run_is_a_verdict(self, capsys, argv, expected):
         assert run(capsys, *argv) == (0, expected, "")
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("nonconj-check", "--p", "2", "--prefix", "1,1",
+                      "--prefix", "1," + "7" * 3000, "--k0", "0"), id="nonconj-check"),
+        pytest.param(("linearize", "--target",
+                      f"(-x1 - {'7' * 3000}*{'7' * 3000}*x2^2, -x2)",
+                      "--max-degree", "2"), id="linearize"),
+    ])
+    def test_unprintable_value_leaves_no_partial_verdict(self, capsys, argv):
+        # the verdict holds a value over Python's int-to-str digit limit
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
+
     def test_missing_subcommand_is_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -471,13 +513,49 @@ DEEP = st.builds(lambda n, opener, atom: opener * n + atom + ")" * opener.count(
                  st.integers(150, 2000), st.sampled_from(["(", "-(", "-"]), ATOMS)
 
 
+SMALL_RATIONALS = st.sampled_from(["0", "1", "-1", "2", "-3", "1/2", "-2/3"])
+
+
+def tower_entries(p):
+    """Sequence entries mostly of the p-power tower (roots of order up to p^3,
+    alone or scaled by a small rational) or small rationals, and now and then
+    a scalar of another prime."""
+    roots = st.builds(lambda n, j: f"z({p ** n})^{j}", st.integers(1, 3),
+                      st.integers(0, p ** 3))
+    scaled = st.builds(lambda c, root: f"{c}*{root}", SMALL_RATIONALS, roots)
+    return st.one_of(roots, scaled, SMALL_RATIONALS, roots, scaled, SCALARS)
+
+
+@st.composite
+def sequence_flags(draw, count):
+    """--p, and --prefix and --tail once per sequence, each of 0-4 entries
+    (a tail may be "zero"); every flag as --flag=value, since a value such as
+    -1 would otherwise read as an option."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    entries = st.lists(tower_entries(p), max_size=4).map(",".join)
+    flags = [f"--p={p}"]
+    for _ in range(count):
+        flags.append(f"--prefix={draw(entries)}")
+        flags.append(f"--tail={draw(st.just('zero') | entries)}")
+    return p, flags
+
+
 @st.composite
 def cli_requests(draw):
+    command = draw(st.sampled_from(["compose", "invert", "conjugate", "linearize",
+                                    "nonconj-check", "min-degree"]))
+    if command == "nonconj-check":
+        _, flags = draw(sequence_flags(2))
+        return [command, *flags, f"--k0={draw(st.integers(0, 6))}"]
+    if command == "min-degree":
+        p, flags = draw(sequence_flags(1))
+        alpha = f"{draw(st.integers(-p ** 3, p ** 3))}/{p ** draw(st.integers(0, 3))}"
+        return [command, *flags, f"--alpha={alpha}",
+                f"--max-degree={draw(st.integers(0, 130))}"]
     first, second = draw(plane_maps()), draw(plane_maps())
     if draw(st.integers(0, 3)) == 0:
         deep = draw(DEEP)
         first = draw(st.sampled_from([f"({deep}, x2)", f"(x1, {deep})"]))
-    command = draw(st.sampled_from(["compose", "invert", "conjugate", "linearize"]))
     if command == "compose":
         return [command, first, second]
     if command == "invert":
@@ -487,7 +565,8 @@ def cli_requests(draw):
     return [command, f"--target={first}", f"--max-degree={draw(st.integers(0, 6))}"]
 
 
-@settings(max_examples=150, deadline=None,
+# about 150 examples for the four map commands and 75 for the two sequence ones
+@settings(max_examples=225, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=cli_requests())
 def test_generated_requests_end_in_verdict_or_one_line_error(capsys, argv):
@@ -510,9 +589,9 @@ def test_module_invocation_subprocess():
     assert proc.stdout == GOLDEN_VERIFY
 
 
-def fresh_process(*argv):
+def fresh_process(*argv, timeout=None):
     proc = subprocess.run([sys.executable, "-m", "planeaut.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
