@@ -94,20 +94,18 @@ def omega0_family(count: int) -> list[BinarySequence]:
 class ConjugacyReport:
     """Outcome of the necessary-condition search.
 
-    On a satisfiable verdict: beta (root part beta_root), gamma and the index
-    effective_from from which it holds.  On a certificate: the periodic index
-    set (preamble, period, offsets) witnessing failure, and the reason.
+    On a satisfiable verdict: beta, gamma and the index effective_from from
+    which it holds.  On a certificate: the periodic index set (preamble,
+    period, offsets) witnessing failure, and the reason.
     """
 
-    __slots__ = ("verdict", "beta", "beta_root", "gamma", "effective_from",
+    __slots__ = ("verdict", "beta", "gamma", "effective_from",
                  "preamble", "period", "offsets", "reason")
 
-    def __init__(self, verdict, beta=None, beta_root=None, gamma=None,
-                 effective_from=None, preamble=None, period=None, offsets=None,
-                 reason=""):
+    def __init__(self, verdict, beta=None, gamma=None, effective_from=None,
+                 preamble=None, period=None, offsets=None, reason=""):
         self.verdict = verdict
         self.beta = beta
-        self.beta_root = beta_root
         self.gamma = gamma
         self.effective_from = effective_from
         self.preamble = preamble
@@ -242,18 +240,16 @@ def necessary_condition(a: CoeffSequence, b: CoeffSequence,
     finite_mismatch = [k for k in range(k0, join)
                        if a.coeff(k).is_zero != b.coeff(k).is_zero]
     first_start = k0 if not finite_mismatch else max(finite_mismatch) + 1
-    starts = {first_start, join}
-    starts.update(k + 1 for k in range(first_start, join)
-                  if not a.coeff(k).is_zero and not b.coeff(k).is_zero)
-    for start in sorted(starts):
+    # any start up to join sees the anchors and window of the last one listed
+    starts = [first_start] + [k + 1 for k in range(first_start, join)
+                              if not a.coeff(k).is_zero and not b.coeff(k).is_zero]
+    for start in starts:
         hit = _candidates_from(a, b, start, join, period, bool(common_offsets))
         if hit is not None:
             scale, root, gamma = hit
             beta = CycNum.rational(scale) * root.to_field()
-            return ConjugacyReport(
-                SATISFIABLE, beta=beta, beta_root=root, gamma=gamma,
-                effective_from=start,
-                reason="witness verified on the full periodic window")
+            return ConjugacyReport(SATISFIABLE, beta=beta, gamma=gamma,
+                                   effective_from=start)
     raise AssertionError("periodic structure admitted no witness and no certificate")
 
 

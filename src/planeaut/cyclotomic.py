@@ -7,9 +7,10 @@ denominator, which shares no factor with them (Cohen, GTM 138, 4.2).  A
 product then reduces once per value, not once per coefficient.  The form is
 canonical: a value is stored at the lowest level that contains it (plain
 rationals at level 0, zero as no terms over 1), so equality is a plain
-tuple comparison, and a root of unity of any order is one term.  Fractions
-and dense coefficient vectors appear only at the edges: rational,
-from_coeffs, as_fraction, coeffs_at_level, str and root_of_unity_splits.
+tuple comparison.  A root zeta^j of order p^n (0 < j < p^n) is one term
+when j < phi = phi(p^n), and otherwise the p - 1 terms -zeta^(j - phi +
+i*p^(n-1)), i < p - 1, so one term for every p = 2 root.  Fractions appear
+only at the edges: rational, as_fraction, str and root_of_unity_splits.
 
 A fixed prime p is assumed per computation; combining values from the
 towers of two different primes raises DomainMismatchError.
@@ -141,16 +142,6 @@ class CycNum:
         return cls._from_exponent_map(p, level, {exp: 1})
 
     @classmethod
-    def from_coeffs(cls, p: int, level: int, coeffs) -> "CycNum":
-        _check_prime(p)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) != phi_prime_power(p, level):
-            raise ValueError("coefficient vector has wrong length")
-        den = lcm(*(c.denominator for c in cs))
-        return cls._make(p, level, {e: c.numerator * (den // c.denominator)
-                                    for e, c in enumerate(cs)}, den)
-
-    @classmethod
     def _from_exponent_map(cls, p: int, n: int, emap: dict[int, int],
                            den: int = 1) -> "CycNum":
         """Reduce a zeta-exponent/numerator map over den modulo the
@@ -178,10 +169,6 @@ class CycNum:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_rational(self) -> bool:
-        return self.level == 0
-
     def as_fraction(self) -> Fraction:
         if self.level != 0:
             raise ValueError(f"{self} is not rational")
@@ -190,20 +177,6 @@ class CycNum:
     def modulus(self) -> int:
         """The m of the minimal field Q(zeta_m) containing the value."""
         return 1 if self.level == 0 else self.prime ** self.level
-
-    def coeffs_at_level(self, level: int, prime: int | None = None) -> tuple[Fraction, ...]:
-        """Coefficient vector of the canonical embedding into Q(zeta_{p^level})."""
-        p = self.prime if self.prime is not None else prime
-        if p is None:
-            raise ValueError("a prime is needed to lift a rational")
-        if self.prime is not None and prime is not None and prime != self.prime:
-            raise DomainMismatchError(f"value lives over p={self.prime}, not {prime}")
-        if level < self.level:
-            raise ValueError("cannot lower the level of an embedding")
-        out = [Fraction(0)] * phi_prime_power(p, level)
-        for e, c in self._lift(p, level):
-            out[e] = Fraction(c, self.den)
-        return tuple(out)
 
     def _lift(self, p: int, n: int) -> tuple[tuple[int, int], ...]:
         """The numerators of the canonical embedding into Q(zeta_{p^n})."""
@@ -440,7 +413,7 @@ class RootOfUnity:
         if den != 1:
             raise ValueError(
                 f"exponent denominator must be a power of {p}, got {exponent}")
-        return cls(p, level, exponent.numerator % p ** level if level else 0)
+        return cls(p, level, exponent.numerator)
 
     @property
     def exponent(self) -> Fraction:
@@ -449,10 +422,6 @@ class RootOfUnity:
     @property
     def order(self) -> int:
         return self.prime ** self.level
-
-    @property
-    def is_identity(self) -> bool:
-        return self.level == 0
 
     def __mul__(self, other: "RootOfUnity"):
         if not isinstance(other, RootOfUnity):

@@ -86,10 +86,6 @@ class CoeffSequence(EventuallyPeriodic):
 
     coeff = EventuallyPeriodic.entry
 
-    @property
-    def has_finite_support(self) -> bool:
-        return not any(self.tail)
-
     def _key(self) -> tuple:
         return self.prime, self.prefix, self.tail
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from planeaut import CoeffSequence, CycNum, RootOfUnity, SparsePoly
+from planeaut.cyclotomic import phi_prime_power
 
 COEFF_POOL = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
               Fraction(-2), Fraction(1, 2), Fraction(-3, 2), Fraction(3)]
@@ -10,16 +11,32 @@ COEFF_POOL = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
 NONZERO_POOL = [c for c in COEFF_POOL if c]
 
 
+def from_vector(p, level, coeffs) -> CycNum:
+    """sum(c * zeta_{p^level}^e for e, c in enumerate(coeffs)), built with the
+    field's own arithmetic."""
+    return sum((CycNum.rational(c) * CycNum.zeta(p, level, e)
+                for e, c in enumerate(coeffs)), CycNum.zero())
+
+
+def to_vector(u, p, level) -> list[Fraction]:
+    """The coefficients of u on the power basis of Q(zeta_{p^level}), read off
+    u.terms and u.den: zeta_{p^m}^e is zeta_{p^level}^(e * p^(level - m))."""
+    assert u.prime in (None, p) and u.level <= level
+    out = [Fraction(0)] * phi_prime_power(p, level)
+    for e, c in u.terms:
+        out[e * p ** (level - u.level)] = Fraction(c, u.den)
+    return out
+
+
 def random_cycnum(rng, p, max_level=3, max_terms=3, nonzero=False) -> CycNum:
     """A sparse random element of the p-tower, at most max_terms basis terms."""
-    from planeaut.cyclotomic import phi_prime_power
     while True:
         level = rng.randint(0, max_level)
         phi = phi_prime_power(p, level)
         coeffs = [Fraction(0)] * phi
         for _ in range(rng.randint(1, max_terms)):
             coeffs[rng.randrange(phi)] = rng.choice(COEFF_POOL)
-        value = CycNum.from_coeffs(p, level, coeffs) if level else CycNum.rational(coeffs[0])
+        value = from_vector(p, level, coeffs)
         if not nonzero or not value.is_zero:
             return value
 

@@ -255,7 +255,7 @@ class TestNecessaryCondition:
             report = necessary_condition(a, b, 0)
             assert report.verdict == SATISFIABLE and report.effective_from == 0
             join, period = a.joint_region(b, 0)
-            stabilized = max(join, report.beta_root.level, 1)
+            stabilized = max(join, report.beta.level, 1)
             for k in range(stabilized + period):
                 assert (a.coeff(k) * report.beta ** (p ** k + 1)
                         == report.gamma * b.coeff(k))

@@ -13,7 +13,8 @@ from planeaut.cyclotomic import (PRIME_LIMIT, is_prime, phi_prime_power,
                                  prime_power_decompose, root_of_unity_splits)
 from planeaut.parsing import parse_scalar
 
-from conftest import NONZERO_POOL, random_cycnum, random_root
+from conftest import (NONZERO_POOL, from_vector, random_cycnum, random_root,
+                      to_vector)
 
 
 def zeta(p, n, e=1):
@@ -98,9 +99,8 @@ class TestInverse:
         # check is a complete oracle
         rng = random.Random(211 + p + level)
         for _ in range(2):
-            u = CycNum.from_coeffs(p, level, [
-                rng.choice(NONZERO_POOL)
-                for _ in range(phi_prime_power(p, level))])
+            u = from_vector(p, level, [rng.choice(NONZERO_POOL)
+                                       for _ in range(phi_prime_power(p, level))])
             assert len(u.terms) == phi_prime_power(p, level)
             assert u * u.inverse() == 1
 
@@ -133,14 +133,8 @@ def is_canonical(w):
 class TestLevelRaise:
     def test_embedding_vector(self):
         # zeta_3 -> zeta_9^3: index dilation by p
-        lifted = zeta(3, 1).coeffs_at_level(2)
-        expect = [Fraction(0)] * phi_prime_power(3, 2)
-        expect[3] = Fraction(1)
-        assert list(lifted) == expect
-
-    def test_lowering_rejected(self):
-        with pytest.raises(ValueError):
-            zeta(2, 3).coeffs_at_level(1)
+        assert (zeta(3, 1) + zeta(3, 2)).terms == ((1, 1), (3, 1))
+        assert zeta(3, 1) == zeta(3, 2) ** 3
 
     def test_ring_homomorphism(self):
         rng = random.Random(7)
@@ -152,10 +146,9 @@ class TestLevelRaise:
             for op in (lambda a, b: a + b, lambda a, b: a * b,
                        lambda a, b: a - b, lambda a, b: -a * b ** 3):
                 assert is_canonical(op(u, v))
-                combined = op(u, v).coeffs_at_level(n, prime=p)
-                lifted = op(CycNum.from_coeffs(p, n, u.coeffs_at_level(n, prime=p)),
-                            CycNum.from_coeffs(p, n, v.coeffs_at_level(n, prime=p)))
-                assert list(combined) == list(lifted.coeffs_at_level(n, prime=p))
+                lifted = op(from_vector(p, n, to_vector(u, p, n)),
+                            from_vector(p, n, to_vector(v, p, n)))
+                assert to_vector(op(u, v), p, n) == to_vector(lifted, p, n)
 
 
 # large and coprime denominators, where a common denominator and the
@@ -171,16 +164,16 @@ def wide_cycnum(rng, p, level, terms=3):
         coeffs = [Fraction(0)] * phi
         for _ in range(terms):
             coeffs[rng.randrange(phi)] = rng.choice(WIDE_POOL)
-        value = CycNum.from_coeffs(p, level, coeffs)
+        value = from_vector(p, level, coeffs)
         if value:
             return value
 
 
 class TestCommonDenominator:
     def test_numerators_over_one_denominator(self):
-        u = CycNum.from_coeffs(3, 1, [Fraction(1, 6), Fraction(-3, 4)])
+        u = from_vector(3, 1, [Fraction(1, 6), Fraction(-3, 4)])
         assert u.terms == ((0, 2), (1, -9)) and u.den == 12
-        assert u * 12 == CycNum.from_coeffs(3, 1, [2, -9])
+        assert u * 12 == from_vector(3, 1, [2, -9])
         assert (u + u).den == 6
         assert (u - u).terms == () and (u - u).den == 1
         assert is_canonical(u.inverse())
@@ -208,11 +201,11 @@ class TestCommonDenominator:
             phi = phi_prime_power(p, level)
             vector = [rng.choice(WIDE_POOL + [Fraction(0)] * 3)
                       for _ in range(phi)]
-            u = CycNum.from_coeffs(p, level, vector)
+            u = from_vector(p, level, vector)
             assert is_canonical(u)
-            assert u.coeffs_at_level(level, prime=p) == tuple(vector)
-            assert all(type(c) is Fraction
-                       for c in u.coeffs_at_level(level + 1, prime=p))
+            assert to_vector(u, p, level) == vector
+            # the same value built one level up demotes to the same form
+            assert from_vector(p, level + 1, to_vector(u, p, level + 1)) == u
             assert parse_scalar(str(u)) == u
             v = random_cycnum(rng, p, max_level)
             assert parse_scalar(str(u * v)) == u * v
@@ -226,13 +219,13 @@ class TestRootOfUnity:
 
     def test_root_mul_examples(self):
         z2 = RootOfUnity(2, 1, 1)
-        assert (z2 * z2).is_identity
+        assert (z2 * z2).level == 0
         assert RootOfUnity(2, 2, 1) * z2 == RootOfUnity(2, 2, 3)
         assert RootOfUnity(3, 2, 1) * RootOfUnity(3, 1, 1) == RootOfUnity(3, 2, 4)
 
     def test_normalization(self):
         assert RootOfUnity(2, 3, 4) == RootOfUnity(2, 1, 1)  # zeta_8^4 = zeta_2
-        assert RootOfUnity(5, 2, 25).is_identity
+        assert RootOfUnity(5, 2, 25).level == 0
 
     def test_mixed_primes_rejected(self):
         with pytest.raises(DomainMismatchError):
@@ -292,8 +285,11 @@ class TestFieldLaws:
 
 
 class TestSympyOracle:
-    """Products and inverses against SymPy's arithmetic modulo the
-    cyclotomic polynomial, an implementation independent of this one."""
+    """Products, sums and inverses against SymPy's arithmetic modulo the
+    cyclotomic polynomial, an implementation independent of this one.  Both
+    sides are compared as coefficient vectors; the package's side is read off
+    its terms by the test helper to_vector, so no package conversion sits
+    between the two."""
 
     @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (3, 3), (5, 2), (7, 1), (2, 6)])
     def test_mul_and_inverse(self, p, n):
@@ -304,26 +300,29 @@ class TestSympyOracle:
 
         def to_poly(u):
             return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                               for c in reversed(u.coeffs_at_level(n, prime=p))],
-                              x, domain="QQ")
+                               for c in reversed(to_vector(u, p, n))], x, domain="QQ")
 
-        def from_poly(f):
+        def vector(f):
             cs = [Fraction(int(c.p), int(c.q))
                   for c in reversed(f.rem(modulus).all_coeffs())]
-            return CycNum.from_coeffs(p, n, cs + [0] * (phi - len(cs)))
+            return cs + [Fraction(0)] * (phi - len(cs))
+
+        def check(w, f):
+            # w is in canonical form and holds the value SymPy computed
+            assert is_canonical(w) and to_vector(w, p, n) == vector(f)
 
         rng = random.Random(700 + 10 * p + n)
         sparse = [random_cycnum(rng, p, max_level=n, nonzero=True) for _ in range(4)]
-        dense = [CycNum.from_coeffs(p, n, [rng.choice(NONZERO_POOL) for _ in range(phi)])
+        dense = [from_vector(p, n, [rng.choice(NONZERO_POOL) for _ in range(phi)])
                  for _ in range(2)]
         # large coprime denominators at mixed levels
         wide = [wide_cycnum(rng, p, level) for level in sorted({1, (n + 1) // 2, n})]
         values = sparse + dense + wide
         for u in values:
             for v in values:
-                assert u * v == from_poly(to_poly(u) * to_poly(v))
-                assert u + v == from_poly(to_poly(u) + to_poly(v))
-            assert u.inverse() == from_poly(sympy.invert(to_poly(u), modulus))
+                check(u * v, to_poly(u) * to_poly(v))
+                check(u + v, to_poly(u) + to_poly(v))
+            check(u.inverse(), sympy.invert(to_poly(u), modulus))
 
 
 def brute_splits(u, p):
@@ -333,7 +332,7 @@ def brute_splits(u, p):
     step = zeta(p, n, -1)
     found, w = set(), u
     for j in range(p ** n):
-        if w.is_rational:
+        if w.level == 0:
             found.add((w.as_fraction(), RootOfUnity(p, n, j)))
         w = w * step
     return found
@@ -400,6 +399,18 @@ def test_canonical_demotion():
     assert (zeta(2, 2) ** 2).level == 0
     assert zeta(3, 2, 3).level == 1  # zeta_9^3 = zeta_3
     assert hash(zeta(3, 2, 3)) == hash(zeta(3, 1, 1))
+
+
+def test_root_term_shapes():
+    # a primitive zeta^j is one term below phi and p - 1 terms from phi on
+    assert str(zeta(3, 1, 2)) == "-1 + -z(3)"
+    for p, n in [(2, 3), (3, 1), (3, 2), (5, 2), (7, 1)]:
+        phi, q = phi_prime_power(p, n), p ** (n - 1)
+        for j in range(1, p ** n):
+            if j % p:
+                expected = (((j, 1),) if j < phi else
+                            tuple((j - phi + i * q, -1) for i in range(p - 1)))
+                assert zeta(p, n, j).terms == expected
 
 
 def test_prime_power_decompose():

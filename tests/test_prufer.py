@@ -21,16 +21,15 @@ class TestCoeffSequence:
 
     def test_zero_tail(self):
         s = CoeffSequence(3, [5])
-        assert s.has_finite_support
+        assert s.tail == (CycNum.zero(),)
         assert s.coeff(10) == CycNum.zero()
 
     def test_all_zero_block_normalizes_to_zero_tail(self):
-        assert CoeffSequence(2, [1], [0, 0]).has_finite_support
+        assert CoeffSequence(2, [1], [0, 0]).tail == (CycNum.zero(),)
 
     def test_empty_block_is_zero_tail(self):
         # what the CLI builds from --tail " "
         s = CoeffSequence(2, [1], [])
-        assert s.has_finite_support
         assert s.tail == (CycNum.zero(),) and s.period == 1
         assert s == CoeffSequence(2, [1])
 
