@@ -18,6 +18,7 @@ towers of two different primes raises DomainMismatchError.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt, lcm
@@ -247,6 +248,8 @@ class CycNum:
             if not scalar.terms:
                 return CycNum.zero()
             (_, s), = scalar.terms
+            if s == scalar.den:  # the factor is 1 (lowest terms, den > 0)
+                return val
             den = scalar.den * val.den
             # each factor is in lowest terms, so only s against val.den and
             # scalar.den against val's numerators can share a factor
@@ -299,11 +302,16 @@ class CycNum:
         return o * self.inverse()
 
     def __pow__(self, exponent: int):
+        """Integer power; a negative exponent inverts first.  A rational is
+        two integer powers, num^e / den^e, which stay in lowest terms."""
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        if self.level and exponent and len(self.terms) == 1:
+        if not self.level and self.terms:
+            (_, num), = self.terms
+            return CycNum(None, 0, ((0, num ** exponent),), self.den ** exponent)
+        if exponent and len(self.terms) == 1:
             (i, c), = self.terms
             return CycNum._from_exponent_map(
                 self.prime, self.level, {i * exponent: c ** exponent},
@@ -339,18 +347,22 @@ class CycNum:
     def __str__(self):
         m = self.modulus()
         parts = []
-        for e, num in self.terms:
-            c = Fraction(num, self.den)
-            if e == 0:
-                parts.append(str(c))
-                continue
-            base = f"z({m})" if e == 1 else f"z({m})^{e}"
-            if c == 1:
-                parts.append(base)
-            elif c == -1:
-                parts.append("-" + base)
-            else:
-                parts.append(f"{c}*{base}")
+        try:
+            for e, num in self.terms:
+                c = Fraction(num, self.den)
+                if e == 0:
+                    parts.append(str(c))
+                    continue
+                base = f"z({m})" if e == 1 else f"z({m})^{e}"
+                if c == 1:
+                    parts.append(base)
+                elif c == -1:
+                    parts.append("-" + base)
+                else:
+                    parts.append(f"{c}*{base}")
+        except ValueError:  # a numerator over Python's int-to-str digit limit
+            raise ValueError("coefficient too long to print (over "
+                             f"{sys.get_int_max_str_digits()} digits)") from None
         return " + ".join(parts) or "0"
 
     def __repr__(self):

@@ -155,23 +155,27 @@ class SparsePoly:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        return _cached_pow(self, e, {0: SparsePoly.one(), 1: self})
+        return _cached_pow(self, e, {0: _ONE, 1: self})
 
     # -- substitution -----------------------------------------------------
 
     def substitute(self, s1: "SparsePoly", s2: "SparsePoly") -> "SparsePoly":
         """Evaluate self at x1 = s1, x2 = s2 by exact expansion.
 
-        Powers of s1 and s2 are memoized; the conjugation pipelines repeatedly
-        substitute monomials of large x2-degree, so cache hits dominate.
+        Powers of s1 and s2 are memoized, and a term free of x1 or x2 takes
+        the other power as it is, with no x^0 factor.  Every term adds into
+        one accumulator, whose zero coefficients are dropped once at the end.
         """
-        cache1: dict[int, SparsePoly] = {0: SparsePoly.one(), 1: s1}
-        cache2: dict[int, SparsePoly] = {0: SparsePoly.one(), 1: s2}
-        acc = SparsePoly.zero()
+        cache1: dict[int, SparsePoly] = {0: _ONE, 1: s1}
+        cache2: dict[int, SparsePoly] = {0: _ONE, 1: s2}
+        acc: dict[Monomial, CycNum] = {}
         for (e1, e2), c in self._terms.items():
-            part = _cached_pow(s1, e1, cache1) * _cached_pow(s2, e2, cache2)
-            acc = acc + part * c
-        return acc
+            p1, p2 = _cached_pow(s1, e1, cache1), _cached_pow(s2, e2, cache2)
+            part = p1 * p2 if e1 and e2 else p1 if e1 else p2
+            for mono, d in part._terms.items():
+                s = acc.get(mono)
+                acc[mono] = d * c if s is None else s + d * c
+        return _raw({m: c for m, c in acc.items() if not c.is_zero})
 
     # -- comparison / display ---------------------------------------------
 
@@ -193,6 +197,9 @@ class SparsePoly:
 
     def __repr__(self):
         return f"SparsePoly({str(self)!r})"
+
+
+_ONE = SparsePoly.one()
 
 
 def _raw(terms: dict[Monomial, CycNum]) -> SparsePoly:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from planeaut import (CycNum, DomainMismatchError, RootOfUnity,
                       as_root_of_unity, multiplicative_order)
@@ -209,6 +209,48 @@ class TestCommonDenominator:
             assert parse_scalar(str(u)) == u
             v = random_cycnum(rng, p, max_level)
             assert parse_scalar(str(u * v)) == u * v
+
+
+class TestIdentityShortcuts:
+    """Multiplying by 1 returns the other operand, and a rational power is
+    two integer powers; both must keep the canonical form."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_one_is_a_two_sided_identity(self, p):
+        rng = random.Random(1500 + p)
+        one = CycNum.one()
+        values = [CycNum.zero(), one, -one, zeta(p, 3)]
+        values += [random_cycnum(rng, p, max_level=3) for _ in range(40)]
+        for u in values:
+            for w in (one * u, u * one, 1 * u, u * 1, Fraction(3, 3) * u):
+                assert w == u and is_canonical(w)
+
+    def test_one_does_not_hide_mixed_primes(self):
+        with pytest.raises(DomainMismatchError):
+            zeta(3, 2) * 1 * zeta(2, 2)
+        with pytest.raises(DomainMismatchError):
+            zeta(3, 2) * (CycNum.one() * zeta(2, 2))
+
+
+BIG = 10 ** 30
+
+
+@given(st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+                 st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))),
+       st.integers(-5, 40))
+@example(Fraction(0), -3)
+def test_rational_power_matches_fractions(q, e):
+    u = CycNum.rational(q)
+    if q == 0 and e < 0:
+        with pytest.raises(ZeroDivisionError):
+            u ** e
+        return
+    w = u ** e
+    assert w.level == 0 and w.as_fraction() == q ** e
+    assert w.den > 0 and gcd(w.den, *(c for _, c in w.terms)) == 1
+    if q == 0 and e:
+        assert w.terms == () and w.den == 1
+    assert is_canonical(w)
 
 
 class TestRootOfUnity:

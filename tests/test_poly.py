@@ -77,6 +77,23 @@ class TestCoefficientOf:
         assert f.coefficient(0, 2) == -2
 
 
+def naive_substitute(f, s1, s2):
+    """Oracle: the sum over the terms of f of c * s1^e1 * s2^e2, with + and *
+    only (no powers, no cache)."""
+    out = SparsePoly.zero()
+    for (e1, e2), c in f.terms():
+        part = SparsePoly.constant(c)
+        for s, e in ((s1, e1), (s2, e2)):
+            for _ in range(e):
+                part = part * s
+        out = out + part
+    return out
+
+
+def stores_no_zero(f):
+    return all(not c.is_zero for _, c in f.terms())
+
+
 class TestSubstitute:
     def test_diagonal(self):
         f = x1() + x2() ** 2
@@ -93,6 +110,27 @@ class TestSubstitute:
         f = SparsePoly.monomial(0, 3)  # x2^(p+1) at p=2
         beta = CycNum.rational(2)
         assert f.substitute(x1(), x2() * beta) == SparsePoly.monomial(0, 3, 8)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_naive_expansion(self, p):
+        rng = random.Random(29 + p)
+        for _ in range(25):
+            f = random_poly(rng, p, max_terms=4, max_degree=5)
+            # a constant term and pure x1 and pure x2 monomials
+            f = (f + rng.randint(-3, 3) + x1() ** rng.randint(1, 4) * 2
+                 - x2() ** rng.randint(1, 4))
+            for s1, s2 in [
+                    (random_poly(rng, p, max_terms=3, max_degree=3),
+                     random_poly(rng, p, max_terms=3, max_degree=3)),
+                    (SparsePoly.monomial(0, 2, z(p, 2)), x1() + 1),
+                    (SparsePoly.zero(), x2() - x1())]:
+                g = f.substitute(s1, s2)
+                assert g == naive_substitute(f, s1, s2) and stores_no_zero(g)
+
+    def test_cancels_to_zero(self):
+        g = (x1() - x2()).substitute(x2(), x2())
+        assert g.is_zero and g.degree == NEG_INF and len(g) == 0
+        assert g == SparsePoly.zero() and stores_no_zero(g)
 
     def test_identity_substitution(self):
         rng = random.Random(13)
