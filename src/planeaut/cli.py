@@ -238,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("endo")
     sub.set_defaults(run=_cmd_invert)
 
-    sub = commands.add_parser("order", help="multiplicative order by iterated composition")
+    sub = commands.add_parser("order", help="multiplicative order: closed form for "
+                              "triangular-affine maps, iterated composition otherwise")
     sub.add_argument("endo")
     sub.add_argument("--max-order", type=int, default=256)
     sub.set_defaults(run=_cmd_order)

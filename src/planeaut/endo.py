@@ -8,6 +8,9 @@ orientation.
 
 from __future__ import annotations
 
+from math import lcm
+
+from .cyclotomic import multiplicative_order
 from .poly import SparsePoly
 
 
@@ -95,10 +98,32 @@ def conjugate(psi: PlaneEndo, theta: TriangularAffine) -> PlaneEndo:
 
 
 def endo_order(psi: PlaneEndo, max_order: int) -> int | None:
-    """Smallest k <= max_order with psi^k the identity, else None."""
+    """Smallest k <= max_order with psi^k the identity, else None.
+
+    A triangular-affine psi = (gamma*x1 + g(x2), beta*x2 + beta0) is decided
+    from its scalars: every such k is a multiple of m = lcm(ord gamma,
+    ord beta), and psi^m = (x1 + h(x2), x2 + c) has infinite order in
+    characteristic 0 unless it is the identity, so only psi^m is formed, by
+    repeated squaring.  Any other map is composed with itself up to max_order
+    times.
+    """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     ident = PlaneEndo.identity()
+    try:
+        t = TriangularAffine(psi.f1, psi.f2)
+    except ValueError:
+        pass
+    else:
+        orders = multiplicative_order(t.gamma), multiplicative_order(t.beta)
+        if None in orders or (m := lcm(*orders)) > max_order:
+            return None
+        power = psi
+        for bit in bin(m)[3:]:      # the bits of m after the leading one
+            power = compose(power, power)
+            if bit == "1":
+                power = compose(power, psi)
+        return m if power == ident else None
     power = psi
     for k in range(1, max_order + 1):
         if power == ident:

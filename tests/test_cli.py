@@ -82,6 +82,23 @@ class TestCommands:
                            "--max-order", "10")
         assert (code, out) == (1, "no order found up to 10\n")
 
+    def test_order_not_found_under_a_large_bound(self, capsys):
+        # infinite order is read off the scalars, so the bound sets no work
+        code, out, _ = run(capsys, "order", "(x1 + x2^2, x2)",
+                           "--max-order", "1000000")
+        assert (code, out) == (1, "no order found up to 1000000\n")
+
+    @pytest.mark.parametrize("endo,max_order,expected", [
+        # the scalars' order 15 is over the bound 10, so the verdict comes
+        # before the first composition, which raises the mixed-prime error
+        ("(z(3)*x1 + z(4)*x2^2, z(5)*x2)", 10, (1, "no order found up to 10\n", "")),
+        ("(z(3)*x1 + z(4)*x2^2, z(5)*x2)", 60,
+         (2, "", "error: mixed primes 2 and 3\n")),
+        ("(z(3)*x1, z(5)*x2)", 20, (0, "order = 15\n", "")),
+    ])
+    def test_order_with_scalars_of_two_towers(self, capsys, endo, max_order, expected):
+        assert run(capsys, "order", endo, f"--max-order={max_order}") == expected
+
     def test_conjugate(self, capsys):
         code, out, _ = run(capsys, "conjugate", "(-x1, -x2)",
                            "--theta", "(x1 + x2^2, x2)")

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from planeaut import (CycNum, PlaneEndo, SparsePoly, TriangularAffine,
                       compose, conjugate, endo_order, is_diagonal, parse_endo)
 
-from conftest import random_cycnum, random_poly
+from conftest import NONZERO_POOL, random_cycnum, random_poly
 
 x1 = SparsePoly.x1
 x2 = SparsePoly.x2
@@ -141,7 +142,84 @@ class TestConjugate:
             assert lhs == rhs
 
 
+def brute_order(psi, max_order):
+    """Smallest k <= max_order with psi^k the identity, by composing psi with
+    itself k times: the oracle for the closed form."""
+    ident, power = PlaneEndo.identity(), psi
+    for k in range(1, max_order + 1):
+        if power == ident:
+            return k
+        power = compose(power, psi)
+    return None
+
+
+def scalar_order(u, p):
+    """Smallest t <= 2*p^3 with u^t = 1, else None: the order of every
+    +-zeta_{p^n}^j with n <= 3 is in that range."""
+    return next((t for t in range(1, 2 * p ** 3 + 1) if u ** t == 1), None)
+
+
+def tower_element(rng, p):
+    """c * zeta_{p^n}^j with n <= 3 and a small rational c."""
+    n = rng.randint(0, 3)
+    return CycNum.zeta(p, n, rng.randrange(p ** n)) * rng.choice(NONZERO_POOL)
+
+
+def tower_scalar(rng, p):
+    """+-zeta_{p^n}^j with n <= 3, or 2, 1/2 or 1 + zeta of infinite order."""
+    if rng.random() < 0.8:
+        n = rng.randint(0, 3)
+        return CycNum.zeta(p, n, rng.randrange(p ** n)) * rng.choice((1, -1))
+    return rng.choice((CycNum.rational(2), CycNum.rational(Fraction(1, 2)),
+                       1 + CycNum.zeta(p, 2)))
+
+
+def order_oracle_cases(seed, count):
+    """(psi, max_order) for triangular-affine psi with scalars in one p-tower,
+    p in {2, 3, 5}: random g and beta0, beta = 1 with beta0 != 0, and a
+    resonant term x2^d with beta^d = gamma.  max_order is m - 1, m or m + 5
+    for m = lcm(ord gamma, ord beta), or small when a scalar has no order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice((2, 3, 5))
+        beta, beta0 = tower_scalar(rng, p), CycNum.zero()
+        shape = rng.choice(("random", "random", "translation", "resonant"))
+        if shape == "resonant":
+            d = rng.randint(0, 4)
+            gamma = beta ** d
+            g = x2() ** d * tower_element(rng, p)
+        else:
+            gamma = tower_scalar(rng, p)
+            g = SparsePoly({(0, d): tower_element(rng, p)
+                            for d in rng.sample(range(4), rng.randint(0, 2))})
+        if shape == "translation":
+            beta, beta0 = CycNum.one(), tower_element(rng, p)
+        elif rng.random() < 0.5:
+            beta0 = tower_element(rng, p)
+        psi = PlaneEndo(x1() * gamma + g, x2() * beta + beta0)
+        orders = scalar_order(gamma, p), scalar_order(beta, p)
+        if None in orders:
+            yield psi, rng.choice((1, 4, 12))
+        else:
+            m = lcm(*orders)
+            yield psi, max(1, m + rng.choice((-1, 0, 5)))
+
+
 class TestOrder:
+    def test_matches_composition_loop(self):
+        found = set()
+        for psi, max_order in order_oracle_cases(71, 150):
+            k = endo_order(psi, max_order)
+            assert k == brute_order(psi, max_order), (str(psi), max_order)
+            found.add(k is not None)
+        assert found == {True, False}
+
+    @pytest.mark.parametrize("text,order", [("(x2, x1)", 2), ("(x2, -x1)", 4)])
+    def test_non_triangular_maps_take_the_loop(self, text, order):
+        psi = parse_endo(text)
+        assert endo_order(psi, order) == order
+        assert endo_order(psi, order - 1) is None
+
     def test_identity(self):
         assert endo_order(PlaneEndo.identity(), 5) == 1
 
