@@ -106,107 +106,91 @@ def _read(args, *keys: str) -> tuple:
 
 
 # -- command bodies ---------------------------------------------------------
-#
-# Each report is one print: every value is formatted before anything is
-# written, so a value that cannot be formatted leaves stdout empty.
+# Each returns (exit code, report); main prints the report in one print.
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args) -> tuple[int, str]:
     first = parse_endo(args.first)
     second = parse_endo(args.second)
-    print(compose(first, second))
-    return 0
+    return 0, str(compose(first, second))
 
 
-def _cmd_invert(args) -> int:
+def _cmd_invert(args) -> tuple[int, str]:
     theta = parse_triangular(args.endo)
-    print(theta.inverse())
-    return 0
+    return 0, str(theta.inverse())
 
 
-def _cmd_order(args) -> int:
+def _cmd_order(args) -> tuple[int, str]:
     psi = parse_endo(args.endo)
     k = endo_order(psi, args.max_order)
     if k is None:
-        print(f"no order found up to {args.max_order}")
-        return 1
-    print(f"order = {k}")
-    return 0
+        return 1, f"no order found up to {args.max_order}"
+    return 0, f"order = {k}"
 
 
-def _cmd_conjugate(args) -> int:
+def _cmd_conjugate(args) -> tuple[int, str]:
     psi = parse_endo(args.endo)
     theta = parse_triangular(args.theta)
-    print(conjugate_endo(psi, theta))
-    return 0
+    return 0, str(conjugate_endo(psi, theta))
 
 
-def _cmd_verify_formula(args) -> int:
+def _cmd_verify_formula(args) -> tuple[int, str]:
     manifest, seq = _read(args, "a")
     alpha = _alpha(seq.prime, _field(manifest, "alpha", str))
     if verify_formula(seq, alpha):
-        print("OK: formula matches composition")
-        return 0
-    print("MISMATCH: closed form differs from composition")
-    return 1
+        return 0, "OK: formula matches composition"
+    return 1, "MISMATCH: closed form differs from composition"
 
 
-def _cmd_linearize(args) -> int:
+def _cmd_linearize(args) -> tuple[int, str]:
     target = parse_endo(args.target)
     result = solve_linearization(target, args.max_degree)
     if result.found:
-        print(f"LINEARIZED\ntheta = {result.theta}\nh = {result.h}")
-        return 0
-    print(f"OBSTRUCTION\ndegree = {result.obstruction_degree}")
-    return 1
+        return 0, f"LINEARIZED\ntheta = {result.theta}\nh = {result.h}"
+    return 1, f"OBSTRUCTION\ndegree = {result.obstruction_degree}"
 
 
-def _cmd_min_degree(args) -> int:
+def _cmd_min_degree(args) -> tuple[int, str]:
     manifest, seq = _read(args, "a")
     alpha_text = _field(manifest, "alpha", str)
     bound = _field(manifest, "max_degree", int)
     alpha = _alpha(seq.prime, alpha_text)
     degree = minimal_linearizer_degree(seq, alpha, bound)
     if degree is None:
-        print(f"no triangular-affine linearizer up to degree {bound}")
-        return 1
-    print(f"minimal degree = {degree}")
-    return 0
+        return 1, f"no triangular-affine linearizer up to degree {bound}"
+    return 0, f"minimal degree = {degree}"
 
 
-def _cmd_nonconj_check(args) -> int:
+def _cmd_nonconj_check(args) -> tuple[int, str]:
     manifest, a, b = _read(args, "a", "b")
     report = necessary_condition(a, b, _field(manifest, "k0", int, None))
     if report.satisfiable:
-        print(f"CONDITION SATISFIABLE\nbeta = {report.beta}\ngamma = {report.gamma}\n"
-              f"holds from k = {report.effective_from}")
-        return 0
+        return 0, (f"CONDITION SATISFIABLE\nbeta = {report.beta}\n"
+                   f"gamma = {report.gamma}\nholds from k = {report.effective_from}")
     offsets = ",".join(str(o) for o in report.offsets)
-    print(f"NON-CONJUGATE CERTIFICATE\nfailing indices: preamble={report.preamble}, "
-          f"period={report.period}, offsets=[{offsets}]\nreason: {report.reason}")
-    return 1
+    return 1, (f"NON-CONJUGATE CERTIFICATE\nfailing indices: preamble={report.preamble}, "
+               f"period={report.period}, offsets=[{offsets}]\nreason: {report.reason}")
 
 
-def _cmd_verify_conjugator(args) -> int:
+def _cmd_verify_conjugator(args) -> tuple[int, str]:
     manifest, a, b = _read(args, "a", "b")
     theta_text = _field(manifest, "theta", str)
     levels = _field(manifest, "levels", int, 3)
     theta = parse_triangular(theta_text)
     if verify_subgroup_conjugator(a, b, theta, levels):
-        print(f"OK: conjugator intertwines levels 1..{levels}")
-        return 0
-    print(f"FAIL: conjugator does not intertwine levels 1..{levels}")
-    return 1
+        return 0, f"OK: conjugator intertwines levels 1..{levels}"
+    return 1, f"FAIL: conjugator does not intertwine levels 1..{levels}"
 
 
-def _cmd_omega_family(args) -> int:
+def _cmd_omega_family(args) -> tuple[int, str]:
     family = omega0_family(args.count)
+    lines = []
     for i, seq in enumerate(family):
         bits = ",".join(str(b) for b in seq.tail)
-        print(f"sequence {i}: tail=[{bits}]")
+        lines.append(f"sequence {i}: tail=[{bits}]")
     pairs = [(i, j) for i in range(len(family)) for j in range(i + 1, len(family))]
     good = sum(1 for i, j in pairs if differ_infinitely(family[i], family[j]))
-    print(f"pairwise infinite disagreement: {good}/{len(pairs)}")
-    return 0 if good == len(pairs) else 1
+    lines.append(f"pairwise infinite disagreement: {good}/{len(pairs)}")
+    return (0 if good == len(pairs) else 1), "\n".join(lines)
 
 
 # -- wiring -----------------------------------------------------------------
@@ -299,11 +283,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.run(args)
+        code, report = args.run(args)
     # ParseError, DomainMismatchError and json.JSONDecodeError are ValueErrors
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(report)
+    return code
 
 
 if __name__ == "__main__":

@@ -56,24 +56,13 @@ class BinarySequence(EventuallyPeriodic):
     bit = EventuallyPeriodic.entry
 
 
-def support_mismatch(a: EventuallyPeriodic, b: EventuallyPeriodic,
-                     k0: int = 0) -> tuple[int, int, list[int]]:
-    """(join, period, offsets): past join = max(k0, both prefix lengths) the
-    supports of a and b differ exactly at join + o + m*period, o in offsets.
-
-    An entry is in the support when it is nonzero, so a bit sequence is its
-    own support pattern.  Any disagreement inside the joint periodic part
-    recurs forever, so one lcm-period past both prefixes decides it.
-    """
-    join, period = a.joint_region(b, k0)
-    return join, period, [o for o in range(period)
-                          if bool(a.entry(join + o)) != bool(b.entry(join + o))]
-
-
 def differ_infinitely(lam: EventuallyPeriodic, mu: EventuallyPeriodic) -> bool:
-    """Whether the supports of two sequences (for bit sequences, the bits
-    themselves) disagree at infinitely many k."""
-    return bool(support_mismatch(lam, mu)[2])
+    """Whether the supports (the nonzero entries; for bit sequences, the ones)
+    disagree at infinitely many k.  A disagreement in the joint periodic part
+    recurs forever, so one lcm-period past both prefixes decides it."""
+    join, period = lam.joint_region(mu)
+    return any(bool(lam.entry(k)) != bool(mu.entry(k))
+               for k in range(join, join + period))
 
 
 def omega0_family(count: int) -> list[BinarySequence]:
@@ -171,12 +160,11 @@ def _beta_power(scale: Fraction, root: RootOfUnity, e: int) -> CycNum:
 
 
 def _candidates_from(a: CoeffSequence, b: CoeffSequence, start: int,
-                     join: int, period: int, infinite_support: bool):
-    """The best verified (scale, root, gamma) witness valid from `start`, or None."""
+                     common: list[int], join: int, period: int,
+                     infinite_support: bool):
+    """The best verified (scale, root, gamma) witness valid from `start`, or
+    None; `common` lists the common support indices from `start` on."""
     p = a.prime
-    window_end = join + 2 * period
-    common = [k for k in range(start, window_end)
-              if not a.coeff(k).is_zero and not b.coeff(k).is_zero]
     if not common:
         return (Fraction(1), RootOfUnity.one(p), CycNum.one())
     k_star = common[0]
@@ -223,28 +211,34 @@ def necessary_condition(a: CoeffSequence, b: CoeffSequence,
         k0 = max(len(a.prefix), len(b.prefix))
     if k0 < 0:
         raise ValueError("k0 must be nonnegative")
-    join, period, mismatch = support_mismatch(a, b, k0)
-    if mismatch:
+    join, period = a.joint_region(b, k0)
+    # one pass: where the supports disagree, and where both entries are nonzero
+    mismatch, common = [], []
+    for k in range(k0, join + 2 * period):
+        a_zero, b_zero = a.coeff(k).is_zero, b.coeff(k).is_zero
+        if a_zero != b_zero:
+            mismatch.append(k)
+        elif not a_zero:
+            common.append(k)
+    periodic = [k - join for k in mismatch if join <= k < join + period]
+    if periodic:
         return ConjugacyReport(
-            CERTIFICATE, preamble=join, period=period, offsets=mismatch,
+            CERTIFICATE, preamble=join, period=period, offsets=periodic,
             reason="supports disagree on a periodic index set")
-    common_offsets = [o for o in range(period)
-                      if not a.coeff(join + o).is_zero]
-    if common_offsets:
-        ratios = [b.coeff(join + o) / a.coeff(join + o) for o in common_offsets]
-        if any(r != ratios[0] for r in ratios[1:]):
-            return ConjugacyReport(
-                CERTIFICATE, preamble=join, period=period,
-                offsets=common_offsets,
-                reason="eventual ratios b_k/a_k are not constant")
-    finite_mismatch = [k for k in range(k0, join)
-                       if a.coeff(k).is_zero != b.coeff(k).is_zero]
-    first_start = k0 if not finite_mismatch else max(finite_mismatch) + 1
+    common_offsets = [k - join for k in common if join <= k < join + period]
+    ratios = [b.coeff(join + o) / a.coeff(join + o) for o in common_offsets]
+    if any(r != ratios[0] for r in ratios[1:]):
+        return ConjugacyReport(
+            CERTIFICATE, preamble=join, period=period, offsets=common_offsets,
+            reason="eventual ratios b_k/a_k are not constant")
+    # every mismatch left lies below join
+    first_start = mismatch[-1] + 1 if mismatch else k0
+    anchors = [k for k in common if k >= first_start]
     # any start up to join sees the anchors and window of the last one listed
-    starts = [first_start] + [k + 1 for k in range(first_start, join)
-                              if not a.coeff(k).is_zero and not b.coeff(k).is_zero]
-    for start in starts:
-        hit = _candidates_from(a, b, start, join, period, bool(common_offsets))
+    starts = [first_start] + [k + 1 for k in anchors if k < join]
+    for i, start in enumerate(starts):
+        hit = _candidates_from(a, b, start, anchors[i:], join, period,
+                               bool(common_offsets))
         if hit is not None:
             scale, root, gamma = hit
             beta = CycNum.rational(scale) * root.to_field()

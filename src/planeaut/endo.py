@@ -131,9 +131,3 @@ def endo_order(psi: PlaneEndo, max_order: int) -> int | None:
         power = compose(power, psi)
     return None
 
-
-def is_diagonal(psi: PlaneEndo) -> bool:
-    """x1 -> a1*x1 and x2 -> a2*x2 with nonzero scalars."""
-    return (len(psi.f1) == 1 and len(psi.f2) == 1
-            and not psi.f1.coefficient(1, 0).is_zero
-            and not psi.f2.coefficient(0, 1).is_zero)

@@ -56,16 +56,15 @@ class LinearizationResult:
 
 def _target_shape(target: PlaneEndo) -> tuple[CycNum, int, dict[int, CycNum]]:
     """(alpha, its multiplicative order, S) of (alpha*x1 + S(x2), alpha*x2)."""
-    f2 = target.f2
-    alpha = f2.coefficient(0, 1)
-    if alpha.is_zero or len(f2) != 1:
-        raise ShapeError("x2 must map to a nonzero scalar multiple of itself")
-    if (order := multiplicative_order(alpha)) is None:
+    try:
+        t = TriangularAffine(target.f1, target.f2)
+    except ValueError:
+        t = None
+    if t is None or t.gamma != t.beta or t.beta0:
+        raise ShapeError("the target must have the shape (alpha*x1 + S(x2), alpha*x2)")
+    if (order := multiplicative_order(t.beta)) is None:
         raise ShapeError("the x2 scaling must be a root of unity")
-    shift = target.f1 - SparsePoly.x1() * alpha
-    if shift.involves_x1():
-        raise ShapeError("x1 must map to alpha*x1 plus a polynomial in x2")
-    return alpha, order, shift.x2_profile()
+    return t.beta, order, t.g.x2_profile()
 
 
 def solve_linearization(target: PlaneEndo, degree_bound: int) -> LinearizationResult:

@@ -190,10 +190,7 @@ class SparsePoly:
     def __str__(self):
         if not self._terms:
             return "0"
-        parts = []
-        for mono in sorted(self._terms, key=_PRINT_KEY):
-            parts.append(_term_str(mono, self._terms[mono]))
-        return " + ".join(parts)
+        return " + ".join(_term_str(mono, c) for mono, c in self.terms())
 
     def __repr__(self):
         return f"SparsePoly({str(self)!r})"

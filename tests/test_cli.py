@@ -28,6 +28,8 @@ GOLDEN_LINEARIZE = (
 TOO_LONG_TO_PRINT = ("error: coefficient too long to print (over "
                      f"{sys.get_int_max_str_digits()} digits)\n")
 
+TARGET_SHAPE = "the target must have the shape (alpha*x1 + S(x2), alpha*x2)"
+
 GOLDEN_NONCONJ = (
     "NON-CONJUGATE CERTIFICATE\n"
     "failing indices: preamble=0, period=2, offsets=[1]\n"
@@ -280,6 +282,18 @@ class TestInputErrors:
         assert run(capsys, "verify-formula", "--p", "997", "--prefix", "1",
                    "--alpha", "1/997") == (0, GOLDEN_VERIFY, "")
 
+    @pytest.mark.parametrize("target,message", [
+        pytest.param("(x1 + x1*x2, x2)", TARGET_SHAPE, id="shift-involves-x1"),
+        pytest.param("(-x1, x2 + 1)", TARGET_SHAPE, id="x2-shifted"),
+        pytest.param("(x2, x1)", TARGET_SHAPE, id="swap"),
+        pytest.param("(2*x1, 2*x2)", "the x2 scaling must be a root of unity",
+                     id="infinite-order-scaling"),
+        pytest.param("(2*x1, x2)", TARGET_SHAPE, id="gamma-differs-from-beta"),
+    ])
+    def test_linearize_shape_errors(self, capsys, target, message):
+        assert run(capsys, "linearize", "--target", target, "--max-degree", "2") == (
+            2, "", f"error: {message}\n")
+
     def test_bad_alpha_denominator(self, capsys):
         code, _, err = run(capsys, "verify-formula", "--p", "2",
                            "--prefix", "1", "--alpha", "1/3")
@@ -515,11 +529,11 @@ def expressions(draw, depth=3, atoms=3, leaves=ATOMS):
 
 
 @st.composite
-def plane_maps(draw):
+def plane_maps(draw, shapes=("any", "triangular", "target")):
     """Any pair of expressions, or one spelled in the triangular-affine shape
     (gamma*x1 + g(x2), beta*x2 + beta0), or the linearize target shape
-    (alpha*x1 + S(x2), alpha*x2) with a root of unity alpha."""
-    shape = draw(st.sampled_from(["any", "triangular", "target"]))
+    (alpha*x1 + S(x2), alpha*x2) with a root of unity alpha; one of `shapes`."""
+    shape = draw(st.sampled_from(shapes))
     if shape == "any":
         return f"({draw(expressions())}, {draw(expressions())})"
     scalar = expressions(depth=1, atoms=2, leaves=SCALARS)
@@ -563,18 +577,38 @@ def sequence_flags(draw, count):
     return p, flags
 
 
+TRIANGULAR = ("triangular", "target")
+
+
+@st.composite
+def alpha_flag(draw, p):
+    """--alpha as j/p^n, a root of level n at most 3."""
+    return f"--alpha={draw(st.integers(-p ** 3, p ** 3))}/{p ** draw(st.integers(0, 3))}"
+
+
 @st.composite
 def cli_requests(draw):
     command = draw(st.sampled_from(["compose", "invert", "conjugate", "linearize",
-                                    "nonconj-check", "min-degree"]))
+                                    "nonconj-check", "min-degree", "verify-formula",
+                                    "verify-conjugator", "order"]))
     if command == "nonconj-check":
         _, flags = draw(sequence_flags(2))
         return [command, *flags, f"--k0={draw(st.integers(0, 6))}"]
     if command == "min-degree":
         p, flags = draw(sequence_flags(1))
-        alpha = f"{draw(st.integers(-p ** 3, p ** 3))}/{p ** draw(st.integers(0, 3))}"
-        return [command, *flags, f"--alpha={alpha}",
+        return [command, *flags, draw(alpha_flag(p)),
                 f"--max-degree={draw(st.integers(0, 130))}"]
+    if command == "verify-formula":
+        p, flags = draw(sequence_flags(1))
+        return [command, *flags, draw(alpha_flag(p))]
+    if command == "verify-conjugator":
+        _, flags = draw(sequence_flags(2))
+        return [command, *flags, f"--theta={draw(plane_maps(TRIANGULAR))}",
+                f"--levels={draw(st.integers(0, 3))}"]
+    if command == "order":
+        # non-triangular maps are still composed with no budget, so they stay out
+        return [command, draw(plane_maps(TRIANGULAR)),
+                f"--max-order={draw(st.integers(0, 64))}"]
     first, second = draw(plane_maps()), draw(plane_maps())
     if draw(st.integers(0, 3)) == 0:
         deep = draw(DEEP)
@@ -588,8 +622,8 @@ def cli_requests(draw):
     return [command, f"--target={first}", f"--max-degree={draw(st.integers(0, 6))}"]
 
 
-# about 150 examples for the four map commands and 75 for the two sequence ones
-@settings(max_examples=225, deadline=None,
+# about 35 examples for each of the nine commands
+@settings(max_examples=315, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=cli_requests())
 def test_generated_requests_end_in_verdict_or_one_line_error(capsys, argv):
@@ -600,6 +634,9 @@ def test_generated_requests_end_in_verdict_or_one_line_error(capsys, argv):
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     else:
+        # one report: some text, then exactly one newline
+        assert captured.out.strip() and captured.out.endswith("\n")
+        assert not captured.out.endswith("\n\n")
         assert captured.err == ""
 
 

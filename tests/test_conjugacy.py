@@ -23,6 +23,41 @@ def brute_differ(lam, mu):
     return any(lam.bit(start + o) != mu.bit(start + o) for o in range(window))
 
 
+SUPPORTS = "supports disagree on a periodic index set"
+RATIOS = "eventual ratios b_k/a_k are not constant"
+
+
+def check_against_scan(a, b, k0):
+    """Oracle for necessary_condition: scan three joint periods past both
+    prefixes for support mismatches and common-support ratios.  Returns the
+    certificate's reason, or SATISFIABLE."""
+    report = necessary_condition(a, b, k0)
+    if k0 is None:
+        k0 = max(len(a.prefix), len(b.prefix))
+    join = max(k0, len(a.prefix), len(b.prefix))
+    period = lcm(a.period, b.period)
+    window = range(k0, join + 3 * period)
+    mismatch = [k for k in window if bool(a.coeff(k)) != bool(b.coeff(k))]
+    common = [k for k in window if k >= join and a.coeff(k) and b.coeff(k)]
+    late = sorted({(k - join) % period for k in mismatch if k >= join})
+    ratios = {b.coeff(k) / a.coeff(k) for k in common}
+    if late or len(ratios) > 1:
+        offsets = late or sorted({(k - join) % period for k in common})
+        assert report.verdict == CERTIFICATE
+        assert report.reason == (SUPPORTS if late else RATIOS)
+        assert (report.preamble, report.period, report.offsets) == (join, period, offsets)
+        return report.reason
+    assert report.verdict == SATISFIABLE
+    # every mismatch left is finite, and the witness starts past the last one
+    assert report.effective_from >= k0
+    assert all(k < report.effective_from for k in mismatch)
+    for k in range(report.effective_from, join + 3 * period):
+        if a.coeff(k) or b.coeff(k):
+            assert (a.coeff(k) * report.beta ** (a.prime ** k + 1)
+                    == report.gamma * b.coeff(k))
+    return SATISFIABLE
+
+
 def random_binary(rng):
     prefix = [rng.randint(0, 1) for _ in range(rng.randint(0, 5))]
     tail = [rng.randint(0, 1) for _ in range(rng.randint(1, 6))]
@@ -60,7 +95,7 @@ class TestDifferInfinitely:
                                   [bool(c) for c in s.tail])
 
         rng = random.Random(107)
-        verdicts = set()
+        verdicts, outcomes = set(), set()
         for _ in range(200):
             p = rng.choice([2, 3])
             a, b = random_sequence(rng, p), random_sequence(rng, p)
@@ -69,7 +104,11 @@ class TestDifferInfinitely:
             assert differ_infinitely(a, b) == certified
             assert certified == brute_differ(support(a), support(b))
             verdicts.add(certified)
+            past = max(len(a.prefix), len(b.prefix)) + rng.randint(1, 4)
+            for k0 in (None, 0, past):
+                outcomes.add(check_against_scan(a, b, k0))
         assert verdicts == {True, False}
+        assert outcomes == {SUPPORTS, RATIOS, SATISFIABLE}
 
     @pytest.mark.parametrize("prefix,tail", [
         pytest.param((), (), id="empty-block"),

@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 
 from planeaut import (CycNum, PlaneEndo, SparsePoly, TriangularAffine,
-                      compose, conjugate, endo_order, is_diagonal, parse_endo)
+                      compose, conjugate, endo_order, parse_endo)
 
 from conftest import NONZERO_POOL, random_cycnum, random_poly
 
@@ -235,16 +235,6 @@ class TestOrder:
             theta = random_triangular(rng)
             psi = TriangularAffine.scaling(CycNum.zeta(2, 2), CycNum.zeta(2, 2))
             assert endo_order(conjugate(psi, theta), 8) == endo_order(psi, 8)
-
-
-class TestShapePredicates:
-    def test_diagonal(self):
-        alpha = CycNum.zeta(3, 1)
-        psi = TriangularAffine.scaling(alpha, alpha)
-        assert is_diagonal(psi)
-
-    def test_swap_is_linear_not_diagonal(self):
-        assert not is_diagonal(parse_endo("(x2, x1)"))
 
 
 class TestRecognition:
