@@ -9,9 +9,9 @@ from .prufer import (CoeffSequence, conj_closed_form, diag, EventuallyPeriodic,
                      series_truncation, verify_formula)
 from .linearize import (LinearizationResult, ShapeError,
                         minimal_linearizer_degree, solve_linearization)
-from .conjugacy import (BinarySequence, ConjugacyReport, CERTIFICATE,
-                        SATISFIABLE, differ_infinitely, necessary_condition,
-                        omega0_family, verify_subgroup_conjugator)
+from .conjugacy import (ConjugacyReport, CERTIFICATE, SATISFIABLE,
+                        differ_infinitely, necessary_condition, omega0_family,
+                        verify_subgroup_conjugator)
 from .parsing import (ParseError, parse_endo, parse_poly, parse_scalar,
                       parse_triangular)
 
@@ -26,7 +26,7 @@ __all__ = [
     "series_truncation", "verify_formula",
     "LinearizationResult", "ShapeError",
     "minimal_linearizer_degree", "solve_linearization",
-    "BinarySequence", "ConjugacyReport", "CERTIFICATE", "SATISFIABLE",
+    "ConjugacyReport", "CERTIFICATE", "SATISFIABLE",
     "differ_infinitely", "necessary_condition", "omega0_family",
     "verify_subgroup_conjugator",
     "ParseError", "parse_endo", "parse_poly", "parse_scalar",

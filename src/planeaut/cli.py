@@ -75,7 +75,15 @@ def _read(args, *keys: str) -> tuple:
     if args.p is None:
         if args.prefix is not None or args.tail is not None:
             raise ValueError("--prefix and --tail need --p")
-        manifest = json.load(sys.stdin)
+        try:
+            manifest = json.load(sys.stdin)
+        except RecursionError:
+            raise ValueError("manifest nested too deeply to read") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # an integer over Python's int-from-str digit limit
+            raise ValueError("manifest integer too long to read (over "
+                             f"{sys.get_int_max_str_digits()} digits)") from None
         if not isinstance(manifest, dict):
             raise ValueError("manifest must be a JSON object")
     else:

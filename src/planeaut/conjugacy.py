@@ -43,29 +43,16 @@ CERTIFICATE = "non-conjugate-certificate"
 MAX_FAMILY = 64
 
 
-class BinarySequence(EventuallyPeriodic):
-    """An infinite 0/1 sequence: finite prefix plus repeating tail block."""
-
-    __slots__ = ()
-
-    def __init__(self, prefix, tail):
-        super().__init__((int(x) for x in prefix), (int(x) for x in tail))
-        if any(x not in (0, 1) for x in self.prefix + self.tail):
-            raise ValueError("entries must be bits")
-
-    bit = EventuallyPeriodic.entry
-
-
 def differ_infinitely(lam: EventuallyPeriodic, mu: EventuallyPeriodic) -> bool:
-    """Whether the supports (the nonzero entries; for bit sequences, the ones)
-    disagree at infinitely many k.  A disagreement in the joint periodic part
-    recurs forever, so one lcm-period past both prefixes decides it."""
+    """Whether the supports (the nonzero entries) disagree at infinitely many
+    k.  A disagreement in the joint periodic part recurs forever, so one
+    lcm-period past both prefixes decides it."""
     join, period = lam.joint_region(mu)
     return any(bool(lam.entry(k)) != bool(mu.entry(k))
                for k in range(join, join + period))
 
 
-def omega0_family(count: int) -> list[BinarySequence]:
+def omega0_family(count: int) -> list[EventuallyPeriodic]:
     """count sequences that pairwise disagree at infinitely many indices.
 
     Member i repeats the block 1, 0, ..., 0 of length i + 2; distinct periods
@@ -75,7 +62,7 @@ def omega0_family(count: int) -> list[BinarySequence]:
         raise ValueError("need at least two sequences to compare")
     if count > MAX_FAMILY:
         raise ValueError(f"count must be at most {MAX_FAMILY}")
-    return [BinarySequence((), (1,) + (0,) * (i + 1)) for i in range(count)]
+    return [EventuallyPeriodic((), (1,) + (0,) * (i + 1)) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +191,12 @@ def necessary_condition(a: CoeffSequence, b: CoeffSequence,
     asserting that every candidate in the searched class (beta a rational
     multiple of a p-power root of unity, gamma an arbitrary nonzero scalar)
     fails at infinitely many indices.
+
+    One joint period past join is read: past it both sequences repeat with
+    that period, every start is at most join, and _candidates_from reads two
+    anchors.  A second period would only extend a lone anchor k* >= join by
+    k* + period, a pair of ratio 1 whose first sorted candidate, scale 1 and
+    root 1, is the one-anchor witness.
     """
     if a.prime != b.prime:
         raise DomainMismatchError(f"mixed primes {a.prime} and {b.prime}")
@@ -214,18 +207,18 @@ def necessary_condition(a: CoeffSequence, b: CoeffSequence,
     join, period = a.joint_region(b, k0)
     # one pass: where the supports disagree, and where both entries are nonzero
     mismatch, common = [], []
-    for k in range(k0, join + 2 * period):
+    for k in range(k0, join + period):
         a_zero, b_zero = a.coeff(k).is_zero, b.coeff(k).is_zero
         if a_zero != b_zero:
             mismatch.append(k)
         elif not a_zero:
             common.append(k)
-    periodic = [k - join for k in mismatch if join <= k < join + period]
+    periodic = [k - join for k in mismatch if k >= join]
     if periodic:
         return ConjugacyReport(
             CERTIFICATE, preamble=join, period=period, offsets=periodic,
             reason="supports disagree on a periodic index set")
-    common_offsets = [k - join for k in common if join <= k < join + period]
+    common_offsets = [k - join for k in common if k >= join]
     ratios = [b.coeff(join + o) / a.coeff(join + o) for o in common_offsets]
     if any(r != ratios[0] for r in ratios[1:]):
         return ConjugacyReport(

@@ -31,10 +31,10 @@ class ShapeError(ValueError):
 class LinearizationResult:
     """Either a verified conjugator with its diagonal image, or an obstruction.
 
-    obstruction_degree reports the smallest degree whose coefficient equation
-    has no solution at all when one exists, and otherwise the largest degree
-    the conjugator is forced to contain beyond the bound (the witness of
-    degree growth: raising the bound to it would succeed).
+    obstruction_degree is read off the degrees of S, whose coefficients are
+    all nonzero: the least d with alpha^(d-1) = 1, whose equation has no
+    solution, if there is one, and otherwise deg S when it exceeds the bound
+    (the witness of degree growth: raising the bound to it would succeed).
     """
 
     __slots__ = ("theta", "h", "obstruction_degree")
@@ -73,26 +73,12 @@ def solve_linearization(target: PlaneEndo, degree_bound: int) -> LinearizationRe
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
     alpha, order, profile = _target_shape(target)
-    unsolvable: list[int] = []
-    forced_beyond: list[int] = []
-    g = SparsePoly.zero()
-    for d in sorted(profile):
-        s_d = profile[d]
-        if (d - 1) % order == 0:
-            if not s_d.is_zero:
-                unsolvable.append(d)
-            continue
-        g_d = s_d / (alpha ** d - alpha)
-        if g_d.is_zero:
-            continue
-        if d > degree_bound:
-            forced_beyond.append(d)
-        else:
-            g = g + SparsePoly.monomial(0, d, g_d)
-    if unsolvable:
-        return LinearizationResult(obstruction_degree=min(unsolvable))
-    if forced_beyond:
-        return LinearizationResult(obstruction_degree=max(forced_beyond))
+    resonant = [d for d in profile if (d - 1) % order == 0]
+    if resonant:
+        return LinearizationResult(obstruction_degree=min(resonant))
+    if max(profile, default=0) > degree_bound:
+        return LinearizationResult(obstruction_degree=max(profile))
+    g = SparsePoly({(0, d): s_d / (alpha ** d - alpha) for d, s_d in profile.items()})
     theta = TriangularAffine.shift(g)
     h = TriangularAffine.scaling(alpha, alpha)
     check = conjugate(target, theta)

@@ -105,12 +105,8 @@ def series_truncation(s: CoeffSequence, n_terms: int) -> TriangularAffine:
     """The shift map keeping terms k <= n_terms: (x1 + sum a_k x2^(p^k+1), x2)."""
     if n_terms < 0:
         raise ValueError("truncation bound must be nonnegative")
-    g = SparsePoly.zero()
-    for k in range(n_terms + 1):
-        c = s.coeff(k)
-        if not c.is_zero:
-            g = g + SparsePoly.monomial(0, exponent_of(s.prime, k), c)
-    return TriangularAffine.shift(g)
+    return TriangularAffine.shift(SparsePoly(
+        {(0, exponent_of(s.prime, k)): s.coeff(k) for k in range(n_terms + 1)}))
 
 
 def conj_closed_form(s: CoeffSequence, alpha: RootOfUnity) -> PlaneEndo:
@@ -125,15 +121,12 @@ def conj_closed_form(s: CoeffSequence, alpha: RootOfUnity) -> PlaneEndo:
         raise ValueError(f"root lives over p={alpha.prime}, sequence over p={s.prime}")
     p = s.prime
     af = alpha.to_field()
-    f1 = SparsePoly.x1() * af
+    terms = {(1, 0): af}
     for k in range(alpha.level):
         c = s.coeff(k)
-        if c.is_zero:
-            continue
-        factor = af * c * (CycNum.one() - (alpha ** (p ** k)).to_field())
-        if not factor.is_zero:
-            f1 = f1 + SparsePoly.monomial(0, exponent_of(p, k), factor)
-    return PlaneEndo(f1, SparsePoly.x2() * af)
+        if not c.is_zero:  # spares alpha^(p^k) for a zero a_k
+            terms[0, exponent_of(p, k)] = af * c * (1 - (alpha ** (p ** k)).to_field())
+    return PlaneEndo(SparsePoly(terms), SparsePoly.x2() * af)
 
 
 def verify_formula(s: CoeffSequence, alpha: RootOfUnity) -> bool:

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from planeaut import (BinarySequence, CERTIFICATE, CoeffSequence,
+from planeaut import (CERTIFICATE, CoeffSequence, EventuallyPeriodic,
                       RootOfUnity, SATISFIABLE, TriangularAffine,
                       compose, conj_closed_form, diag, differ_infinitely,
                       endo_order, conjugate,
@@ -152,23 +152,23 @@ def test_c7_lemma_comparator():
     def brute(lam, mu):
         start = max(len(lam.prefix), len(mu.prefix))
         window = 3 * lcm(lam.period, mu.period)
-        return any(lam.bit(start + o) != mu.bit(start + o) for o in range(window))
+        return any(lam.entry(start + o) != mu.entry(start + o) for o in range(window))
 
     for _ in range(200):
-        lam = BinarySequence([rng.randint(0, 1) for _ in range(rng.randint(0, 6))],
-                             [rng.randint(0, 1) for _ in range(rng.randint(1, 6))])
-        mu = BinarySequence([rng.randint(0, 1) for _ in range(rng.randint(0, 6))],
-                            [rng.randint(0, 1) for _ in range(rng.randint(1, 6))])
+        lam = EventuallyPeriodic([rng.randint(0, 1) for _ in range(rng.randint(0, 6))],
+                                 [rng.randint(0, 1) for _ in range(rng.randint(1, 6))])
+        mu = EventuallyPeriodic([rng.randint(0, 1) for _ in range(rng.randint(0, 6))],
+                                [rng.randint(0, 1) for _ in range(rng.randint(1, 6))])
         assert differ_infinitely(lam, mu) == brute(lam, mu)
 
     for _ in range(50):
         tail = [rng.randint(0, 1) for _ in range(rng.randint(1, 5))]
         prefix = [rng.randint(0, 1) for _ in range(rng.randint(1, 8))]
-        lam = BinarySequence(prefix, tail)
+        lam = EventuallyPeriodic(prefix, tail)
         flipped = list(prefix)
         for i in rng.sample(range(len(prefix)), rng.randint(1, len(prefix))):
             flipped[i] ^= 1
-        mu = BinarySequence(flipped, tail)
+        mu = EventuallyPeriodic(flipped, tail)
         assert not differ_infinitely(lam, mu)
 
 

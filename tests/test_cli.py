@@ -217,6 +217,15 @@ class TestCommands:
                            "(x1 + x2, x2)", "--max-degree", "5")
         assert (code, out) == (1, "OBSTRUCTION\ndegree = 1\n")
 
+    @pytest.mark.parametrize("bound,expected", [
+        # the obstruction is read off the degrees, before any division
+        pytest.param("2", (1, "OBSTRUCTION\ndegree = 3\n", ""), id="obstructed"),
+        pytest.param("3", (2, "", "error: mixed primes 3 and 2\n"), id="solved"),
+    ])
+    def test_linearize_target_of_two_towers(self, capsys, bound, expected):
+        assert run(capsys, "linearize", "--target", "(z(4)*x1 + z(3)*x2^3, z(4)*x2)",
+                   "--max-degree", bound) == expected
+
 
 class TestInputErrors:
     def test_parse_error_is_exit_two(self, capsys):
@@ -496,6 +505,19 @@ class TestManifestInput:
         assert run(capsys, "verify-formula") == (
             2, "", "error: exponent denominator must be a power of 2, got 1/3\n")
 
+    def test_deep_manifest_is_one_line_error(self, capsys, monkeypatch):
+        # deeper than any Python recursion limit
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100_000 + "]" * 100_000))
+        assert run(capsys, "verify-formula") == (
+            2, "", "error: manifest nested too deeply to read\n")
+
+    def test_long_manifest_integer_is_one_line_error(self, capsys, monkeypatch):
+        text = '{"prime": ' + "7" * 5000 + ', "a": {"prefix": ["1"]}, "alpha": "1/2"}'
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(capsys, "verify-formula") == (
+            2, "", "error: manifest integer too long to read (over "
+                   f"{sys.get_int_max_str_digits()} digits)\n")
+
     def test_manifest_prime_above_the_limit(self, capsys, monkeypatch):
         text = '{"prime": 1000000000000000003, "a": {"prefix": ["1"]}, "alpha": "1/2"}'
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -622,13 +644,52 @@ def cli_requests(draw):
     return [command, f"--target={first}", f"--max-degree={draw(st.integers(0, 6))}"]
 
 
-# about 35 examples for each of the nine commands
-@settings(max_examples=315, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=cli_requests())
-def test_generated_requests_end_in_verdict_or_one_line_error(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
+MANIFEST_SEQUENCES = {"verify-formula": ("a",), "min-degree": ("a",),
+                      "nonconj-check": ("a", "b"), "verify-conjugator": ("a", "b")}
+# any JSON value; integers stay within the drawn levels, since a field that
+# lands on "levels" is still checked level by level with no budget
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def stdin_manifests(draw):
+    """(command, stdin text): a valid manifest for a sequence command, or a
+    JSON value that is not an object, or a manifest with one field replaced
+    by a value of any type, or one nested deeper than the decoder goes."""
+    command = draw(st.sampled_from(sorted(MANIFEST_SEQUENCES)))
+    p = draw(st.sampled_from([2, 3, 5]))
+    entries = st.lists(tower_entries(p), max_size=4)
+    manifest = {"prime": p}
+    for key in MANIFEST_SEQUENCES[command]:
+        manifest[key] = {"prefix": draw(entries), "tail": draw(st.just("zero") | entries)}
+    if command in ("verify-formula", "min-degree"):
+        manifest["alpha"] = draw(alpha_flag(p)).removeprefix("--alpha=")
+    if command == "min-degree":
+        manifest["max_degree"] = draw(st.integers(0, 130))
+    if command == "nonconj-check":
+        manifest["k0"] = draw(st.integers(0, 6))
+    if command == "verify-conjugator":
+        manifest["theta"] = draw(plane_maps(TRIANGULAR))
+        manifest["levels"] = draw(st.integers(0, 3))
+    shape = draw(st.sampled_from(["valid", "non-object", "wrong-type", "deep"]))
+    if shape == "non-object":
+        manifest = draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+    elif shape == "wrong-type":
+        key = draw(st.sampled_from(MANIFEST_SEQUENCES[command]))
+        record = draw(st.sampled_from([manifest, manifest[key]]))
+        record[draw(st.sampled_from(sorted(record)))] = draw(JSON_VALUES)
+    elif shape == "deep":
+        depth = draw(st.integers(500, 100_000))
+        manifest[draw(st.sampled_from(sorted(manifest)))] = "@"
+        return command, json.dumps(manifest).replace('"@"', "[" * depth + "]" * depth)
+    return command, json.dumps(manifest)
+
+
+def assert_verdict_or_one_line_error(code, captured):
     assert code in (0, 1, 2)
     if code == 2:
         assert captured.out == ""
@@ -638,6 +699,26 @@ def test_generated_requests_end_in_verdict_or_one_line_error(capsys, argv):
         assert captured.out.strip() and captured.out.endswith("\n")
         assert not captured.out.endswith("\n\n")
         assert captured.err == ""
+
+
+# about 35 examples for each of the nine commands
+@settings(max_examples=315, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_requests())
+def test_generated_requests_end_in_verdict_or_one_line_error(capsys, argv):
+    code = main(argv)
+    assert_verdict_or_one_line_error(code, capsys.readouterr())
+
+
+# about 50 examples for each of the four sequence commands
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(request=stdin_manifests())
+def test_stdin_manifests_end_in_verdict_or_one_line_error(capsys, monkeypatch, request):
+    command, text = request
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code = main([command])
+    assert_verdict_or_one_line_error(code, capsys.readouterr())
 
 
 def test_module_invocation_subprocess():

@@ -6,21 +6,21 @@ from math import lcm
 
 import pytest
 
-from planeaut import (BinarySequence, CERTIFICATE, CoeffSequence, CycNum,
-                      DomainMismatchError, SATISFIABLE,
+from planeaut import (CERTIFICATE, CoeffSequence, CycNum, DomainMismatchError,
+                      EventuallyPeriodic, SATISFIABLE,
                       SparsePoly, TriangularAffine, differ_infinitely,
                       necessary_condition, omega0_family,
                       verify_subgroup_conjugator)
 from planeaut.conjugacy import MAX_FAMILY
 
-from conftest import random_cycnum, random_root, random_sequence
+from conftest import random_cycnum, random_prefix, random_root, random_sequence
 
 
 def brute_differ(lam, mu):
     """Independent oracle: scan three lcm-periods past both prefixes."""
     start = max(len(lam.prefix), len(mu.prefix))
     window = 3 * lcm(lam.period, mu.period)
-    return any(lam.bit(start + o) != mu.bit(start + o) for o in range(window))
+    return any(lam.entry(start + o) != mu.entry(start + o) for o in range(window))
 
 
 SUPPORTS = "supports disagree on a periodic index set"
@@ -61,25 +61,25 @@ def check_against_scan(a, b, k0):
 def random_binary(rng):
     prefix = [rng.randint(0, 1) for _ in range(rng.randint(0, 5))]
     tail = [rng.randint(0, 1) for _ in range(rng.randint(1, 6))]
-    return BinarySequence(prefix, tail)
+    return EventuallyPeriodic(prefix, tail)
 
 
 class TestDifferInfinitely:
     def test_equal_sequences(self):
-        ones = BinarySequence((), (1,))
+        ones = EventuallyPeriodic((), (1,))
         assert not differ_infinitely(ones, ones)
 
     def test_alternating_vs_ones(self):
-        ones = BinarySequence((), (1,))
-        alt = BinarySequence((), (1, 0))
+        ones = EventuallyPeriodic((), (1,))
+        alt = EventuallyPeriodic((), (1, 0))
         assert differ_infinitely(ones, alt)
 
     def test_finite_flips_are_equivalent(self):
-        lam = BinarySequence((1, 1, 1, 0, 1, 0, 1, 1), (1, 0, 1))
+        lam = EventuallyPeriodic((1, 1, 1, 0, 1, 0, 1, 1), (1, 0, 1))
         flipped = list(lam.prefix)
         for i in range(3, 8):
             flipped[i] ^= 1
-        mu = BinarySequence(flipped, lam.tail)
+        mu = EventuallyPeriodic(flipped, lam.tail)
         assert not differ_infinitely(lam, mu)
 
     def test_matches_brute_force(self):
@@ -91,8 +91,8 @@ class TestDifferInfinitely:
     def test_coeff_sequences_agree_with_certificate_and_brute_force(self):
         # the support of a coefficient sequence is its bit pattern
         def support(s):
-            return BinarySequence([bool(c) for c in s.prefix],
-                                  [bool(c) for c in s.tail])
+            return EventuallyPeriodic([bool(c) for c in s.prefix],
+                                      [bool(c) for c in s.tail])
 
         rng = random.Random(107)
         verdicts, outcomes = set(), set()
@@ -110,14 +110,9 @@ class TestDifferInfinitely:
         assert verdicts == {True, False}
         assert outcomes == {SUPPORTS, RATIOS, SATISFIABLE}
 
-    @pytest.mark.parametrize("prefix,tail", [
-        pytest.param((), (), id="empty-block"),
-        pytest.param((1, 2), (1,), id="two-in-prefix"),
-        pytest.param((), (0, 1, -1), id="minus-one-in-block"),
-    ])
-    def test_rejects_empty_block_and_non_bits(self, prefix, tail):
-        with pytest.raises(ValueError):
-            BinarySequence(prefix, tail)
+    def test_rejects_empty_block(self):
+        with pytest.raises(ValueError, match="the repeating block must be nonempty"):
+            EventuallyPeriodic((), ())
 
     def test_symmetry(self):
         rng = random.Random(101)
@@ -303,6 +298,40 @@ class TestNecessaryCondition:
         with pytest.raises(DomainMismatchError):
             necessary_condition(CoeffSequence(2, [1]), CoeffSequence(3, [1]), 0)
 
+    def test_lone_common_index_per_period(self):
+        # from k=0 the anchors 0 and 2 need beta^8 = 4, which has no rational
+        # root; from k=1 the one common index per period, k = 2 mod 3, fixes
+        # gamma with beta = 1
+        a = CoeffSequence(3, [2], [0, 5, 0])
+        b = CoeffSequence(3, [1], [0, 10, 0])
+        report = necessary_condition(a, b, 0)
+        assert report.verdict == SATISFIABLE
+        assert report.beta == 1 and report.gamma == Fraction(1, 2)
+        assert report.effective_from == 1
+
+    def test_one_common_index_per_period_agrees_with_scan(self):
+        # the anchors k* and k* + period that a longer window would add have
+        # ratio 1, so one joint period decides as three do
+        rng = random.Random(137)
+        outcomes = set()
+        for _ in range(150):
+            p = rng.choice([2, 3])
+            period = rng.randint(1, 4)
+            offset = rng.randrange(period)
+
+            def sequence():
+                # nonzero past the prefix exactly at the k = offset mod period
+                prefix = random_prefix(rng, rng.randint(0, 4))
+                tail = [random_cycnum(rng, p, max_level=1, nonzero=True)
+                        if (len(prefix) + j) % period == offset else 0
+                        for j in range(period)]
+                return CoeffSequence(p, prefix, tail)
+
+            a, b = sequence(), sequence()
+            for k0 in (None, 0, rng.randint(0, 6)):
+                outcomes.add(check_against_scan(a, b, k0))
+        assert outcomes == {SATISFIABLE}
+
 
 class TestVerifyConjugator:
     def test_identity_on_equal_sequences(self):
@@ -337,6 +366,11 @@ class TestVerifyConjugator:
             report = necessary_condition(a, b, 0)
             assert report.verdict == SATISFIABLE
             assert report.beta == beta
+
+    def test_mixed_primes_rejected(self):
+        with pytest.raises(DomainMismatchError, match="mixed primes 2 and 3"):
+            verify_subgroup_conjugator(CoeffSequence(2, [1]), CoeffSequence(3, [1]),
+                                       TriangularAffine.identity(), 1)
 
     def test_certificate_pairs_defeat_random_conjugators(self):
         rng = random.Random(109)

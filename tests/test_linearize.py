@@ -42,6 +42,17 @@ class TestSolve:
         assert not result.found
         assert result.obstruction_degree == 3
 
+    def test_resonant_degree_beats_a_larger_one_above_the_bound(self):
+        # alpha = -1: degree 3 has no solution, degree 6 would exceed the bound
+        result = solve_linearization(parse_endo("(-x1 + x2^3 + x2^6, -x2)"), 2)
+        assert result.obstruction_degree == 3
+
+    def test_empty_profile_gives_identity(self):
+        # alpha = 1 makes every degree resonant, but S has none
+        result = solve_linearization(parse_endo("(x1, x2)"), 1)
+        assert result.theta == TriangularAffine.identity()
+        assert result.h == TriangularAffine.identity()
+
     def test_shape_check_failures(self):
         shape = re.escape("the target must have the shape (alpha*x1 + S(x2), alpha*x2)")
         with pytest.raises(ShapeError, match=shape):

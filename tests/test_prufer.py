@@ -77,6 +77,10 @@ class TestSeriesTruncation:
         assert series_truncation(s, 2) == parse_endo(
             "(x1 + x2^2 + x2^3 + x2^5, x2)")
 
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="truncation bound must be nonnegative"):
+            series_truncation(CoeffSequence(2, [1]), -1)
+
 
 class TestClosedForm:
     def test_alpha_one_gives_identity(self):
