@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(run=_cmd_nonconj_check)
 
     sub = commands.add_parser("verify-conjugator",
-                              help="check a claimed conjugator level by level")
+                              help="check a claimed conjugator on levels 1..N, "
+                                   "read off its coefficients with no composition")
     _add_sequence_flags(sub)
     sub.add_argument("--theta")
     sub.add_argument("--levels", type=int, default=None)

@@ -34,8 +34,9 @@ from fractions import Fraction
 
 from .cyclotomic import (CycNum, DomainMismatchError, RootOfUnity,
                          root_of_unity_splits)
-from .endo import TriangularAffine, compose
-from .prufer import CoeffSequence, EventuallyPeriodic, conj_closed_form
+# compose and conj_closed_form are unused here, but perfbench/tracing.py wraps them
+from .endo import TriangularAffine, compose  # noqa: F401
+from .prufer import CoeffSequence, EventuallyPeriodic, conj_closed_form  # noqa: F401
 
 SATISFIABLE = "condition-satisfiable"
 CERTIFICATE = "non-conjugate-certificate"
@@ -146,6 +147,18 @@ def _beta_power(scale: Fraction, root: RootOfUnity, e: int) -> CycNum:
     return CycNum.rational(scale ** e) * (root ** e).to_field()
 
 
+def _matches(a: CoeffSequence, b: CoeffSequence, k: int, gamma, beta_power,
+             g_k: CycNum = CycNum.zero()) -> bool:
+    """Whether g_k = gamma*b_k - a_k*beta^(p^k+1), where beta_power(e) is
+    beta^e, formed only where a_k != 0.  The sides are compared, not
+    subtracted, so scalars of two towers meet in a sum only where g_k != 0."""
+    lhs = g_k
+    if not a.coeff(k).is_zero:
+        term = a.coeff(k) * beta_power(a.prime ** k + 1)
+        lhs = lhs + term if lhs else term
+    return lhs == gamma * b.coeff(k)
+
+
 def _candidates_from(a: CoeffSequence, b: CoeffSequence, start: int,
                      common: list[int], join: int, period: int,
                      infinite_support: bool):
@@ -173,10 +186,9 @@ def _candidates_from(a: CoeffSequence, b: CoeffSequence, start: int,
         gamma = (a.coeff(k_star) * _beta_power(scale, root, p ** k_star + 1)
                  / b.coeff(k_star))
         # all is periodic past max(join, root.level, 1), so one more period
-        # decides every k >= start; where both entries vanish any beta holds,
-        # and skipping them spares scale^(p^k+1) past a finite support
-        if all((a.coeff(k).is_zero and b.coeff(k).is_zero)
-               or a.coeff(k) * _beta_power(scale, root, p ** k + 1) == gamma * b.coeff(k)
+        # decides every k >= start; where a_k = 0 the condition does not involve
+        # beta, which spares scale^(p^k+1) past a finite support
+        if all(_matches(a, b, k, gamma, lambda e: _beta_power(scale, root, e))
                for k in range(start, max(join, root.level, 1) + period)):
             return (scale, root, gamma)
     return None
@@ -242,19 +254,38 @@ def necessary_condition(a: CoeffSequence, b: CoeffSequence,
 
 def verify_subgroup_conjugator(a: CoeffSequence, b: CoeffSequence,
                                theta: TriangularAffine, levels: int) -> bool:
-    """Check the intertwining identity conj_a(alpha) * theta = theta * conj_b(alpha).
+    """Check conj_a(alpha) * theta = theta * conj_b(alpha) at every level
+    1..levels from the coefficients of theta = (gamma*x1 + g(x2), beta*x2 +
+    beta0), with no composition.
 
-    One primitive root per level generates the level subgroup, so levels
-    1..levels are each checked with a single alpha.
+    By conj_closed_form, the identity at a root of level n holds exactly when
+    beta0 = 0, g_{p^k+1} = gamma*b_k - a_k*beta^(p^k+1) for every k < n and
+    g_d = 0 for every other d != 1 with p^n not dividing d - 1.  alpha ->
+    conj_a(alpha) is a homomorphism and a root of level `levels` generates
+    every lower level, so that level decides all.  Past max(join, k_g), k_g
+    the least k with p^k + 1 > deg g, g has no term and both sequences repeat
+    with the joint period P; the condition at k and k + P gives a_k = b_k = 0
+    or beta^(p^k (p^P - 1)) = 1, and so holds on the residue class of k.  Two
+    periods past that point decide every k.
     """
     if a.prime != b.prime:
         raise DomainMismatchError(f"mixed primes {a.prime} and {b.prime}")
     if levels < 1:
         raise ValueError("levels must be at least 1")
-    for n in range(1, levels + 1):
-        alpha = RootOfUnity(a.prime, n, 1)
-        lhs = compose(conj_closed_form(a, alpha), theta)
-        rhs = compose(theta, conj_closed_form(b, alpha))
-        if lhs != rhs:
-            return False
-    return True
+    if theta.beta0:
+        return False
+    p = a.prime
+    degrees = theta.g.x2_profile()
+    join, period = a.joint_region(b)
+    k_g = 0
+    while p ** k_g + 1 <= max(degrees, default=0):
+        k_g += 1
+    shifts = [p ** k + 1 for k in range(min(levels, max(join, k_g) + 2 * period))]
+    # any other g_d vanishes unless p^levels divides d - 1; p^(bit length of
+    # d) exceeds d - 1, so p^levels is formed no larger than that
+    if any(d not in shifts and (d == 0 or (d - 1) % p ** min(levels, d.bit_length()))
+           for d in degrees):
+        return False
+    return all(_matches(a, b, k, theta.gamma, theta.beta.__pow__,
+                        theta.g.coefficient(0, d))
+               for k, d in enumerate(shifts))

@@ -193,6 +193,29 @@ class TestCommands:
                            "--theta", "(x1, x2/2)", "--levels", "3")
         assert (code, out) == (1, "FAIL: conjugator does not intertwine levels 1..3\n")
 
+    @pytest.mark.parametrize("levels", ["5000", str(10 ** 18)])
+    def test_verify_conjugator_any_number_of_levels(self, levels):
+        # the top level alone decides, and two periods past the prefixes
+        assert fresh_process("verify-conjugator", "--p", "2", "--prefix", "1",
+                             "--prefix", "1", "--theta", "(x1,x2)", "--levels", levels,
+                             timeout=5) == (
+            0, f"OK: conjugator intertwines levels 1..{levels}\n", "")
+
+    @pytest.mark.parametrize("flags,theta,expected", [
+        # a zero sequence never meets gamma: the verdict holds over C
+        pytest.param(("--p", "2", "--prefix", "0", "--prefix", "0"), "(z(3)*x1,x2)",
+                     (0, "OK: conjugator intertwines levels 1..2\n", ""), id="ok"),
+        pytest.param(("--p", "2", "--prefix", "z(4)", "--prefix", "z(4)"), "(z(3)*x1,x2)",
+                     (2, "", "error: mixed primes 3 and 2\n"), id="gamma-first"),
+        # a constant term in g fails before any arithmetic
+        pytest.param(("--p", "3", "--prefix", "1", "--prefix", "1"), "(z(4)*x1+1,x2)",
+                     (1, "FAIL: conjugator does not intertwine levels 1..2\n", ""),
+                     id="fail"),
+    ])
+    def test_verify_conjugator_theta_of_two_towers(self, capsys, flags, theta, expected):
+        assert run(capsys, "verify-conjugator", *flags, "--theta", theta,
+                   "--levels", "2") == expected
+
     @pytest.mark.parametrize("argv,expected", [
         (("verify-formula", "--p", "2", "--prefix", "1,0,1",
           "--alpha=1/1099511627776"), GOLDEN_VERIFY),
@@ -608,6 +631,11 @@ def alpha_flag(draw, p):
     return f"--alpha={draw(st.integers(-p ** 3, p ** 3))}/{p ** draw(st.integers(0, 3))}"
 
 
+# verify-conjugator reads one level and at most two periods past the
+# prefixes and deg g, whatever the number of levels
+LEVELS = st.integers(0, 10 ** 18)
+
+
 @st.composite
 def cli_requests(draw):
     command = draw(st.sampled_from(["compose", "invert", "conjugate", "linearize",
@@ -626,7 +654,7 @@ def cli_requests(draw):
     if command == "verify-conjugator":
         _, flags = draw(sequence_flags(2))
         return [command, *flags, f"--theta={draw(plane_maps(TRIANGULAR))}",
-                f"--levels={draw(st.integers(0, 3))}"]
+                f"--levels={draw(LEVELS)}"]
     if command == "order":
         # non-triangular maps are still composed with no budget, so they stay out
         return [command, draw(plane_maps(TRIANGULAR)),
@@ -646,8 +674,8 @@ def cli_requests(draw):
 
 MANIFEST_SEQUENCES = {"verify-formula": ("a",), "min-degree": ("a",),
                       "nonconj-check": ("a", "b"), "verify-conjugator": ("a", "b")}
-# any JSON value; integers stay within the drawn levels, since a field that
-# lands on "levels" is still checked level by level with no budget
+# any JSON value; integers stay within -3..3, since a field that lands on
+# "k0" makes nonconj-check's work grow with the bit length of p^k0
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=5),
     lambda inner: st.lists(inner, max_size=3)
@@ -674,7 +702,7 @@ def stdin_manifests(draw):
         manifest["k0"] = draw(st.integers(0, 6))
     if command == "verify-conjugator":
         manifest["theta"] = draw(plane_maps(TRIANGULAR))
-        manifest["levels"] = draw(st.integers(0, 3))
+        manifest["levels"] = draw(LEVELS)
     shape = draw(st.sampled_from(["valid", "non-object", "wrong-type", "deep"]))
     if shape == "non-object":
         manifest = draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))

@@ -7,11 +7,12 @@ from math import lcm
 import pytest
 
 from planeaut import (CERTIFICATE, CoeffSequence, CycNum, DomainMismatchError,
-                      EventuallyPeriodic, SATISFIABLE,
-                      SparsePoly, TriangularAffine, differ_infinitely,
+                      EventuallyPeriodic, RootOfUnity, SATISFIABLE,
+                      SparsePoly, TriangularAffine, compose, differ_infinitely,
                       necessary_condition, omega0_family,
                       verify_subgroup_conjugator)
 from planeaut.conjugacy import MAX_FAMILY
+from planeaut.prufer import conj_closed_form
 
 from conftest import random_cycnum, random_prefix, random_root, random_sequence
 
@@ -387,3 +388,119 @@ class TestVerifyConjugator:
                 SparsePoly.x1() * rng.choice(pool) + g,
                 SparsePoly.x2() * rng.choice(pool) + rng.choice(pool + [CycNum.zero()]))
             assert not verify_subgroup_conjugator(a, b, theta, 3)
+
+    def test_answers_at_once_for_any_level(self):
+        # beta0 != 0 fails before any level is read, zero entries leave beta = 2
+        # unpowered, and two periods past the prefixes decide every level
+        ones = CoeffSequence(2, [], [1])
+        shifted = TriangularAffine(SparsePoly.x1(), SparsePoly.x2() + 1)
+        assert not verify_subgroup_conjugator(ones, ones, shifted, 10)
+        zeros = CoeffSequence(2, [0] * 40)
+        doubling = TriangularAffine.scaling(1, 2)
+        assert verify_subgroup_conjugator(zeros, zeros, doubling, 40)
+        one = CoeffSequence(2, [1])
+        assert verify_subgroup_conjugator(one, one, TriangularAffine.identity(), 10 ** 18)
+
+    def test_matches_composition_loop(self):
+        rng = random.Random(113)
+        verdicts = set()
+        for i in range(330):
+            p, levels = (2, 3, 5)[i % 3], 1 + (i // 3) % 4
+            a, b, theta = (related_case if i % 2 else unrelated_case)(rng, p, levels)
+            kind = PERTURBATIONS[(i // 2) % 6]
+            for theta in (theta, perturbed(rng, theta, p, levels, kind)):
+                expected = outcome(composition_loop, a, b, theta, levels)
+                assert outcome(verify_subgroup_conjugator, a, b, theta, levels) == expected, \
+                    (i, a, b, theta, levels)
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+
+def composition_loop(a, b, theta, levels):
+    """The verifier as brute force: conj_a(alpha) * theta against
+    theta * conj_b(alpha) for a primitive root alpha of each level 1..levels."""
+    if a.prime != b.prime:
+        raise DomainMismatchError(f"mixed primes {a.prime} and {b.prime}")
+    if levels < 1:
+        raise ValueError("levels must be at least 1")
+    for n in range(1, levels + 1):
+        alpha = RootOfUnity(a.prime, n, 1)
+        if (compose(conj_closed_form(a, alpha), theta)
+                != compose(theta, conj_closed_form(b, alpha))):
+            return False
+    return True
+
+
+def outcome(check, *args):
+    """The verdict, or the type of the exception raised."""
+    try:
+        return check(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def shift_terms(a, b, gamma, beta, p, levels) -> SparsePoly:
+    """sum over k < levels of (gamma*b_k - a_k*beta^(p^k+1)) x2^(p^k+1)."""
+    return SparsePoly({(0, p ** k + 1):
+                       gamma * b.coeff(k) - a.coeff(k) * beta ** (p ** k + 1)
+                       for k in range(levels)})
+
+
+def related_case(rng, p, levels):
+    """(a, b, theta) that intertwine levels 1..levels: b_k = a_k beta^(p^k+1)/gamma
+    at most indices (every tail index when beta is a signed root), and g
+    from the identity."""
+    a = random_sequence(rng, p)
+    scale = rng.choice([1, 1, -1, 2])
+    root = random_root(rng, p, max_level=2)
+    beta = CycNum.rational(scale) * root.to_field()
+    gamma = random_cycnum(rng, p, max_level=2, nonzero=True)
+
+    def matched(k):
+        return a.coeff(k) * beta ** (p ** k + 1) / gamma
+
+    start = max(len(a.prefix), root.level, 1)
+    prefix = [matched(k) if rng.random() < 0.7 else random_cycnum(rng, p, max_level=2)
+              for k in range(start)]
+    tail = ([matched(k) for k in range(start, start + a.period)] if abs(scale) == 1
+            else None)
+    b = CoeffSequence(p, prefix, tail)
+    g = shift_terms(a, b, gamma, beta, p, levels)
+    return a, b, TriangularAffine(SparsePoly.x1() * gamma + g, SparsePoly.x2() * beta)
+
+
+def unrelated_case(rng, p, levels):
+    """(a, b, theta) with random scalars and g, or with a = b of no prefix,
+    g from the identity below a cut and gamma = beta^(p^cut+1): the matching
+    conditions then hold below the cut and at k >= cut exactly where
+    beta^(p^k+1) = beta^(p^cut+1), so a failure may come late."""
+    if rng.random() < 0.5:
+        a, b = random_sequence(rng, p), random_sequence(rng, p)
+        gamma = random_cycnum(rng, p, max_level=2, nonzero=True)
+        beta = random_cycnum(rng, p, max_level=2, max_terms=1, nonzero=True)
+        degrees = [rng.randint(1, p ** levels + 2) for _ in range(rng.randint(0, 3))]
+        g = SparsePoly({(0, d): random_cycnum(rng, p, max_level=2) for d in degrees})
+    else:
+        a = b = CoeffSequence(p, [], random_prefix(rng, rng.randint(1, 2)))
+        beta = random_root(rng, p).to_field()
+        cut = rng.randint(0, levels)
+        gamma = beta ** (p ** cut + 1)
+        g = shift_terms(a, b, gamma, beta, p, cut)
+    return a, b, TriangularAffine(SparsePoly.x1() * gamma + g, SparsePoly.x2() * beta)
+
+
+PERTURBATIONS = ("x2", "free", "constant", "shift", "other", "beta0")
+
+
+def perturbed(rng, theta, p, levels, kind):
+    """theta with one term added: c*x2 or c*x2^d with p^levels | d - 1, which
+    the identity leaves free; a constant; c*x2^(p^k+1) for some k < levels;
+    c*x2^d with d - 1 = (p+1)*p^k, k < levels, which must vanish; or c added
+    to beta*x2."""
+    c = random_cycnum(rng, p, max_level=2, nonzero=True)
+    if kind == "beta0":
+        return TriangularAffine(theta.f1, theta.f2 + c)
+    degree = {"x2": 1, "free": 1 + rng.choice([1, 2, p]) * p ** levels, "constant": 0,
+              "shift": p ** rng.randrange(levels) + 1,
+              "other": (p + 1) * p ** rng.randrange(levels) + 1}[kind]
+    return TriangularAffine(theta.f1 + SparsePoly.monomial(0, degree, c), theta.f2)
