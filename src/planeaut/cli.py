@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(run=_cmd_invert)
 
     sub = commands.add_parser("order", help="multiplicative order: closed form for "
-                              "triangular-affine maps, iterated composition otherwise")
+                              "triangular-affine maps, else powers until one outgrows it")
     sub.add_argument("endo")
     sub.add_argument("--max-order", type=int, default=256)
     sub.set_defaults(run=_cmd_order)

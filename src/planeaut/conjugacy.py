@@ -120,16 +120,13 @@ def _integer_root(n: int, t: int) -> int | None:
 
 def _rational_roots(q: Fraction, t: int) -> list[Fraction]:
     """All rational r with r^t = q, for q != 0."""
-    negative = q < 0
-    if negative and t % 2 == 0:
+    if q < 0 and t % 2 == 0:
         return []
     num = _integer_root(abs(q.numerator), t)
     den = _integer_root(q.denominator, t)
     if num is None or den is None:
         return []
-    r = Fraction(num, den)
-    if negative:
-        return [-r]
+    r = Fraction(num if q > 0 else -num, den)
     return [r, -r] if t % 2 == 0 else [r]
 
 

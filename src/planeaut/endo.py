@@ -105,7 +105,11 @@ def endo_order(psi: PlaneEndo, max_order: int) -> int | None:
     ord beta), and psi^m = (x1 + h(x2), x2 + c) has infinite order in
     characteristic 0 unless it is the identity, so only psi^m is formed, by
     repeated squaring.  Any other map is composed with itself up to max_order
-    times.
+    times, returning None at the first power whose degree (the larger of its
+    components' total degrees) exceeds psi's.  A map of finite order is an
+    automorphism; a finite group acting on the Bass-Serre tree of Aut =
+    affine *_B triangular (Jung 1942; van der Kulk 1953) fixes a vertex (Serre,
+    *Trees*), so psi = w^-1 * L * w, L affine, and no w^-1 * L^k * w outgrows psi.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -113,21 +117,21 @@ def endo_order(psi: PlaneEndo, max_order: int) -> int | None:
     try:
         t = TriangularAffine(psi.f1, psi.f2)
     except ValueError:
-        pass
-    else:
-        orders = multiplicative_order(t.gamma), multiplicative_order(t.beta)
-        if None in orders or (m := lcm(*orders)) > max_order:
-            return None
-        power = psi
-        for bit in bin(m)[3:]:      # the bits of m after the leading one
-            power = compose(power, power)
-            if bit == "1":
-                power = compose(power, psi)
-        return m if power == ident else None
+        bound, power = max(psi.f1.degree, psi.f2.degree), psi
+        for k in range(1, max_order + 1):
+            if power == ident:
+                return k
+            if max(power.f1.degree, power.f2.degree) > bound:
+                return None
+            power = compose(power, psi)
+        return None
+    orders = multiplicative_order(t.gamma), multiplicative_order(t.beta)
+    if None in orders or (m := lcm(*orders)) > max_order:
+        return None
     power = psi
-    for k in range(1, max_order + 1):
-        if power == ident:
-            return k
-        power = compose(power, psi)
-    return None
+    for bit in bin(m)[3:]:      # the bits of m after the leading one
+        power = compose(power, power)
+        if bit == "1":
+            power = compose(power, psi)
+    return m if power == ident else None
 

@@ -8,6 +8,8 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import planeaut.prufer as prufer
+from planeaut import PlaneEndo
 from planeaut.cli import main
 
 
@@ -56,6 +58,19 @@ class TestGoldenTranscripts:
         assert code == 1
         assert out == GOLDEN_NONCONJ
 
+    def test_verify_formula_mismatch(self, capsys, monkeypatch):
+        # a closed form with a changed x2 scalar differs from the composition
+        right = prufer.conj_closed_form
+
+        def wrong(s, alpha):
+            form = right(s, alpha)
+            return PlaneEndo(form.f1, form.f2 * 2)
+
+        monkeypatch.setattr(prufer, "conj_closed_form", wrong)
+        assert run(capsys, "verify-formula", "--p", "2", "--prefix", "1,1",
+                   "--alpha", "1/2") == (
+            1, "MISMATCH: closed form differs from composition\n", "")
+
     def test_determinism(self, capsys):
         first = run(capsys, "linearize", "--target", "(-x1 - 2*x2^2, -x2)",
                     "--max-degree", "2")
@@ -83,6 +98,11 @@ class TestCommands:
         code, out, _ = run(capsys, "order", "(x1 + x2^2, x2)",
                            "--max-order", "10")
         assert (code, out) == (1, "no order found up to 10\n")
+
+    def test_order_stops_once_a_power_outgrows_the_map(self):
+        # deg psi^k = 2^k, so the second power already ends the loop
+        assert fresh_process("order", "(x2, x1 + x2^2)", "--max-order", "30",
+                             timeout=5) == (1, "no order found up to 30\n", "")
 
     def test_order_not_found_under_a_large_bound(self, capsys):
         # infinite order is read off the scalars, so the bound sets no work
@@ -656,9 +676,7 @@ def cli_requests(draw):
         return [command, *flags, f"--theta={draw(plane_maps(TRIANGULAR))}",
                 f"--levels={draw(LEVELS)}"]
     if command == "order":
-        # non-triangular maps are still composed with no budget, so they stay out
-        return [command, draw(plane_maps(TRIANGULAR)),
-                f"--max-order={draw(st.integers(0, 64))}"]
+        return [command, draw(plane_maps()), f"--max-order={draw(st.integers(0, 64))}"]
     first, second = draw(plane_maps()), draw(plane_maps())
     if draw(st.integers(0, 3)) == 0:
         deep = draw(DEEP)

@@ -8,8 +8,9 @@ import pytest
 
 from planeaut import (CycNum, PlaneEndo, SparsePoly, TriangularAffine,
                       compose, conjugate, endo_order, parse_endo)
+from planeaut import endo
 
-from conftest import NONZERO_POOL, random_cycnum, random_poly
+from conftest import COEFF_POOL, NONZERO_POOL, random_cycnum, random_poly
 
 x1 = SparsePoly.x1
 x2 = SparsePoly.x2
@@ -205,6 +206,31 @@ def order_oracle_cases(seed, count):
             yield psi, max(1, m + rng.choice((-1, 0, 5)))
 
 
+def map_degree(psi):
+    """The larger total degree of the two components."""
+    return max(psi.f1.degree, psi.f2.degree)
+
+
+def finite_order_cases(seed, count):
+    """(psi, max_order) for psi = w^-1 * D * w with w = t * swap: t is
+    triangular with deg g = 2 and D is diagonal with roots of order at most 4
+    in the 2- or the 3-tower.  max_order is the order minus one, the order,
+    or 12."""
+    rng = random.Random(seed)
+    swap = parse_endo("(x2, x1)")
+    roots = {2: [CycNum.zeta(2, n, j) for n in (0, 1, 2) for j in range(2 ** n)],
+             3: [CycNum.zeta(3, 1, j) for j in range(3)]}
+    for _ in range(count):
+        p = rng.choice((2, 3))
+        g = x2() ** 2 * rng.choice(NONZERO_POOL) + x2() * rng.choice(COEFF_POOL)
+        t = TriangularAffine(x1() * rng.choice(NONZERO_POOL) + g,
+                             x2() * rng.choice(NONZERO_POOL) + rng.choice(COEFF_POOL))
+        d = TriangularAffine.scaling(rng.choice(roots[p]), rng.choice(roots[p]))
+        psi = compose(compose(compose(swap, t.inverse()), d), compose(t, swap))
+        order = brute_order(psi, 12)
+        yield psi, rng.choice((order - 1, order, 12)) or 1
+
+
 class TestOrder:
     def test_matches_composition_loop(self):
         found = set()
@@ -222,6 +248,37 @@ class TestOrder:
 
     def test_identity(self):
         assert endo_order(PlaneEndo.identity(), 5) == 1
+
+    @pytest.mark.parametrize("text,order", [("(x2, x1)", 2), ("(x2, -x1)", 4)])
+    def test_degree_stop_keeps_finite_orders(self, text, order):
+        assert endo_order(parse_endo(text), 30) == order
+
+    def test_conjugated_diagonal_maps_match_composition_loop(self):
+        degrees = set()
+        for psi, max_order in finite_order_cases(101, 40):
+            order = brute_order(psi, 12)
+            assert endo_order(psi, max_order) == brute_order(psi, max_order), str(psi)
+            power = psi
+            for _ in range(order):
+                # no power up to the order outgrows psi
+                assert map_degree(power) <= map_degree(psi), str(psi)
+                power = compose(power, psi)
+            degrees.add(map_degree(psi))
+        # degree 1 where the x2^2 term of t cancels, degree 2 where it stays
+        assert degrees == {1, 2}
+
+    def test_degree_stop_ends_infinite_order(self, monkeypatch):
+        # deg psi^k = 2^k: psi^2 already outgrows psi, so one composition decides
+        calls = []
+
+        def counted(phi, psi):
+            calls.append(phi)
+            assert len(calls) == 1, "composed again after a power outgrew psi"
+            return compose(phi, psi)
+
+        monkeypatch.setattr(endo, "compose", counted)
+        assert endo_order(parse_endo("(x2, x1 + x2^2)"), 10 ** 9) is None
+        assert len(calls) == 1
 
     def test_order_two(self):
         assert endo_order(parse_endo("(-x1 - 2*x2^2, -x2)"), 8) == 2

@@ -8,6 +8,8 @@ from planeaut import (CoeffSequence, CycNum, DomainMismatchError, PlaneEndo,
                       RootOfUnity, SparsePoly, TriangularAffine, compose,
                       conj_closed_form, conjugate, diag, endo_order, parse_endo,
                       series_truncation, verify_formula)
+from planeaut import prufer
+from planeaut.prufer import exponent_of
 
 from conftest import random_prefix, random_root, random_sequence
 
@@ -146,6 +148,101 @@ class TestVerifyFormula:
             base = conjugate(diag(alpha), series_truncation(s, 2))
             for n in (3, 4):
                 assert conjugate(diag(alpha), series_truncation(s, n)) == base
+
+
+def three_truncations(s, alpha):
+    """The oracle: conjugate diag(alpha) by the truncations at N, N+1 and
+    N+2, N = level(alpha), each against the closed form."""
+    expected = conj_closed_form(s, alpha)
+    n = alpha.level
+    for trunc in range(n, n + 3):
+        theta = series_truncation(s, trunc)
+        if conjugate(diag(alpha), theta) != expected:
+            return False
+    return True
+
+
+CLOSED_FORM = conj_closed_form
+
+
+def formula_cases(seed):
+    """(s, alpha) for p in {2, 3, 5} and alpha of level 0-3, two of each."""
+    rng = random.Random(seed)
+    for p in (2, 3, 5):
+        for level in range(4):
+            for _ in range(2):
+                exp = rng.choice([j for j in range(p ** level) if j % p]) if level else 0
+                yield random_sequence(rng, p, max_prefix=5), RootOfUnity(p, level, exp)
+
+
+def dropped_term(k):
+    """The closed form without its x2^(p^k+1) term."""
+    def wrong(s, alpha):
+        right = CLOSED_FORM(s, alpha)
+        mono = (0, exponent_of(s.prime, k))
+        return PlaneEndo(SparsePoly({m: c for m, c in right.f1.terms() if m != mono}),
+                         right.f2)
+    return wrong
+
+
+def extra_term(offset):
+    """The closed form plus x2^(p^k+1) for k = level(alpha) + offset."""
+    def wrong(s, alpha):
+        right = CLOSED_FORM(s, alpha)
+        extra = SparsePoly.monomial(0, exponent_of(s.prime, alpha.level + offset))
+        return PlaneEndo(right.f1 + extra, right.f2)
+    return wrong
+
+
+def changed_x2_scalar(s, alpha):
+    right = CLOSED_FORM(s, alpha)
+    return PlaneEndo(right.f1, right.f2 * 2)
+
+
+class TestOneTruncation:
+    """verify_formula conjugates once, at N + 2, and gives the verdict of the
+    loop over N, N+1 and N+2 that it replaced, also on wrong closed forms."""
+
+    @staticmethod
+    def agree(s, alpha):
+        verdict = verify_formula(s, alpha)
+        assert verdict == three_truncations(s, alpha), (s, alpha)
+        return verdict
+
+    @staticmethod
+    def patch(monkeypatch, wrong):
+        monkeypatch.setattr(prufer, "conj_closed_form", wrong)
+        monkeypatch.setitem(globals(), "conj_closed_form", wrong)
+
+    def test_as_built(self):
+        for s, alpha in formula_cases(89):
+            assert self.agree(s, alpha)
+
+    def test_dropped_term_below_the_level(self, monkeypatch):
+        rng = random.Random(97)
+        verdicts = []
+        for s, alpha in formula_cases(89):
+            if not alpha.level:
+                continue
+            k = rng.randrange(alpha.level)
+            self.patch(monkeypatch, dropped_term(k))
+            verdict = self.agree(s, alpha)
+            # a wrong form only where the dropped term is nonzero
+            assert verdict == CLOSED_FORM(s, alpha).f1.coefficient(
+                0, exponent_of(s.prime, k)).is_zero
+            verdicts.append(verdict)
+        assert set(verdicts) == {True, False}
+
+    @pytest.mark.parametrize("offset", [0, 1, 2, 3])
+    def test_extra_term_at_or_above_the_level(self, monkeypatch, offset):
+        self.patch(monkeypatch, extra_term(offset))
+        for s, alpha in formula_cases(89):
+            assert not self.agree(s, alpha)
+
+    def test_changed_x2_scalar(self, monkeypatch):
+        self.patch(monkeypatch, changed_x2_scalar)
+        for s, alpha in formula_cases(89):
+            assert not self.agree(s, alpha)
 
 
 class TestEmbedding:
