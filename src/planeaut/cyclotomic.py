@@ -4,7 +4,8 @@ A value is a sparse combination of the power basis 1, zeta, ...,
 zeta^(phi(m)-1) modulo the m-th cyclotomic polynomial: the sorted
 (exponent, int) pairs of its nonzero numerators over one positive
 denominator, which shares no factor with them (Cohen, GTM 138, 4.2).  A
-product then reduces once per value, not once per coefficient.  The form is
+product then reduces once per value, not once per coefficient, and a sum of
+any number of values (CycNum.sum) reduces once in all.  The form is
 canonical: a value is stored at the lowest level that contains it (plain
 rationals at level 0, zero as no terms over 1), so equality is a plain
 tuple comparison.  A root zeta^j of order p^n (0 < j < p^n) is one term
@@ -203,22 +204,39 @@ class CycNum:
         p = self.prime if self.prime is not None else other.prime
         return p, max(self.level, other.level)
 
+    @staticmethod
+    def sum(values) -> "CycNum":
+        """The sum of a sequence of values over one prime, reduced once:
+        each is lifted (below phi already) to the top level, over the lcm of
+        the denominators, into one exponent map for one _make.  A second
+        prime raises DomainMismatchError, even where a pairwise fold would
+        first cancel to a rational."""
+        if len(values) == 1:
+            return values[0]
+        p, n, den = None, 0, 1
+        for v in values:
+            if v.level:
+                if v.prime != p:
+                    if p is not None:
+                        raise DomainMismatchError(f"mixed primes {p} and {v.prime}")
+                    p = v.prime
+                if v.level > n:
+                    n = v.level
+            if v.den != den:
+                den = lcm(den, v.den)
+        out: dict[int, int] = {}
+        get = out.get
+        for v in values:
+            f = den // v.den
+            for e, c in v._lift(p, n):
+                out[e] = get(e, 0) + f * c
+        return CycNum._make(p, n, out, den)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p, n = self._common(o)
-        a, b = self._lift(p, n), o._lift(p, n)
-        den = self.den
-        if o.den != den:
-            den = lcm(den, o.den)
-            fa, fb = den // self.den, den // o.den
-            a = [(e, fa * c) for e, c in a]
-            b = [(e, fb * c) for e, c in b]
-        out = dict(a)
-        for e, c in b:
-            out[e] = out.get(e, 0) + c
-        return CycNum._make(p, n, out, den)
+        return CycNum.sum((self, o))
 
     __radd__ = __add__
 

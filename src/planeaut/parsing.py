@@ -17,23 +17,35 @@ Scalars: rationals as `a/b` or integers, roots of unity as `z(m)` meaning
 e^(2*pi*i/m) with m a prime power.  Constants are evaluated in the field
 (CycNum); a value becomes a SparsePoly only where it meets x1 or x2, so a
 scalar, and a divisor, is an expression that mentions neither x1 nor x2.
-Division requires a nonzero scalar divisor.  Parentheses nest at most
-MAX_NESTING deep, so that no input exhausts the recursion limit.  The
-printers on CycNum/SparsePoly/PlaneEndo emit canonical forms this grammar
-parses back bit-exactly.
+Division requires a nonzero scalar divisor.  A '+'/'-' chain of field
+values over one prime is reduced once (CycNum.sum), and each z(m) modulus is
+decoded once, so a long literal reads in linear time.  A scalar power whose
+numerators are estimated at more than MAX_POWER_BITS bits is an error at its
+exponent; roots of unity, +-1 among them, raise to any power.  Parentheses
+nest at most MAX_NESTING deep, so that no input exhausts the recursion
+limit.  The printers on CycNum/SparsePoly/PlaneEndo emit canonical forms
+this grammar parses back bit-exactly.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from operator import add, mul, sub
 
-from .cyclotomic import CycNum, DomainMismatchError, prime_power_decompose
+from .cyclotomic import (PRIME_LIMIT, CycNum, DomainMismatchError,
+                         multiplicative_order, prime_power_decompose)
 from .poly import SparsePoly
 from .endo import PlaneEndo, TriangularAffine
 
 
 MAX_NESTING = 100
+
+# The most numerator bits a scalar power may be estimated at: seven times
+# what Python prints of an int by default (4,300 digits).  (1+z(7))^50000,
+# at the edge, takes 0.04 s (x86-64); a denser base costs more, with the
+# square of its term count.
+MAX_POWER_BITS = 100_000
 
 _OPS = {"+": add, "-": sub, "*": mul, "/": mul}
 
@@ -41,6 +53,24 @@ _OPS = {"+": add, "-": sub, "*": mul, "/": mul}
 # leave, so the scan covers the whole text.
 _TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
                     r"|(?P<symbol>[-+*/^(),])|(?P<space>\s+)|(?P<bad>.)", re.DOTALL)
+
+
+@lru_cache(maxsize=PRIME_LIMIT)
+def _root(m: int) -> CycNum:
+    """z(m) = e^(2*pi*i/m) in the field, decoded once per modulus; a
+    ValueError (m not a prime power) is raised afresh each time."""
+    p, n = prime_power_decompose(m)
+    return CycNum.zeta(p, n) if n else CycNum.one()
+
+
+def _power_bits(base: CycNum, e: int) -> int:
+    """An estimate of the numerator bits of base^e: e times the base's
+    largest numerator or denominator bit length, plus log2(terms) per factor
+    for a multi-term base, whose products carry into wider numerators."""
+    if not base.terms:
+        return 0
+    bits = max(base.den.bit_length(), *(abs(c).bit_length() for _, c in base.terms))
+    return e * (bits + (len(base.terms) - 1).bit_length())
 
 
 class ParseError(ValueError):
@@ -96,28 +126,51 @@ class _Parser:
 
     # grammar ----------------------------------------------------------
 
-    def binary(self, ops, operand) -> CycNum | SparsePoly:
-        value = operand()
-        while self.peek()[0] in ops:
+    def step(self, tok, value, rhs) -> CycNum | SparsePoly:
+        """One binary operation at tok, a mixed-prime error placed there."""
+        try:
+            return _OPS[tok[0]](value, rhs)
+        except DomainMismatchError as exc:
+            raise self.error(str(exc), tok) from None
+
+    def expr(self) -> CycNum | SparsePoly:
+        """A '+'/'-' chain.  Field operands over one prime are gathered,
+        negated for '-', and added by one CycNum.sum; at a polynomial
+        operand, or a field value over a second prime, what was gathered is
+        summed and the pairwise step is taken at that operator, so every
+        value, and every error with its position, is that of the left fold.
+        """
+        value = self.term()
+        gathered = [value] if isinstance(value, CycNum) else None
+        prime = value.prime if gathered else None
+        while self.peek()[0] in ("+", "-"):
             tok = self.advance()
-            rhs = operand()
+            rhs = self.term()
+            if (gathered is not None and isinstance(rhs, CycNum)
+                    and (not rhs.level or prime in (None, rhs.prime))):
+                gathered.append(-rhs if tok[0] == "-" else rhs)
+                prime = prime or rhs.prime
+                continue
+            if gathered is not None:
+                value = CycNum.sum(gathered)
+            value = self.step(tok, value, rhs)
+            gathered = [value] if isinstance(value, CycNum) else None
+            prime = value.prime if gathered else None
+        return value if gathered is None else CycNum.sum(gathered)
+
+    def term(self) -> CycNum | SparsePoly:
+        value = self.unary()
+        while self.peek()[0] in ("*", "/"):
+            tok = self.advance()
+            rhs = self.unary()
             if tok[0] == "/":
                 if isinstance(rhs, SparsePoly):
                     raise self.error("division by a non-constant expression", tok)
                 if rhs.is_zero:
                     raise self.error("division by zero", tok)
                 rhs = rhs.inverse()
-            try:
-                value = _OPS[tok[0]](value, rhs)
-            except DomainMismatchError as exc:
-                raise self.error(str(exc), tok) from None
+            value = self.step(tok, value, rhs)
         return value
-
-    def expr(self) -> CycNum | SparsePoly:
-        return self.binary(("+", "-"), self.term)
-
-    def term(self) -> CycNum | SparsePoly:
-        return self.binary(("*", "/"), self.unary)
 
     def unary(self) -> CycNum | SparsePoly:
         negate = False
@@ -129,10 +182,21 @@ class _Parser:
 
     def power(self) -> CycNum | SparsePoly:
         base = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            return base ** self.integer(self.expect("int"))
-        return base
+        if self.peek()[0] != "^":
+            return base
+        self.advance()
+        tok = self.expect("int")
+        e = self.integer(tok)
+        # a constant polynomial (x2 - x2 + 3) counts as its scalar; roots of
+        # unity (+-1 and z(m) among them) stay the same size
+        c = base
+        if isinstance(base, SparsePoly) and base.degree <= 0:
+            c = base.coefficient(0, 0)
+        if (isinstance(c, CycNum) and _power_bits(c, e) > MAX_POWER_BITS
+                and multiplicative_order(c) is None):
+            raise self.error("scalar power over the budget of "
+                             f"{MAX_POWER_BITS} numerator bits", tok)
+        return base ** e
 
     def atom(self) -> CycNum | SparsePoly:
         tok = self.advance()
@@ -157,10 +221,9 @@ class _Parser:
             self.expect(")")
             m = self.integer(mtok)
             try:
-                p, n = prime_power_decompose(m)
+                return _root(m)
             except ValueError as exc:
                 raise self.error(str(exc), mtok) from None
-            return CycNum.zeta(p, n) if n else CycNum.one()
         if kind == "name":
             raise self.error(f"unknown name {word!r} (expected x1, x2 or z)", tok)
         raise self.error(f"expected a value but found {word or 'end of input'!r}", tok)

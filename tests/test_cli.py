@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import planeaut.prufer as prufer
 from planeaut import PlaneEndo
 from planeaut.cli import main
+from planeaut.parsing import MAX_POWER_BITS
 
 
 def run(capsys, *argv):
@@ -447,6 +448,18 @@ class TestInputErrors:
         # one-line message names that limit, not a Python setting
         assert run(capsys, *argv) == (2, "", TOO_LONG_TO_PRINT)
         assert "sys." not in TOO_LONG_TO_PRINT
+
+    @pytest.mark.parametrize("argv,column", [
+        pytest.param(("compose", "((1+z(7))^10000000*x1, x2)", "(x1, x2)"), 11,
+                     id="compose"),
+        pytest.param(("verify-formula", "--p", "2", "--prefix", "1,3^30000000",
+                      "--alpha", "1/2"), 3, id="prefix-entry"),
+    ])
+    def test_scalar_power_over_the_budget_is_one_line_error(self, capsys, argv, column):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: scalar power over the budget of {MAX_POWER_BITS} "
+                       f"numerator bits (line 1, column {column})\n")
 
     def test_missing_subcommand_is_exit_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -37,6 +39,13 @@ class TestAddition:
 
     def test_mixed_levels(self):
         assert zeta(2, 1) + zeta(2, 2) ** 2 == -2  # zeta_2 + zeta_4^2 = -1 - 1
+
+    def test_sum_rejects_a_second_prime(self):
+        # even where the pairwise fold first cancels to a rational
+        for values in ([zeta(2, 2), CycNum.one(), zeta(3, 1)],
+                       [zeta(2, 2), -zeta(2, 2), zeta(3, 1)]):
+            with pytest.raises(DomainMismatchError, match="^mixed primes 2 and 3$"):
+                CycNum.sum(values)
 
 
 class TestMultiplication:
@@ -209,6 +218,21 @@ class TestCommonDenominator:
             assert parse_scalar(str(u)) == u
             v = random_cycnum(rng, p, max_level)
             assert parse_scalar(str(u * v)) == u * v
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from([2, 3, 5]), st.integers(1, 6))
+def test_sum_matches_the_pairwise_fold(seed, p, count):
+    """Mixed levels, denominators and rationals; negating a random part of
+    the operands makes totals that cancel to zero or drop a level."""
+    rng = random.Random(seed)
+    values = [rng.choice([random_cycnum(rng, p),
+                          wide_cycnum(rng, p, rng.randint(1, 2)),
+                          CycNum.rational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))])
+              for _ in range(count)]
+    values += [-v for v in values if rng.random() < 0.5]
+    rng.shuffle(values)
+    total = CycNum.sum(values)
+    assert total == reduce(add, values) and is_canonical(total)
 
 
 class TestIdentityShortcuts:

@@ -2,13 +2,16 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planeaut import (CycNum, ParseError, PlaneEndo, SparsePoly, parse_endo,
-                      parse_poly, parse_scalar, parse_triangular)
-from planeaut.parsing import MAX_NESTING
+from planeaut import (CycNum, DomainMismatchError, ParseError, PlaneEndo,
+                      SparsePoly, parse_endo, parse_poly, parse_scalar,
+                      parse_triangular)
+from planeaut.parsing import MAX_NESTING, MAX_POWER_BITS
 
 from conftest import random_cycnum, random_poly
 
@@ -74,6 +77,11 @@ class TestParseErrors:
     def test_mixed_primes_at_operator(self):
         with pytest.raises(ParseError, match="mixed primes 2 and 3") as err:
             parse_poly("x1 + z(4)*z(3)")
+        assert (err.value.line, err.value.column) == (1, 10)
+
+    def test_mixed_primes_in_a_sum_at_the_operator(self):
+        with pytest.raises(ParseError, match="mixed primes 2 and 3") as err:
+            parse_scalar("z(4) + 1 + z(3)")
         assert (err.value.line, err.value.column) == (1, 10)
 
     def test_missing_operand_at_end(self):
@@ -164,6 +172,10 @@ class TestParseScalar:
         assert parse_scalar("z(1)") == 1
         assert parse_scalar("1 + -1*z(4)") == 1 - CycNum.zeta(2, 2)
 
+    def test_sum_that_cancels_before_a_second_prime(self):
+        # the left fold is 0 when z(3) meets it, so no primes mix
+        assert parse_scalar("z(4) - z(4) + z(3)") == CycNum.zeta(3, 1)
+
     def test_rejects_polynomial(self):
         with pytest.raises(ParseError):
             parse_scalar("x1 + 1")
@@ -187,6 +199,52 @@ class TestParseScalar:
 
     def test_root_modulus_at_the_prime_limit(self):
         assert parse_scalar("z(997)^996") == CycNum.zeta(997, 1, 996)
+
+
+def over_budget(text, column):
+    with pytest.raises(ParseError, match="^scalar power over the budget of "
+                       f"{MAX_POWER_BITS} numerator bits") as err:
+        parse_scalar(text)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
+class TestPowerBudget:
+    @pytest.mark.parametrize("text,column", [
+        pytest.param("(1+z(7))^1000000", 10, id="two-terms"),
+        pytest.param("3^30000000", 3, id="rational"),
+        pytest.param("1/3^30000000", 5, id="denominator"),
+        pytest.param(f"2^{MAX_POWER_BITS // 2 + 1}", 3, id="past-the-edge"),
+        # the estimate reads the base's value: 40,001 bits, cubed
+        pytest.param("(2^40000)^3", 11, id="nested"),
+    ])
+    def test_rejected_at_the_exponent(self, text, column):
+        over_budget(text, column)
+
+    def test_constant_polynomial_counts_as_its_scalar(self):
+        with pytest.raises(ParseError, match="^scalar power over the budget") as err:
+            parse_poly("(x2 - x2 + 3)^30000000*x1")
+        assert err.value.column == 15
+        assert parse_poly("(x2 - x2 + 3)^2*x1") == SparsePoly.monomial(1, 0, 9)
+        assert parse_poly("(x2 - x2)^" + "9" * 30) == SparsePoly.zero()
+
+    def test_at_the_edge(self):
+        # 2 has 2 bits, so 2^e is estimated at 2e bits
+        assert parse_scalar(f"2^{MAX_POWER_BITS // 2}") == 2 ** (MAX_POWER_BITS // 2)
+
+    @pytest.mark.parametrize("text,value", [
+        ("1^" + "9" * 30, 1),
+        ("(-1)^" + "9" * 30, -1),
+        ("0^" + "9" * 30, 0),
+        ("z(7)^" + "9" * 30, CycNum.zeta(7, 1, 10 ** 30 - 1)),
+        ("(-z(4))^" + "9" * 30, CycNum.zeta(2, 2)),
+        # a root of unity of two terms, -1 - z(3)
+        ("(z(3)^2)^" + "9" * 30, 1),
+    ])
+    def test_roots_of_unity_are_free(self, text, value):
+        assert parse_scalar(text) == value
+
+    def test_polynomial_base_is_not_a_scalar_power(self):
+        assert parse_poly("(2*x1)^3") == SparsePoly.monomial(3, 0, 8)
 
 
 class TestParseEndo:
@@ -259,6 +317,39 @@ def test_scalar_meets_polynomial_through_every_mixed_operator(t):
     assert isinstance(value, SparsePoly) and value == SparsePoly.constant(c)
     if not c.is_zero:
         assert parse_poly(f"x1/({t})") == SparsePoly.monomial(1, 0, c.inverse())
+
+
+@given(st.sampled_from([2, 3, 5, 7]),
+       st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=12))
+def test_sum_literal_is_the_left_fold_of_its_terms(p, seeds):
+    terms = [str(random_cycnum(random.Random(seed), p)) for seed in seeds]
+    values = [parse_scalar(t) for t in terms]
+    assert parse_scalar(" + ".join(terms)) == reduce(add, values)
+    assert parse_scalar(" - ".join(f"({t})" for t in terms)) == reduce(sub, values)
+
+
+@given(st.lists(st.tuples(st.sampled_from("+-"), st.sampled_from([2, 3]),
+                          st.integers(0, 2 ** 32)), min_size=1, max_size=8))
+def test_two_tower_chain_fails_where_the_left_fold_fails(operands):
+    """Each operand is parenthesized, so the fold over them is the parser's
+    fold; a mixed-prime error is placed at the operator where it first
+    arises, and a chain that cancels to a rational in time is a value."""
+    text, value, error = "0", CycNum.zero(), None
+    for op, p, seed in operands:
+        t = random_cycnum(random.Random(seed), p, max_level=2)
+        column = len(text) + 2
+        text += f" {op} ({t})"
+        if error is None:
+            try:
+                value = value + t if op == "+" else value - t
+            except DomainMismatchError as exc:
+                error = f"{exc} (line 1, column {column})"
+    if error is None:
+        assert parse_scalar(text) == value
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_scalar(text)
+        assert str(err.value) == error
 
 
 # The grammar's characters without '^' (so no input asks for a large power),
