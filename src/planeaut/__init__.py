@@ -5,8 +5,8 @@ from .cyclotomic import (CycNum, DomainMismatchError, RootOfUnity,
 from .poly import NEG_INF, SparsePoly
 from .endo import (PlaneEndo, TriangularAffine, compose, conjugate,
                    endo_order)
-from .prufer import (CoeffSequence, conj_closed_form, diag, EventuallyPeriodic,
-                     series_truncation, verify_formula)
+from .prufer import (CoeffSequence, conj_closed_form, diag, series_truncation,
+                     verify_formula)
 from .linearize import (LinearizationResult, ShapeError,
                         minimal_linearizer_degree, solve_linearization)
 from .conjugacy import (ConjugacyReport, CERTIFICATE, SATISFIABLE,
@@ -22,8 +22,8 @@ __all__ = [
     "as_root_of_unity", "multiplicative_order",
     "NEG_INF", "SparsePoly",
     "PlaneEndo", "TriangularAffine", "compose", "conjugate", "endo_order",
-    "CoeffSequence", "conj_closed_form", "diag", "EventuallyPeriodic",
-    "series_truncation", "verify_formula",
+    "CoeffSequence", "conj_closed_form", "diag", "series_truncation",
+    "verify_formula",
     "LinearizationResult", "ShapeError",
     "minimal_linearizer_degree", "solve_linearization",
     "ConjugacyReport", "CERTIFICATE", "SATISFIABLE",

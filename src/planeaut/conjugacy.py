@@ -36,7 +36,7 @@ from .cyclotomic import (CycNum, DomainMismatchError, RootOfUnity,
                          root_of_unity_splits)
 # compose and conj_closed_form are unused here, but perfbench/tracing.py wraps them
 from .endo import TriangularAffine, compose  # noqa: F401
-from .prufer import CoeffSequence, EventuallyPeriodic, conj_closed_form  # noqa: F401
+from .prufer import CoeffSequence, conj_closed_form, exponent_of  # noqa: F401
 
 SATISFIABLE = "condition-satisfiable"
 CERTIFICATE = "non-conjugate-certificate"
@@ -44,26 +44,27 @@ CERTIFICATE = "non-conjugate-certificate"
 MAX_FAMILY = 64
 
 
-def differ_infinitely(lam: EventuallyPeriodic, mu: EventuallyPeriodic) -> bool:
-    """Whether the supports (the nonzero entries) disagree at infinitely many
-    k.  A disagreement in the joint periodic part recurs forever, so one
-    lcm-period past both prefixes decides it."""
+def differ_infinitely(lam: CoeffSequence, mu: CoeffSequence) -> bool:
+    """Whether the supports (the nonzero entries) of two coefficient sequences
+    disagree at infinitely many k.  A disagreement in the joint periodic part
+    recurs forever, so one lcm-period past both prefixes decides it."""
     join, period = lam.joint_region(mu)
-    return any(bool(lam.entry(k)) != bool(mu.entry(k))
+    return any(bool(lam.coeff(k)) != bool(mu.coeff(k))
                for k in range(join, join + period))
 
 
-def omega0_family(count: int) -> list[EventuallyPeriodic]:
+def omega0_family(count: int) -> list[CoeffSequence]:
     """count sequences that pairwise disagree at infinitely many indices.
 
     Member i repeats the block 1, 0, ..., 0 of length i + 2; distinct periods
-    force infinitely many support disagreements for every pair.
+    force infinitely many support disagreements for every pair.  The entries
+    are rational, so the prime (2) is immaterial.
     """
     if count < 2:
         raise ValueError("need at least two sequences to compare")
     if count > MAX_FAMILY:
         raise ValueError(f"count must be at most {MAX_FAMILY}")
-    return [EventuallyPeriodic((), (1,) + (0,) * (i + 1)) for i in range(count)]
+    return [CoeffSequence(2, (), (1,) + (0,) * (i + 1)) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +152,7 @@ def _matches(a: CoeffSequence, b: CoeffSequence, k: int, gamma, beta_power,
     subtracted, so scalars of two towers meet in a sum only where g_k != 0."""
     lhs = g_k
     if not a.coeff(k).is_zero:
-        term = a.coeff(k) * beta_power(a.prime ** k + 1)
+        term = a.coeff(k) * beta_power(exponent_of(a.prime, k))
         lhs = lhs + term if lhs else term
     return lhs == gamma * b.coeff(k)
 
@@ -180,7 +181,7 @@ def _candidates_from(a: CoeffSequence, b: CoeffSequence, start: int,
     for scale, root in raw:
         if infinite_support and abs(scale) != 1:
             continue
-        gamma = (a.coeff(k_star) * _beta_power(scale, root, p ** k_star + 1)
+        gamma = (a.coeff(k_star) * _beta_power(scale, root, exponent_of(p, k_star))
                  / b.coeff(k_star))
         # all is periodic past max(join, root.level, 1), so one more period
         # decides every k >= start; where a_k = 0 the condition does not involve
@@ -275,9 +276,9 @@ def verify_subgroup_conjugator(a: CoeffSequence, b: CoeffSequence,
     degrees = theta.g.x2_profile()
     join, period = a.joint_region(b)
     k_g = 0
-    while p ** k_g + 1 <= max(degrees, default=0):
+    while exponent_of(p, k_g) <= max(degrees, default=0):
         k_g += 1
-    shifts = [p ** k + 1 for k in range(min(levels, max(join, k_g) + 2 * period))]
+    shifts = [exponent_of(p, k) for k in range(min(levels, max(join, k_g) + 2 * period))]
     # any other g_d vanishes unless p^levels divides d - 1; p^(bit length of
     # d) exceeds d - 1, so p^levels is formed no larger than that
     if any(d not in shifts and (d == 0 or (d - 1) % p ** min(levels, d.bit_length()))

@@ -197,13 +197,6 @@ class CycNum:
             return CycNum.rational(value)
         return None
 
-    def _common(self, other: "CycNum") -> tuple[int | None, int]:
-        if self.level and other.level and self.prime != other.prime:
-            raise DomainMismatchError(
-                f"mixed primes {self.prime} and {other.prime}")
-        p = self.prime if self.prime is not None else other.prime
-        return p, max(self.level, other.level)
-
     @staticmethod
     def sum(values) -> "CycNum":
         """The sum of a sequence of values over one prime, reduced once:
@@ -260,7 +253,6 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p, n = self._common(o)
         if self.level == 0 or o.level == 0:
             scalar, val = (self, o) if self.level == 0 else (o, self)
             if not scalar.terms:
@@ -274,6 +266,9 @@ class CycNum:
             g = gcd(s, val.den) * gcd(scalar.den, *(c for _, c in val.terms))
             return CycNum(val.prime, val.level,
                           tuple((e, s * c // g) for e, c in val.terms), den // g)
+        p, n = self.prime, max(self.level, o.level)
+        if o.prime != p:
+            raise DomainMismatchError(f"mixed primes {p} and {o.prime}")
         b = o._lift(p, n)
         emap: dict[int, int] = {}
         for i, x in self._lift(p, n):
@@ -446,10 +441,6 @@ class RootOfUnity:
         return cls(p, level, exponent.numerator)
 
     @property
-    def exponent(self) -> Fraction:
-        return Fraction(self.exp, self.prime ** self.level)
-
-    @property
     def order(self) -> int:
         return self.prime ** self.level
 
@@ -495,7 +486,7 @@ class RootOfUnity:
         return f"z({m})" if self.exp == 1 else f"z({m})^{self.exp}"
 
     def __repr__(self):
-        return f"RootOfUnity(p={self.prime}, {self.exponent})"
+        return f"RootOfUnity(p={self.prime}, {Fraction(self.exp, self.order)})"
 
 
 def root_of_unity_splits(u: CycNum, p: int) -> list[tuple[Fraction, RootOfUnity]]:

@@ -2,12 +2,14 @@
 
 Terms are stored as a map from (deg_x1, deg_x2) to a nonzero CycNum.  The
 zero polynomial has degree NEG_INF so that deg(f*g) = deg f + deg g holds
-without special cases.
+without special cases.  A sum, a product and a substitution gather their
+terms in one accumulator, _collect, with one CycNum.sum per monomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .cyclotomic import CycNum, as_cycnum
 
@@ -102,15 +104,7 @@ class SparsePoly:
         o = _coerce_poly(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for mono, c in o._terms.items():
-            s = out.get(mono)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return _raw(out)
+        return _collect(chain(self._terms.items(), o._terms.items()))
 
     __radd__ = __add__
 
@@ -137,18 +131,9 @@ class SparsePoly:
             return _raw({m: t * c for m, t in self._terms.items()})
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        out: dict[Monomial, CycNum] = {}
-        for (a1, a2), c in self._terms.items():
-            for (b1, b2), d in other._terms.items():
-                mono = (a1 + b1, a2 + b2)
-                s = out.get(mono)
-                prod = c * d
-                s = prod if s is None else s + prod
-                if s.is_zero:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return _raw(out)
+        return _collect(((a1 + b1, a2 + b2), c * d)
+                        for (a1, a2), c in self._terms.items()
+                        for (b1, b2), d in other._terms.items())
 
     __rmul__ = __mul__
 
@@ -163,19 +148,18 @@ class SparsePoly:
         """Evaluate self at x1 = s1, x2 = s2 by exact expansion.
 
         Powers of s1 and s2 are memoized, and a term free of x1 or x2 takes
-        the other power as it is, with no x^0 factor.  Every term adds into
-        one accumulator, whose zero coefficients are dropped once at the end.
+        the other power as it is, with no x^0 factor.  Every term goes into
+        one accumulator, _collect, which reduces each coefficient once.
         """
         cache1: dict[int, SparsePoly] = {0: _ONE, 1: s1}
         cache2: dict[int, SparsePoly] = {0: _ONE, 1: s2}
-        acc: dict[Monomial, CycNum] = {}
-        for (e1, e2), c in self._terms.items():
+
+        def part(e1: int, e2: int) -> SparsePoly:
             p1, p2 = _cached_pow(s1, e1, cache1), _cached_pow(s2, e2, cache2)
-            part = p1 * p2 if e1 and e2 else p1 if e1 else p2
-            for mono, d in part._terms.items():
-                s = acc.get(mono)
-                acc[mono] = d * c if s is None else s + d * c
-        return _raw({m: c for m, c in acc.items() if not c.is_zero})
+            return p1 * p2 if e1 and e2 else p1 if e1 else p2
+
+        return _collect((mono, d * c) for (e1, e2), c in self._terms.items()
+                        for mono, d in part(e1, e2)._terms.items())
 
     # -- comparison / display ---------------------------------------------
 
@@ -203,6 +187,16 @@ def _raw(terms: dict[Monomial, CycNum]) -> SparsePoly:
     p = SparsePoly.__new__(SparsePoly)
     p._terms = terms
     return p
+
+
+def _collect(pairs) -> SparsePoly:
+    """The sum of the (monomial, coefficient) pairs: one CycNum.sum per
+    monomial, so a coefficient is reduced once, and zero sums dropped."""
+    groups: dict[Monomial, list[CycNum]] = {}
+    for mono, c in pairs:
+        groups.setdefault(mono, []).append(c)
+    sums = ((mono, CycNum.sum(cs)) for mono, cs in groups.items())
+    return _raw({mono: c for mono, c in sums if not c.is_zero})
 
 
 def _coerce_poly(value) -> SparsePoly | None:

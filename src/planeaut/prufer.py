@@ -23,19 +23,28 @@ from .poly import SparsePoly
 from .endo import PlaneEndo, TriangularAffine, compose, conjugate, endo_order  # noqa: F401
 
 
-class EventuallyPeriodic:
-    """An infinite sequence: a finite prefix, then a nonempty block repeated
-    forever."""
+class CoeffSequence:
+    """Coefficient sequence {a_k} over Q(zeta_{p^infty}): a finite prefix,
+    then a nonempty block repeated forever.
 
-    __slots__ = ("prefix", "tail")
+    A tail of None, or only zeros, is stored as the block (0,): the
+    support is finite and the shift map is a polynomial automorphism.  An
+    entry from the tower of another prime raises DomainMismatchError.
+    """
 
-    def __init__(self, prefix, tail):
-        self.prefix = tuple(prefix)
-        self.tail = tuple(tail)
-        if not self.tail:
-            raise ValueError("the repeating block must be nonempty")
+    __slots__ = ("prime", "prefix", "tail")
 
-    def entry(self, k: int):
+    def __init__(self, prime: int, prefix=(), tail=None):
+        self.prime = _check_prime(prime)
+        block = () if tail is None else tuple(as_cycnum(c) for c in tail)
+        self.prefix = tuple(as_cycnum(c) for c in prefix)
+        self.tail = block if any(block) else (CycNum.zero(),)
+        for c in self.prefix + self.tail:
+            if c.level and c.prime != prime:
+                raise DomainMismatchError(
+                    f"entry {c} lives over p={c.prime}, not {prime}")
+
+    def coeff(self, k: int) -> CycNum:
         if k < 0:
             raise IndexError("sequence indices start at 0")
         if k < len(self.prefix):
@@ -46,48 +55,19 @@ class EventuallyPeriodic:
     def period(self) -> int:
         return len(self.tail)
 
-    def joint_region(self, other: "EventuallyPeriodic", k0: int = 0) -> tuple[int, int]:
+    def joint_region(self, other: "CoeffSequence", k0: int = 0) -> tuple[int, int]:
         """(start, period) from which both sequences are jointly periodic."""
         start = max(k0, len(self.prefix), len(other.prefix))
         return start, lcm(self.period, other.period)
 
-    def _key(self) -> tuple:
-        return self.prefix, self.tail
-
     def __eq__(self, other):
-        if type(other) is not type(self):
+        if type(other) is not CoeffSequence:
             return NotImplemented
-        return self._key() == other._key()
+        return (self.prime == other.prime and self.prefix == other.prefix
+                and self.tail == other.tail)
 
     def __repr__(self):
-        return f"{type(self).__name__}{self._key()!r}"
-
-
-class CoeffSequence(EventuallyPeriodic):
-    """Coefficient sequence {a_k} over Q(zeta_{p^infty}).
-
-    A tail of None, or only zeros, is stored as the block (0,): the
-    support is finite and the shift map is a polynomial automorphism.  An
-    entry from the tower of another prime raises DomainMismatchError.
-    """
-
-    __slots__ = ("prime",)
-
-    def __init__(self, prime: int, prefix=(), tail=None):
-        self.prime = _check_prime(prime)
-        block = () if tail is None else tuple(as_cycnum(c) for c in tail)
-        if not any(block):
-            block = (CycNum.zero(),)
-        super().__init__((as_cycnum(c) for c in prefix), block)
-        for c in self.prefix + self.tail:
-            if c.level and c.prime != prime:
-                raise DomainMismatchError(
-                    f"entry {c} lives over p={c.prime}, not {prime}")
-
-    coeff = EventuallyPeriodic.entry
-
-    def _key(self) -> tuple:
-        return self.prime, self.prefix, self.tail
+        return f"CoeffSequence{(self.prime, self.prefix, self.tail)!r}"
 
 
 def exponent_of(p: int, k: int) -> int:

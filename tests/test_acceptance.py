@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from planeaut import (CERTIFICATE, CoeffSequence, EventuallyPeriodic,
+from planeaut import (CERTIFICATE, CoeffSequence,
                       RootOfUnity, SATISFIABLE, TriangularAffine,
                       compose, conj_closed_form, diag, differ_infinitely,
                       endo_order, conjugate,
@@ -126,9 +126,7 @@ def test_c6_proposition_two_shadow():
     family = omega0_family(5)
     for i in range(5):
         for j in range(i + 1, 5):
-            a = CoeffSequence(2, family[i].prefix, list(family[i].tail))
-            b = CoeffSequence(2, family[j].prefix, list(family[j].tail))
-            report = necessary_condition(a, b, 0)
+            report = necessary_condition(family[i], family[j], 0)
             assert report.verdict == CERTIFICATE
 
     beta, gamma = Fraction(2), Fraction(1)
@@ -152,23 +150,23 @@ def test_c7_lemma_comparator():
     def brute(lam, mu):
         start = max(len(lam.prefix), len(mu.prefix))
         window = 3 * lcm(lam.period, mu.period)
-        return any(lam.entry(start + o) != mu.entry(start + o) for o in range(window))
+        return any(lam.coeff(start + o) != mu.coeff(start + o) for o in range(window))
 
     for _ in range(200):
-        lam = EventuallyPeriodic([rng.randint(0, 1) for _ in range(rng.randint(0, 6))],
-                                 [rng.randint(0, 1) for _ in range(rng.randint(1, 6))])
-        mu = EventuallyPeriodic([rng.randint(0, 1) for _ in range(rng.randint(0, 6))],
-                                [rng.randint(0, 1) for _ in range(rng.randint(1, 6))])
+        lam = CoeffSequence(2, [rng.randint(0, 1) for _ in range(rng.randint(0, 6))],
+                            [rng.randint(0, 1) for _ in range(rng.randint(1, 6))])
+        mu = CoeffSequence(2, [rng.randint(0, 1) for _ in range(rng.randint(0, 6))],
+                           [rng.randint(0, 1) for _ in range(rng.randint(1, 6))])
         assert differ_infinitely(lam, mu) == brute(lam, mu)
 
     for _ in range(50):
         tail = [rng.randint(0, 1) for _ in range(rng.randint(1, 5))]
         prefix = [rng.randint(0, 1) for _ in range(rng.randint(1, 8))]
-        lam = EventuallyPeriodic(prefix, tail)
+        lam = CoeffSequence(2, prefix, tail)
         flipped = list(prefix)
         for i in rng.sample(range(len(prefix)), rng.randint(1, len(prefix))):
             flipped[i] ^= 1
-        mu = EventuallyPeriodic(flipped, tail)
+        mu = CoeffSequence(2, flipped, tail)
         assert not differ_infinitely(lam, mu)
 
 

@@ -461,6 +461,18 @@ class TestInputErrors:
         assert err == (f"error: scalar power over the budget of {MAX_POWER_BITS} "
                        f"numerator bits (line 1, column {column})\n")
 
+    @pytest.mark.parametrize("product,first,second", [
+        pytest.param("(z(3)*x1 + z(3)*x2 + z(5)*x1*x2)", 3, 5, id="cancelling-first"),
+        pytest.param("(z(5)*x1*x2 + z(3)*x1 + z(3)*x2)", 5, 3, id="foreign-first"),
+    ])
+    def test_two_tower_product_fails_in_every_term_order(self, capsys, product,
+                                                          first, second):
+        # x1*x2 collects z(3) - z(3) and z(5) into one sum, whatever the order
+        code, out, err = run(capsys, "compose", f"({product}*(x2 - x1 + 1), x2)",
+                             "(x1, x2)")
+        assert (code, out) == (2, "")
+        assert err == f"error: mixed primes {first} and {second} (line 1, column 34)\n"
+
     def test_missing_subcommand_is_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from planeaut import CycNum, NEG_INF, SparsePoly
 
-from conftest import random_poly
+from conftest import random_cycnum, random_poly
 
 x1 = SparsePoly.x1
 x2 = SparsePoly.x2
@@ -174,6 +174,91 @@ class TestRingLaws:
             assert (f * g) * h == f * (g * h)
             assert f * (g + h) == f * g + f * h
             assert (f - f).is_zero
+
+
+def pairwise_add(f, g):
+    """Reference: fold the terms of g into those of f one pair at a time."""
+    out = dict(f._terms)
+    for mono, c in g._terms.items():
+        s = out.get(mono)
+        s = c if s is None else s + c
+        if s.is_zero:
+            out.pop(mono, None)
+        else:
+            out[mono] = s
+    return SparsePoly(out)
+
+
+def pairwise_mul(f, g):
+    """Reference: add each product of terms into its monomial as it comes."""
+    out = {}
+    for (a1, a2), c in f._terms.items():
+        for (b1, b2), d in g._terms.items():
+            mono = (a1 + b1, a2 + b2)
+            s = out.get(mono)
+            prod = c * d
+            s = prod if s is None else s + prod
+            if s.is_zero:
+                out.pop(mono, None)
+            else:
+                out[mono] = s
+    return SparsePoly(out)
+
+
+def pairwise_substitute(f, s1, s2):
+    """Reference: expand each term's power product by pairwise_mul alone and
+    add its terms into one accumulator, one pair at a time."""
+    acc = {}
+    for (e1, e2), c in f._terms.items():
+        part = SparsePoly.one()
+        for factor in [s1] * e1 + [s2] * e2:
+            part = pairwise_mul(part, factor)
+        for mono, d in part._terms.items():
+            s = acc.get(mono)
+            acc[mono] = d * c if s is None else s + d * c
+    return SparsePoly(acc)
+
+
+@st.composite
+def one_tower_operands(draw):
+    """(f, g, s1, s2) over one p-tower, on few monomials so that terms meet.
+    Coefficients mix levels 0-2 and denominators; g negates some of f's
+    coefficients (the sum cancels to zero) or adds a rational to a negated
+    one (the sum drops to level 0)."""
+    rng = draw(st.randoms(use_true_random=False))
+    p = draw(st.sampled_from([2, 3, 5]))
+
+    def poly(n_terms, degree):
+        terms = {}
+        for _ in range(n_terms):
+            e1 = rng.randint(0, degree)
+            terms[e1, rng.randint(0, degree - e1)] = random_cycnum(rng, p, max_level=2)
+        return SparsePoly(terms)
+
+    f, g = poly(rng.randint(0, 5), 3), poly(rng.randint(0, 3), 3)
+    g_terms = dict(g.terms())
+    for mono, c in f.terms():
+        sum_at_mono = rng.choice([None, 0, random_cycnum(rng, p, max_level=0)])
+        if sum_at_mono is not None:
+            g_terms[mono] = sum_at_mono - c
+    return f, SparsePoly(g_terms), poly(rng.randint(0, 3), 2), poly(rng.randint(0, 3), 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_tower_operands())
+def test_one_sum_per_monomial_matches_pairwise_folds(operands):
+    f, g, s1, s2 = operands
+    # the cross terms of (f + g)(f - g) cancel, and so does all of
+    # f(x1, x2) - f(x2, x1) at x1 = x2 = s2
+    u, v = f + g, f - g
+    swap_odd = f - f.substitute(x2(), x1())
+    for got, want in [
+            (u, pairwise_add(f, g)),
+            (f * g, pairwise_mul(f, g)),
+            (u * v, pairwise_mul(u, v)),
+            (f.substitute(s1, s2), pairwise_substitute(f, s1, s2)),
+            (swap_odd.substitute(s2, s2), pairwise_substitute(swap_odd, s2, s2))]:
+        assert got == want and stores_no_zero(got)
 
 
 small_ints = st.integers(-4, 4)
