@@ -42,6 +42,9 @@ SATISFIABLE = "condition-satisfiable"
 CERTIFICATE = "non-conjugate-certificate"
 # omega-family compares count*(count-1)/2 pairs at a cost near count^4 (64: 1 s)
 MAX_FAMILY = 64
+# necessary_condition works with p^k near k0, so its time grows with the bit
+# length of p^k0: 0.12 s at 10^6 and 0.61 s at 10^7 for p = 2
+MAX_K0 = 10 ** 6
 
 
 def differ_infinitely(lam: CoeffSequence, mu: CoeffSequence) -> bool:
@@ -214,6 +217,8 @@ def necessary_condition(a: CoeffSequence, b: CoeffSequence,
         k0 = max(len(a.prefix), len(b.prefix))
     if k0 < 0:
         raise ValueError("k0 must be nonnegative")
+    if k0 > MAX_K0:
+        raise ValueError(f"k0 must be at most {MAX_K0}")
     join, period = a.joint_region(b, k0)
     # one pass: where the supports disagree, and where both entries are nonzero
     mismatch, common = [], []

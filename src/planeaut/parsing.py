@@ -17,20 +17,28 @@ Scalars: rationals as `a/b` or integers, roots of unity as `z(m)` meaning
 e^(2*pi*i/m) with m a prime power.  Constants are evaluated in the field
 (CycNum); a value becomes a SparsePoly only where it meets x1 or x2, so a
 scalar, and a divisor, is an expression that mentions neither x1 nor x2.
-Division requires a nonzero scalar divisor.  A '+'/'-' chain of field
-values over one prime is reduced once (CycNum.sum), and each z(m) modulus is
-decoded once, so a long literal reads in linear time.  A scalar power whose
-numerators are estimated at more than MAX_POWER_BITS bits is an error at its
-exponent; roots of unity, +-1 among them, raise to any power.  Parentheses
-nest at most MAX_NESTING deep, so that no input exhausts the recursion
-limit.  The printers on CycNum/SparsePoly/PlaneEndo emit canonical forms
-this grammar parses back bit-exactly.
+Division requires a nonzero scalar divisor.  An expr that is a '+'/'-'
+chain of q, z(m), z(m)^e and q*z(m)^e terms (q an INT or INT/INT, after any
+unary '-') up to ')', ',' or the end is read in one regular-expression match
+into one exponent map.  The descent reads every other expr, and each such
+chain with two primes, a zero divisor, a rejected z(m) modulus or an INT
+too long, so that errors keep one code path; it gathers a '+'/'-' chain of
+field values over one prime for one CycNum.sum.  Each z(m) modulus is
+decoded once, so a long literal reads in linear time.  Tokens are scanned on
+demand, never over the chain reader's text, after one up-front match that
+reports the first unexpected character.  A scalar power whose numerators
+are estimated at more than MAX_POWER_BITS bits is an error at its exponent;
+roots of unity, +-1 among them, raise to any power.  Parentheses nest at
+most MAX_NESTING deep, so that no input exhausts the recursion limit.  The
+printers on CycNum/SparsePoly/PlaneEndo emit canonical forms this grammar
+parses back bit-exactly.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cache, lru_cache
+from math import lcm
 from operator import add, mul, sub
 
 from .cyclotomic import (PRIME_LIMIT, CycNum, DomainMismatchError,
@@ -49,18 +57,33 @@ MAX_POWER_BITS = 100_000
 
 _OPS = {"+": add, "-": sub, "*": mul, "/": mul}
 
-# One alternative per token kind; `bad` catches every character the others
-# leave, so the scan covers the whole text.
-_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-                    r"|(?P<symbol>[-+*/^(),])|(?P<space>\s+)|(?P<bad>.)", re.DOTALL)
+# A token after any whitespace, or the end; _VALID matches up to the first
+# character that starts no token (an '_' starts none, but names hold it).
+_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+                    r"|(?P<symbol>[-+*/^(),])|(?P<end>\Z))")
+_VALID = re.compile(r"[0-9\s+*/^(),-]*(?:[A-Za-z][A-Za-z0-9_]*[0-9\s+*/^(),-]*)*")
+
+
+@cache
+def _chain_patterns() -> tuple[re.Pattern, re.Pattern]:
+    """(term, chain), compiled on the first read: 1.4 ms kept off the import.
+    A term is q, z(m), z(m)^e or q*z(m)^e, q an INT or INT/INT, after its
+    signs; its groups are (signs, num, den, m, e, m, e).  A chain joins
+    terms by '+'/'-', each after any unary '-'."""
+    root = r"z\s*\(\s*([0-9]+)\s*\)(?:\s*\^\s*([0-9]+))?"
+    body = rf"(?:([0-9]+)(?:\s*/\s*([0-9]+))?(?:\s*\*\s*{root})?|{root})"
+    bare = body.replace("([0-9]+)", "[0-9]+")
+    return (re.compile(r"([-+\s]*)" + body),
+            re.compile(rf"\s*(?:-\s*)*{bare}(?:\s*[-+]\s*(?:-\s*)*{bare})*\s*"))
 
 
 @lru_cache(maxsize=PRIME_LIMIT)
-def _root(m: int) -> CycNum:
-    """z(m) = e^(2*pi*i/m) in the field, decoded once per modulus; a
-    ValueError (m not a prime power) is raised afresh each time."""
+def _root(m: int) -> tuple[int, int, CycNum]:
+    """(p, n, z(m)) for m = p^n, z(m) = e^(2*pi*i/m) in the field, decoded
+    once per modulus; a ValueError (m not a prime power) is raised afresh
+    each time."""
     p, n = prime_power_decompose(m)
-    return CycNum.zeta(p, n) if n else CycNum.one()
+    return p, n, CycNum.zeta(p, n) if n else CycNum.one()
 
 
 def _power_bits(base: CycNum, e: int) -> int:
@@ -81,21 +104,17 @@ class ParseError(ValueError):
 
 
 class _Parser:
-    """Recursive descent over (kind, text, offset) tokens; a symbol's kind
-    is its own text, and the last token is ("end", "", len(text))."""
+    """Recursive descent over (kind, text, offset) tokens, each scanned when
+    first peeked at the offset past the last one read; a symbol's kind is
+    its own text, and past the last token is ("end", "", len(text))."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = []
-        for m in _TOKEN.finditer(text):
-            kind, word = m.lastgroup, m.group()
-            tok = (word if kind == "symbol" else kind, word, m.start())
-            if kind == "bad":
-                raise self.error(f"unexpected character {word!r}", tok)
-            if kind != "space":
-                self.tokens.append(tok)
-        self.tokens.append(("end", "", len(text)))
-        self.pos = 0
+        bad = _VALID.match(text).end()
+        if bad < len(text):
+            raise self.error(f"unexpected character {text[bad]!r}", (None, None, bad))
+        self.off = 0
+        self.tok = None
         self.depth = 0
 
     def error(self, message: str, tok) -> ParseError:
@@ -104,11 +123,16 @@ class _Parser:
                           off - self.text.rfind("\n", 0, off))
 
     def peek(self):
-        return self.tokens[self.pos]
+        if self.tok is None:
+            m = _TOKEN.match(self.text, self.off)
+            kind = m.lastgroup
+            self.tok = (m[kind] if kind == "symbol" else kind, m[kind], m.start(kind))
+        return self.tok
 
     def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.peek()
+        self.off = tok[2] + len(tok[1])
+        self.tok = None
         return tok
 
     def integer(self, tok) -> int:
@@ -133,13 +157,52 @@ class _Parser:
         except DomainMismatchError as exc:
             raise self.error(str(exc), tok) from None
 
+    def chain(self) -> CycNum | None:
+        """The value of a chain of rational-times-root terms that is
+        the whole expression, up to ')', ',' or the end, read in one match
+        and added as one exponent map; None where the descent must read it:
+        another shape, two primes, a zero divisor, a z(m) modulus _root
+        rejects, or an INT over int()'s digit limit."""
+        text = self.text
+        term, chain = _chain_patterns()
+        match = chain.match(text, self.off)
+        if match is None or text[match.end():match.end() + 1] not in ("", ")", ","):
+            return None
+        end = match.end()
+        terms, prime, level, den = [], None, 0, 1
+        try:
+            for signs, num, d, m1, e1, m2, e2 in term.findall(text, self.off, end):
+                d, m = int(d or 1), int(m1 or m2 or 1)
+                p, n, _ = _root(m)
+                if not d or n and prime not in (None, p):
+                    return None
+                if n:
+                    prime, level = p, max(level, n)
+                den = lcm(den, d)
+                c = int(num or 1)
+                terms.append((-c if signs.count("-") & 1 else c, d, m, int(e1 or e2 or 1)))
+        except ValueError:
+            return None
+        top = prime ** level if level else 1
+        emap: dict[int, int] = {}
+        for c, d, m, e in terms:
+            key = e % m * (top // m)
+            emap[key] = emap.get(key, 0) + c * (den // d)
+        self.off, self.tok = end, None
+        if level:
+            return CycNum._from_exponent_map(prime, level, emap, den)
+        return CycNum._make(None, 0, emap, den)
+
     def expr(self) -> CycNum | SparsePoly:
-        """A '+'/'-' chain.  Field operands over one prime are gathered,
-        negated for '-', and added by one CycNum.sum; at a polynomial
-        operand, or a field value over a second prime, what was gathered is
-        summed and the pairwise step is taken at that operator, so every
-        value, and every error with its position, is that of the left fold.
+        """A '+'/'-' chain, by chain() where it reads it.  Field operands
+        over one prime are gathered, negated for '-', and added by one
+        CycNum.sum; at a polynomial operand, or a field value over a second
+        prime, what was gathered is summed and the pairwise step is taken at
+        that operator, so every value, and every error with its position, is
+        that of the left fold.
         """
+        if (value := self.chain()) is not None:
+            return value
         value = self.term()
         gathered = [value] if isinstance(value, CycNum) else None
         prime = value.prime if gathered else None
@@ -221,7 +284,7 @@ class _Parser:
             self.expect(")")
             m = self.integer(mtok)
             try:
-                return _root(m)
+                return _root(m)[2]
             except ValueError as exc:
                 raise self.error(str(exc), mtok) from None
         if kind == "name":
@@ -256,7 +319,9 @@ def parse_scalar(text: str) -> CycNum:
     parser = _Parser(text)
     value = parser.finish(parser.expr())
     if isinstance(value, SparsePoly):
-        raise ParseError("expected a scalar, found a polynomial", 1, 1)
+        var = next(m for m in _TOKEN.finditer(text) if m["name"] in ("x1", "x2"))
+        raise parser.error("expected a scalar, found a polynomial",
+                           (None, None, var.start("name")))
     return value
 
 

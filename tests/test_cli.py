@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import planeaut.prufer as prufer
 from planeaut import PlaneEndo
 from planeaut.cli import main
+from planeaut.conjugacy import MAX_K0
 from planeaut.parsing import MAX_POWER_BITS
 
 
@@ -200,6 +201,12 @@ class TestCommands:
             0, "CONDITION SATISFIABLE\nbeta = 1\ngamma = 1\n"
                "holds from k = 1000000\n", "")
 
+    def test_nonconj_k0_over_the_budget(self):
+        # the search would grow with the bit length of 2^k0: 0.6 s at 10^7
+        assert fresh_process("nonconj-check", "--p", "2", "--tail", "1",
+                             "--tail", "1", "--k0", "10000000", timeout=5) == (
+            2, "", f"error: k0 must be at most {MAX_K0}\n")
+
     def test_verify_conjugator(self, capsys):
         code, out, _ = run(capsys, "verify-conjugator", "--p", "2",
                            "--prefix", "1,1,1", "--prefix", "4,8,32",
@@ -281,6 +288,11 @@ class TestInputErrors:
     def test_missing_value_is_exit_two(self, capsys):
         assert run(capsys, "compose", "(x1, )", "(x1, x2)") == (
             2, "", "error: expected a value but found ')' (line 1, column 6)\n")
+
+    def test_polynomial_entry_points_at_its_variable(self, capsys):
+        assert run(capsys, "verify-formula", "--p", "2", "--prefix", "2 + x1",
+                   "--alpha", "1/2") == (
+            2, "", "error: expected a scalar, found a polynomial (line 1, column 5)\n")
 
     def test_non_ascii_digit_is_positional_error(self, capsys):
         assert run(capsys, "compose", "(x2^², x2)", "(x1, x2)") == (
@@ -805,6 +817,28 @@ def fresh_process(*argv, timeout=None):
     proc = subprocess.run([sys.executable, "-m", "planeaut.cli", *argv],
                           capture_output=True, text=True, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+# 20,000 terms in the printer's form, short enough for one argv entry
+LONG_CHAIN = "+".join(["z(8)", "2"] * 10_000)
+
+
+class TestLongLiterals:
+    """Each literal reads, or fails, in time linear in its length."""
+
+    def test_chain(self):
+        assert fresh_process("verify-formula", "--p", "2", "--prefix", LONG_CHAIN,
+                             "--alpha", "1/2", timeout=5) == (0, GOLDEN_VERIFY, "")
+
+    def test_chain_times_a_variable(self):
+        # the chain reader declines at '*', and the descent reads every term
+        assert fresh_process("compose", f"({LONG_CHAIN}*x1, x2)", "(x1, x2)",
+                             timeout=5) == (0, "(19998 + 10000*z(8) + 2*x1, x2)\n", "")
+
+    def test_digit_run_before_a_name(self):
+        assert fresh_process("verify-formula", "--p", "2", "--prefix", "1" * 4000 + "x",
+                             "--alpha", "1/2", timeout=5) == (
+            2, "", "error: unexpected trailing input 'x' (line 1, column 4001)\n")
 
 
 class TestParserReuse:

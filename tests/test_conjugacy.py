@@ -10,7 +10,7 @@ from planeaut import (CERTIFICATE, CoeffSequence, CycNum, DomainMismatchError,
                       RootOfUnity, SATISFIABLE, SparsePoly, TriangularAffine, compose, differ_infinitely,
                       necessary_condition, omega0_family,
                       verify_subgroup_conjugator)
-from planeaut.conjugacy import MAX_FAMILY
+from planeaut.conjugacy import MAX_FAMILY, MAX_K0
 from planeaut.prufer import conj_closed_form
 
 from conftest import random_cycnum, random_prefix, random_root, random_sequence
@@ -252,6 +252,12 @@ class TestNecessaryCondition:
         a = CoeffSequence(2, [1, 0])
         b = CoeffSequence(2, [0, 1])
         assert necessary_condition(a, b).effective_from == 2
+
+    def test_k0_bounded(self):
+        a = CoeffSequence(2, [], [1])
+        assert necessary_condition(a, a, 0).satisfiable
+        with pytest.raises(ValueError, match=f"at most {MAX_K0}"):
+            necessary_condition(a, a, MAX_K0 + 1)
 
     def test_witness_holds_on_constructed_pairs(self):
         # b_k = a_k beta^(p^k+1) / gamma; leading zeros push the anchor index

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from operator import add, sub
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from planeaut import (CycNum, DomainMismatchError, ParseError, PlaneEndo,
                       SparsePoly, parse_endo, parse_poly, parse_scalar,
                       parse_triangular)
-from planeaut.parsing import MAX_NESTING, MAX_POWER_BITS
+from planeaut.parsing import MAX_NESTING, MAX_POWER_BITS, _Parser
 
 from conftest import random_cycnum, random_poly
 
@@ -68,6 +69,8 @@ class TestParseErrors:
         ("²", "²", 1),
         ("٣*x1", "٣", 1),
         ("x1 + é", "é", 6),
+        # before the syntax error at ')'
+        ("(1 + ) ²", "²", 8),
     ])
     def test_non_ascii_character(self, text, char, column):
         with pytest.raises(ParseError, match=f"unexpected character {char!r}") as err:
@@ -185,6 +188,16 @@ class TestParseScalar:
         with pytest.raises(ParseError, match="expected a scalar") as err:
             parse_scalar("x2 - x2 + 3")
         assert (err.value.line, err.value.column) == (1, 1)
+
+    @pytest.mark.parametrize("text,line,column", [
+        ("2 + x1", 1, 5),
+        ("z(4)*(1 +\n  x2*x1)", 2, 3),
+        ("z(4) - 3*x2", 1, 10),
+    ])
+    def test_polynomial_error_is_placed_at_its_first_variable(self, text, line, column):
+        with pytest.raises(ParseError, match="expected a scalar") as err:
+            parse_scalar(text)
+        assert (err.value.line, err.value.column) == (line, column)
 
     def test_cancelling_variables_are_not_a_divisor(self):
         with pytest.raises(ParseError, match="division by a non-constant") as err:
@@ -366,3 +379,80 @@ def test_every_input_parses_or_fails_inside_the_text(text):
         lines = text.split("\n")
         assert 1 <= err.line <= len(lines)
         assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+
+
+SPACES = st.sampled_from(["", " ", "  ", "\t", "\n"])
+# terms the chain reader leaves to the descent: a root of a second prime
+# (next to an irrational one of p), a zero divisor, moduli that z(m)
+# rejects, INTs over the digit limit
+FAULTS = ["z({pp}) + z({q})", "3/0", "z(6)", "z(12)", "z(1009)", "z(0)",
+          "1" * 4301, "z(4)^" + "1" * 4301]
+
+
+@st.composite
+def chain_literals(draw):
+    """(text, value): a '+'/'-' chain of q, z(m), z(m)^e and q*z(m)^e terms
+    over one prime p, spaced at random or in the printer's form, with up to
+    three unary '-' per term, z(1), exponents past m and zero numerators;
+    half the time each term recurs negated, so that the roots cancel.  The
+    value is the sum of q * CycNum.zeta(p, n, e) through the field's API, or
+    None where a fault is mixed in."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        text, value = "", CycNum.one()
+        level = draw(st.sampled_from([None, 0, 1, 2, 3]))
+        if level is None or draw(st.booleans()):
+            num, den = draw(st.integers(0, 40)), draw(st.sampled_from([None, 1, 2, 9]))
+            text = f"{num}" + (f"{draw(SPACES)}/{draw(SPACES)}{den}" if den else "")
+            value = CycNum.rational(Fraction(num, den or 1))
+        if level is not None:
+            e = draw(st.none() | st.integers(0, 2 * p ** level + 1))
+            text += (f"{draw(SPACES)}*{draw(SPACES)}" if text else "") + (
+                f"z{draw(SPACES)}({draw(SPACES)}{p ** level}{draw(SPACES)})")
+            if e is not None:
+                text += f"{draw(SPACES)}^{draw(SPACES)}{e}"
+            value = value * CycNum.zeta(p, level, 1 if e is None else e)
+        terms.append((text, value, draw(st.booleans())))
+    if draw(st.booleans()):
+        terms += [(text, value, not negate) for text, value, negate in terms]
+    fault = draw(st.none() | st.sampled_from(FAULTS))
+    if fault is not None:
+        q = 7 if p == 5 else 5
+        terms.insert(draw(st.integers(0, len(terms))),
+                     (fault.format(pp=p * p, q=q), None, False))
+    text, value = draw(SPACES), CycNum.zero()
+    for i, (term, v, negate) in enumerate(terms):
+        op = draw(st.sampled_from("+-")) if i else "+"
+        minus = 2 * draw(st.integers(0, 1)) + ((op == "-") != negate)
+        if i:
+            text += f"{draw(SPACES)}{op}{draw(SPACES)}"
+        text += f"-{draw(SPACES)}" * minus + term
+        if fault is None:
+            value = value - v if negate else value + v
+    return text + draw(SPACES), None if fault else value
+
+
+def outcome(parse, text):
+    """parse(text), or the text of its ParseError with line and column."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err)
+
+
+@settings(deadline=None)
+@given(chain_literals())
+def test_chain_reader_agrees_with_the_descent(case):
+    """The reader takes every fault-free chain and declines every other; the
+    descent alone (the reader patched to decline) gives the same value or
+    the same error, read whole, as a coefficient in a map and as a map's
+    entry."""
+    text, value = case
+    assert (_Parser(text).chain() is None) == (value is None)
+    in_map = f"(({text})*x1 + x2, {text})"
+    read = [outcome(parse_scalar, text), outcome(parse_endo, in_map)]
+    with patch.object(_Parser, "chain", lambda self: None):
+        assert [outcome(parse_scalar, text), outcome(parse_endo, in_map)] == read
+    if value is not None:
+        assert read[0] == value
