@@ -213,6 +213,9 @@ def _add_sequence_flags(sub):
                      help="the prime (omit to read a JSON manifest from stdin)")
 
 
+# built on the first main call, not at import; parse_args keeps no state
+# between calls, so one tree serves them all
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planeaut",
@@ -282,15 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first main call, not at import; parse_args keeps no state
-    # between calls, so one tree serves them all
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code, report = args.run(args)
     # ParseError, DomainMismatchError and json.JSONDecodeError are ValueErrors

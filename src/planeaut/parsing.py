@@ -20,18 +20,17 @@ scalar, and a divisor, is an expression that mentions neither x1 nor x2.
 Division requires a nonzero scalar divisor.  An expr that is a '+'/'-'
 chain of q, z(m), z(m)^e and q*z(m)^e terms (q an INT or INT/INT, after any
 unary '-') up to ')', ',' or the end is read in one regular-expression match
-into one exponent map.  The descent reads every other expr, and each such
-chain with two primes, a zero divisor, a rejected z(m) modulus or an INT
-too long, so that errors keep one code path; it gathers a '+'/'-' chain of
-field values over one prime for one CycNum.sum.  Each z(m) modulus is
-decoded once, so a long literal reads in linear time.  Tokens are scanned on
-demand, never over the chain reader's text, after one up-front match that
-reports the first unexpected character.  A scalar power whose numerators
-are estimated at more than MAX_POWER_BITS bits is an error at its exponent;
-roots of unity, +-1 among them, raise to any power.  Parentheses nest at
-most MAX_NESTING deep, so that no input exhausts the recursion limit.  The
-printers on CycNum/SparsePoly/PlaneEndo emit canonical forms this grammar
-parses back bit-exactly.
+into one exponent map, and each z(m) modulus is decoded once, so a long
+literal reads in linear time.  The descent, one left fold per precedence
+level, reads every other expr, and each such chain with two primes, a zero
+divisor, a rejected z(m) modulus or an INT too long, so that errors keep one
+code path.  Tokens are scanned on demand, never over the chain reader's
+text, after one up-front match that reports the first unexpected character.
+A scalar power whose numerators are estimated at more than MAX_POWER_BITS
+bits is an error at its exponent; roots of unity, +-1 among them, raise to
+any power.  Parentheses nest at most MAX_NESTING deep, so that no input
+exhausts the recursion limit.  The printers on CycNum/SparsePoly/PlaneEndo
+emit canonical forms this grammar parses back bit-exactly.
 """
 
 from __future__ import annotations
@@ -194,32 +193,14 @@ class _Parser:
         return CycNum._make(None, 0, emap, den)
 
     def expr(self) -> CycNum | SparsePoly:
-        """A '+'/'-' chain, by chain() where it reads it.  Field operands
-        over one prime are gathered, negated for '-', and added by one
-        CycNum.sum; at a polynomial operand, or a field value over a second
-        prime, what was gathered is summed and the pairwise step is taken at
-        that operator, so every value, and every error with its position, is
-        that of the left fold.
-        """
+        """A '+'/'-' chain, by chain() where it reads it, else by a left fold."""
         if (value := self.chain()) is not None:
             return value
         value = self.term()
-        gathered = [value] if isinstance(value, CycNum) else None
-        prime = value.prime if gathered else None
         while self.peek()[0] in ("+", "-"):
             tok = self.advance()
-            rhs = self.term()
-            if (gathered is not None and isinstance(rhs, CycNum)
-                    and (not rhs.level or prime in (None, rhs.prime))):
-                gathered.append(-rhs if tok[0] == "-" else rhs)
-                prime = prime or rhs.prime
-                continue
-            if gathered is not None:
-                value = CycNum.sum(gathered)
-            value = self.step(tok, value, rhs)
-            gathered = [value] if isinstance(value, CycNum) else None
-            prime = value.prime if gathered else None
-        return value if gathered is None else CycNum.sum(gathered)
+            value = self.step(tok, value, self.term())
+        return value
 
     def term(self) -> CycNum | SparsePoly:
         value = self.unary()
@@ -297,8 +278,10 @@ class _Parser:
 
     def endo(self) -> PlaneEndo:
         self.expect("(")
+        self.starts = [self.peek()]   # each component's first token
         f1 = self.poly()
         self.expect(",")
+        self.starts.append(self.peek())
         f2 = self.poly()
         self.expect(")")
         return PlaneEndo(f1, f2)
@@ -331,9 +314,15 @@ def parse_endo(text: str) -> PlaneEndo:
 
 
 def parse_triangular(text: str) -> TriangularAffine:
-    endo = parse_endo(text)
+    parser = _Parser(text)
+    endo = parser.finish(parser.endo())
     try:
         return TriangularAffine(endo.f1, endo.f2)
     except ValueError:
-        raise ParseError("automorphism is not triangular-affine "
-                         "(need (gamma*x1 + g(x2), beta*x2 + beta0))", 1, 1) from None
+        try:   # placed at the second component unless it is beta*x2 + beta0
+            TriangularAffine(SparsePoly.x1(), endo.f2)
+            tok = parser.starts[0]
+        except ValueError:
+            tok = parser.starts[1]
+        raise parser.error("automorphism is not triangular-affine "
+                           "(need (gamma*x1 + g(x2), beta*x2 + beta0))", tok) from None

@@ -7,7 +7,7 @@ from operator import add, sub
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from planeaut import (CycNum, DomainMismatchError, ParseError, PlaneEndo,
                       SparsePoly, parse_endo, parse_poly, parse_scalar,
@@ -275,6 +275,19 @@ class TestParseEndo:
         with pytest.raises(ParseError, match="triangular"):
             parse_triangular("(x2, x1)")
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("(x2, x1)", 1, 6),
+        ("(x1 + 1,\n x1*x2)", 2, 2),
+        ("(x1*x2, 2*x2)", 1, 2),
+    ])
+    def test_triangular_rejection_is_placed_at_its_component(self, text, line, column):
+        # at the second component unless it is beta*x2 + beta0, else the first
+        with pytest.raises(ParseError) as err:
+            parse_triangular(text)
+        assert str(err.value) == ("automorphism is not triangular-affine (need "
+                                  "(gamma*x1 + g(x2), beta*x2 + beta0)) "
+                                  f"(line {line}, column {column})")
+
 
 class TestRoundTrips:
     def test_scalar_round_trip_randomized(self):
@@ -341,15 +354,21 @@ def test_sum_literal_is_the_left_fold_of_its_terms(p, seeds):
     assert parse_scalar(" - ".join(f"({t})" for t in terms)) == reduce(sub, values)
 
 
-@given(st.lists(st.tuples(st.sampled_from("+-"), st.sampled_from([2, 3]),
+@given(st.lists(st.tuples(st.sampled_from("+-"), st.sampled_from([2, 3, "x1", "x2"]),
                           st.integers(0, 2 ** 32)), min_size=1, max_size=8))
+@example([("+", 2, 6), ("-", "x1", 0), ("+", 3, 0)])   # z(4), then z(3) on a polynomial
 def test_two_tower_chain_fails_where_the_left_fold_fails(operands):
     """Each operand is parenthesized, so the fold over them is the parser's
     fold; a mixed-prime error is placed at the operator where it first
-    arises, and a chain that cancels to a rational in time is a value."""
+    arises, and a chain that cancels to a rational in time is a value.  An
+    operand may be x1 or x2, so the fold switches between field values and
+    polynomials."""
     text, value, error = "0", CycNum.zero(), None
     for op, p, seed in operands:
-        t = random_cycnum(random.Random(seed), p, max_level=2)
+        if p in ("x1", "x2"):
+            t = SparsePoly.x1() if p == "x1" else SparsePoly.x2()
+        else:
+            t = random_cycnum(random.Random(seed), p, max_level=2)
         column = len(text) + 2
         text += f" {op} ({t})"
         if error is None:
@@ -357,11 +376,13 @@ def test_two_tower_chain_fails_where_the_left_fold_fails(operands):
                 value = value + t if op == "+" else value - t
             except DomainMismatchError as exc:
                 error = f"{exc} (line 1, column {column})"
-    if error is None:
+    if error is None and isinstance(value, SparsePoly):
+        assert parse_poly(text) == value
+    elif error is None:
         assert parse_scalar(text) == value
     else:
         with pytest.raises(ParseError) as err:
-            parse_scalar(text)
+            parse_poly(text)
         assert str(err.value) == error
 
 
