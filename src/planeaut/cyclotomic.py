@@ -5,10 +5,11 @@ zeta^(phi(m)-1) modulo the m-th cyclotomic polynomial: the sorted
 (exponent, int) pairs of its nonzero numerators over one positive
 denominator, which shares no factor with them (Cohen, GTM 138, 4.2).  A
 product then reduces once per value, not once per coefficient, and a sum of
-any number of values (CycNum.sum) reduces once in all.  The form is
-canonical: a value is stored at the lowest level that contains it (plain
-rationals at level 0, zero as no terms over 1), so equality is a plain
-tuple comparison.  A root zeta^j of order p^n (0 < j < p^n) is one term
+any number of products (CycNum.dot, whose one-pair case is a product and
+whose case with every second factor 1 is CycNum.sum) reduces once in all.
+The form is canonical: a value is stored at the lowest level that contains
+it (plain rationals at level 0, zero as no terms over 1), so equality is a
+plain tuple comparison.  A root zeta^j of order p^n (0 < j < p^n) is one term
 when j < phi = phi(p^n), and otherwise the p - 1 terms -zeta^(j - phi +
 i*p^(n-1)), i < p - 1, so one term for every p = 2 root.  Fractions appear
 only at the edges: rational, as_fraction, str and root_of_unity_splits.
@@ -105,7 +106,7 @@ class CycNum:
     def _make(cls, prime: int | None, level: int, coeffs: dict[int, int],
               den: int = 1) -> "CycNum":
         """The canonical form of sum(c * zeta^e) / den, den > 0."""
-        terms = sorted((e, c) for e, c in coeffs.items() if c)
+        terms = sorted([t for t in coeffs.items() if t[1]])
         while level and all(e % prime == 0 for e, _ in terms):
             terms = [(e // prime, c) for e, c in terms]
             level -= 1
@@ -152,9 +153,8 @@ class CycNum:
         Uses Phi_{p^n}(x) = 1 + x^q + ... + x^{(p-1)q} with q = p^(n-1), so a
         single rewrite step lands every exponent below phi(p^n).
         """
-        m = p ** n
-        phi = phi_prime_power(p, n)
         q = p ** (n - 1)
+        m, phi = q * p, q * (p - 1)
         out: dict[int, int] = {}
         for e, c in emap.items():
             e %= m
@@ -198,38 +198,81 @@ class CycNum:
         return None
 
     @staticmethod
-    def sum(values) -> "CycNum":
-        """The sum of a sequence of values over one prime, reduced once:
-        each is lifted (below phi already) to the top level, over the lcm of
-        the denominators, into one exponent map for one _make.  A second
-        prime raises DomainMismatchError, even where a pairwise fold would
-        first cancel to a rational."""
-        if len(values) == 1:
-            return values[0]
-        p, n, den = None, 0, 1
-        for v in values:
-            if v.level:
-                if v.prime != p:
-                    if p is not None:
-                        raise DomainMismatchError(f"mixed primes {p} and {v.prime}")
-                    p = v.prime
-                if v.level > n:
-                    n = v.level
-            if v.den != den:
-                den = lcm(den, v.den)
+    def dot(pairs) -> "CycNum":
+        """sum(x * y for x, y in pairs) over one prime, reduced once.
+
+        Both factors of every pair are lifted (below phi already) to the top
+        level, over the lcm of the x.den * y.den, and convolved into one
+        exponent map for one _from_exponent_map; when every pair has a
+        rational factor no exponent reaches phi, and _make alone reduces.  A
+        single pair with a rational factor is a scaling.  A second prime
+        raises DomainMismatchError, even where a pairwise fold would first
+        cancel to a rational.
+        """
+        if len(pairs) == 1:
+            (x, y), = pairs
+            if x.level == 0 or y.level == 0:
+                scalar, val = (y, x) if y.level == 0 else (x, y)
+                if not scalar.terms:
+                    return _CYC_ZERO
+                (_, s), = scalar.terms
+                if s == scalar.den:  # the factor is 1 (lowest terms, den > 0)
+                    return val
+                # each factor is in lowest terms, so only s against val.den
+                # and scalar.den against val's numerators can share a factor
+                g = gcd(s, val.den) * gcd(scalar.den, *(c for _, c in val.terms))
+                return CycNum(val.prime, val.level, tuple(
+                    (e, s * c // g) for e, c in val.terms), scalar.den * val.den // g)
+            if x.prime != y.prime:
+                raise DomainMismatchError(f"mixed primes {x.prime} and {y.prime}")
+            p, n, den, wide = x.prime, max(x.level, y.level), x.den * y.den, True
+        else:
+            p, n, den, wide = None, 0, 1, False
+            for pair in pairs:
+                x, y = pair
+                if x.level or y.level:
+                    for v in pair:
+                        if v.level:
+                            if v.prime != p:
+                                if p is not None:
+                                    raise DomainMismatchError(
+                                        f"mixed primes {p} and {v.prime}")
+                                p = v.prime
+                            if v.level > n:
+                                n = v.level
+                    wide = wide or (x.level and y.level)
+                d = x.den * y.den
+                if d != den:
+                    den = lcm(den, d)
         out: dict[int, int] = {}
         get = out.get
-        for v in values:
-            f = den // v.den
-            for e, c in v._lift(p, n):
-                out[e] = get(e, 0) + f * c
+        for x, y in pairs:
+            f = den // (x.den * y.den)
+            if y.level:
+                b = y._lift(p, n)
+                for i, a in x._lift(p, n):
+                    a *= f
+                    for j, c in b:
+                        out[i + j] = get(i + j, 0) + a * c
+            elif y.terms:  # a rational y scales x
+                f *= y.terms[0][1]
+                for i, a in x._lift(p, n):
+                    out[i] = get(i, 0) + f * a
+        if wide:
+            return CycNum._from_exponent_map(p, n, out, den)
         return CycNum._make(p, n, out, den)
+
+    @staticmethod
+    def sum(values) -> "CycNum":
+        """The sum of a sequence of values over one prime: dot with every
+        value paired with 1."""
+        return CycNum.dot([(v, _CYC_ONE) for v in values])
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum.sum((self, o))
+        return CycNum.dot(((self, _CYC_ONE), (o, _CYC_ONE)))
 
     __radd__ = __add__
 
@@ -241,40 +284,19 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return CycNum.dot(((self, _CYC_ONE), (o, _CYC_MINUS_ONE)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return CycNum.dot(((o, _CYC_ONE), (self, _CYC_MINUS_ONE)))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.level == 0 or o.level == 0:
-            scalar, val = (self, o) if self.level == 0 else (o, self)
-            if not scalar.terms:
-                return CycNum.zero()
-            (_, s), = scalar.terms
-            if s == scalar.den:  # the factor is 1 (lowest terms, den > 0)
-                return val
-            den = scalar.den * val.den
-            # each factor is in lowest terms, so only s against val.den and
-            # scalar.den against val's numerators can share a factor
-            g = gcd(s, val.den) * gcd(scalar.den, *(c for _, c in val.terms))
-            return CycNum(val.prime, val.level,
-                          tuple((e, s * c // g) for e, c in val.terms), den // g)
-        p, n = self.prime, max(self.level, o.level)
-        if o.prime != p:
-            raise DomainMismatchError(f"mixed primes {p} and {o.prime}")
-        b = o._lift(p, n)
-        emap: dict[int, int] = {}
-        for i, x in self._lift(p, n):
-            for j, y in b:
-                emap[i + j] = emap.get(i + j, 0) + x * y
-        return CycNum._from_exponent_map(p, n, emap, self.den * o.den)
+        return CycNum.dot(((self, o),))
 
     __rmul__ = __mul__
 
@@ -384,6 +406,7 @@ class CycNum:
 
 _CYC_ZERO = CycNum(None, 0, ())
 _CYC_ONE = CycNum(None, 0, ((0, 1),))
+_CYC_MINUS_ONE = CycNum(None, 0, ((0, -1),))
 
 
 def as_cycnum(value) -> CycNum:

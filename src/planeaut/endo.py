@@ -8,9 +8,9 @@ orientation.
 
 from __future__ import annotations
 
-from math import lcm
+from math import comb, lcm
 
-from .cyclotomic import multiplicative_order
+from .cyclotomic import CycNum, multiplicative_order
 from .poly import SparsePoly
 
 
@@ -101,22 +101,37 @@ def endo_order(psi: PlaneEndo, max_order: int) -> int | None:
     """Smallest k <= max_order with psi^k the identity, else None.
 
     A triangular-affine psi = (gamma*x1 + g(x2), beta*x2 + beta0) is decided
-    from its scalars: every such k is a multiple of m = lcm(ord gamma,
-    ord beta), and psi^m = (x1 + h(x2), x2 + c) has infinite order in
-    characteristic 0 unless it is the identity, so only psi^m is formed, by
-    repeated squaring.  Any other map is composed with itself up to max_order
-    times, returning None at the first power whose degree (the larger of its
-    components' total degrees) exceeds psi's.  A map of finite order is an
-    automorphism; a finite group acting on the Bass-Serre tree of Aut =
-    affine *_B triangular (Jung 1942; van der Kulk 1953) fixes a vertex (Serre,
-    *Trees*), so psi = w^-1 * L * w, L affine, and no w^-1 * L^k * w outgrows psi.
+    from its scalars alone.  Every such k is a multiple of m = lcm(ord gamma,
+    ord beta), and psi^m = (x1 + H(x2), x2 + c) has infinite order in
+    characteristic 0 unless it is the identity.  With beta = 1, c = m*beta0
+    and H = g * sum_{i<m} gamma^i, so the order is m exactly when beta0 = 0
+    and (gamma != 1 or g = 0).  With beta != 1, c = 0; put t =
+    beta0/(1 - beta), the fixed point of x2 -> beta*x2 + beta0, and h(y) =
+    g(y + t).  Then H = m*gamma^(m-1) * sum h_d (x2 - t)^d over the d with
+    beta^d = gamma, since every other geometric sum sum_{i<m}
+    (beta^d/gamma)^i vanishes.  So the order is m exactly when, at each such
+    d <= D = deg g (one residue class modulo ord beta, or none), (1 - beta)^D
+    * h_d = sum_{e>=d} C(e,d) g_e beta0^(e-d) (1 - beta)^(D-e+d) is zero: no
+    inverse and no power above D.  Before deciding, the scalars that psi^m
+    would multiply together are added by CycNum.sum, which raises
+    DomainMismatchError on two towers: g's coefficients, gamma, beta and
+    beta0 when g involves x2, and otherwise g's constant and gamma, then
+    beta and beta0.
+
+    Any other map is composed with itself up to max_order times, returning
+    None at the first power whose degree (the larger of its components'
+    total degrees) exceeds psi's.  A map of finite order is an automorphism;
+    a finite group acting on the Bass-Serre tree of Aut = affine *_B
+    triangular (Jung 1942; van der Kulk 1953) fixes a vertex (Serre,
+    *Trees*), so psi = w^-1 * L * w, L affine, and no w^-1 * L^k * w
+    outgrows psi.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    ident = PlaneEndo.identity()
     try:
         t = TriangularAffine(psi.f1, psi.f2)
     except ValueError:
+        ident = PlaneEndo.identity()
         bound, power = max(psi.f1.degree, psi.f2.degree), psi
         for k in range(1, max_order + 1):
             if power == ident:
@@ -125,13 +140,28 @@ def endo_order(psi: PlaneEndo, max_order: int) -> int | None:
                 return None
             power = compose(power, psi)
         return None
-    orders = multiplicative_order(t.gamma), multiplicative_order(t.beta)
+    gamma, g, beta, beta0 = t.gamma, t.g.x2_profile(), t.beta, t.beta0
+    orders = multiplicative_order(gamma), multiplicative_order(beta)
     if None in orders or (m := lcm(*orders)) > max_order:
         return None
-    power = psi
-    for bit in bin(m)[3:]:      # the bits of m after the leading one
-        power = compose(power, power)
-        if bit == "1":
-            power = compose(power, psi)
-    return m if power == ident else None
-
+    # DomainMismatchError where psi^m would multiply scalars of two towers;
+    # g(beta*x2 + beta0) meets gamma*g only when g involves x2
+    top = max(g, default=0)
+    if top:
+        CycNum.sum([*g.values(), gamma, beta, beta0])
+    else:
+        CycNum.sum([*g.values(), gamma])
+        CycNum.sum([beta, beta0])
+    if beta == 1:
+        return m if beta0.is_zero and (gamma != 1 or not g) else None
+    if beta0.is_zero:  # t = 0, so h = g
+        return None if any(beta ** d == gamma for d in g) else m
+    u, step = 1 - beta, orders[1]
+    # beta^d = gamma on one residue class of d modulo ord beta, or on none
+    first = next((d for d in range(min(top, step - 1) + 1) if beta ** d == gamma),
+                 top + 1)
+    for d in range(first, top + 1, step):
+        if CycNum.sum([comb(e, d) * c * beta0 ** (e - d) * u ** (top - e + d)
+                       for e, c in g.items() if e >= d]):
+            return None
+    return m

@@ -2,14 +2,15 @@
 
 Terms are stored as a map from (deg_x1, deg_x2) to a nonzero CycNum.  The
 zero polynomial has degree NEG_INF so that deg(f*g) = deg f + deg g holds
-without special cases.  A sum, a product and a substitution gather their
-terms in one accumulator, _collect, with one CycNum.sum per monomial.
+without special cases.  A product and a substitution gather the pairs of
+factors of their terms by monomial in one accumulator, _collect, and reduce
+each output coefficient once, by one CycNum.dot; a sum adds the two
+coefficients of each monomial the operands share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 
 from .cyclotomic import CycNum, as_cycnum
 
@@ -104,7 +105,10 @@ class SparsePoly:
         o = _coerce_poly(other)
         if o is None:
             return NotImplemented
-        return _collect(chain(self._terms.items(), o._terms.items()))
+        a, b = self._terms, o._terms
+        terms = {mono: c + b[mono] if mono in b else c for mono, c in a.items()}
+        terms.update((mono, d) for mono, d in b.items() if mono not in a)
+        return _raw({mono: c for mono, c in terms.items() if not c.is_zero})
 
     __radd__ = __add__
 
@@ -131,7 +135,7 @@ class SparsePoly:
             return _raw({m: t * c for m, t in self._terms.items()})
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return _collect(((a1 + b1, a2 + b2), c * d)
+        return _collect(((a1 + b1, a2 + b2), (c, d))
                         for (a1, a2), c in self._terms.items()
                         for (b1, b2), d in other._terms.items())
 
@@ -148,8 +152,10 @@ class SparsePoly:
         """Evaluate self at x1 = s1, x2 = s2 by exact expansion.
 
         Powers of s1 and s2 are memoized, and a term free of x1 or x2 takes
-        the other power as it is, with no x^0 factor.  Every term goes into
-        one accumulator, _collect, which reduces each coefficient once.
+        the other power as it is, with no x^0 factor.  Each term c*x1^e1*x2^e2
+        of self pairs c with every coefficient of s1^e1 * s2^e2, and all the
+        pairs go into one accumulator, _collect, which reduces each output
+        coefficient once.
         """
         cache1: dict[int, SparsePoly] = {0: _ONE, 1: s1}
         cache2: dict[int, SparsePoly] = {0: _ONE, 1: s2}
@@ -158,7 +164,7 @@ class SparsePoly:
             p1, p2 = _cached_pow(s1, e1, cache1), _cached_pow(s2, e2, cache2)
             return p1 * p2 if e1 and e2 else p1 if e1 else p2
 
-        return _collect((mono, d * c) for (e1, e2), c in self._terms.items()
+        return _collect((mono, (d, c)) for (e1, e2), c in self._terms.items()
                         for mono, d in part(e1, e2)._terms.items())
 
     # -- comparison / display ---------------------------------------------
@@ -189,13 +195,13 @@ def _raw(terms: dict[Monomial, CycNum]) -> SparsePoly:
     return p
 
 
-def _collect(pairs) -> SparsePoly:
-    """The sum of the (monomial, coefficient) pairs: one CycNum.sum per
+def _collect(products) -> SparsePoly:
+    """The sum of the (monomial, (c, d)) products c*d: one CycNum.dot per
     monomial, so a coefficient is reduced once, and zero sums dropped."""
-    groups: dict[Monomial, list[CycNum]] = {}
-    for mono, c in pairs:
-        groups.setdefault(mono, []).append(c)
-    sums = ((mono, CycNum.sum(cs)) for mono, cs in groups.items())
+    groups: dict[Monomial, list[tuple[CycNum, CycNum]]] = {}
+    for mono, pair in products:
+        groups.setdefault(mono, []).append(pair)
+    sums = ((mono, CycNum.dot(pairs)) for mono, pairs in groups.items())
     return _raw({mono: c for mono, c in sums if not c.is_zero})
 
 

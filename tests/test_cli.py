@@ -113,8 +113,22 @@ class TestCommands:
         assert (code, out) == (1, "no order found up to 1000000\n")
 
     @pytest.mark.parametrize("endo,max_order,expected", [
+        # a root of order 2^40 with beta0 != 0, where psi^(2^k) carried a
+        # dense geometric sum
+        ("(z(1099511627776)^3*x1 + x2^2, z(1099511627776)*x2 + 1)", 2 ** 41,
+         (0, "order = 1099511627776\n", "")),
+        # x2^5 resonates, since z(4)^5 = z(4)
+        ("(z(4)*x1 + x2^5, z(4)*x2)", 10 ** 6, (1, "no order found up to 1000000\n", "")),
+        # no degree resonates, since z(4)^d != z(8): only d < ord z(4) are tried
+        ("(z(8)*x1 + x2^1000000, z(4)*x2 + 1)", 100, (0, "order = 8\n", "")),
+    ])
+    def test_order_read_off_the_resonances_at_once(self, endo, max_order, expected):
+        assert fresh_process("order", endo, f"--max-order={max_order}", timeout=5) == expected
+
+    @pytest.mark.parametrize("endo,max_order,expected", [
         # the scalars' order 15 is over the bound 10, so the verdict comes
-        # before the first composition, which raises the mixed-prime error
+        # before the one-tower check of the scalars, which raises the
+        # mixed-prime error
         ("(z(3)*x1 + z(4)*x2^2, z(5)*x2)", 10, (1, "no order found up to 10\n", "")),
         ("(z(3)*x1 + z(4)*x2^2, z(5)*x2)", 60,
          (2, "", "error: mixed primes 2 and 3\n")),

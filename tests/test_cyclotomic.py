@@ -235,6 +235,37 @@ def test_sum_matches_the_pairwise_fold(seed, p, count):
     assert total == reduce(add, values) and is_canonical(total)
 
 
+@given(st.integers(0, 2 ** 32), st.sampled_from([2, 3, 5, 7]), st.integers(1, 6))
+@example(1, 2, 1)
+def test_dot_matches_the_pairwise_fold(seed, p, count):
+    """One reduction for sum(x * y) equals a product per pair folded by +:
+    mixed levels 0-3, wide denominators, rational factors on one side, both
+    sides or none, and negated pairs whose products cancel."""
+    rng = random.Random(seed)
+
+    def operand():
+        return rng.choice([random_cycnum(rng, p),
+                           wide_cycnum(rng, p, rng.randint(1, 2 if p < 7 else 1)),
+                           CycNum.rational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))])
+
+    pairs = [(operand(), operand()) for _ in range(count)]
+    pairs += [(-x, y) for x, y in pairs if rng.random() < 0.5]
+    rng.shuffle(pairs)
+    total = CycNum.dot(pairs)
+    assert total == reduce(add, (x * y for x, y in pairs)) and is_canonical(total)
+
+
+def test_dot_rejects_a_second_prime():
+    # the first two primes in pair order, even where the products would cancel
+    for pairs, first, second in [
+            ([(zeta(3, 1), CycNum.one()), (zeta(3, 1), -CycNum.one()),
+              (zeta(5, 1), CycNum.one())], 3, 5),
+            ([(CycNum.one(), zeta(2, 2)), (zeta(3, 1), zeta(3, 1, 2))], 2, 3),
+            ([(zeta(5, 1), zeta(2, 2))], 5, 2)]:
+        with pytest.raises(DomainMismatchError, match=f"^mixed primes {first} and {second}$"):
+            CycNum.dot(pairs)
+
+
 class TestIdentityShortcuts:
     """Multiplying by 1 returns the other operand, and a rational power is
     two integer powers; both must keep the canonical form."""
@@ -389,6 +420,11 @@ class TestSympyOracle:
                 check(u * v, to_poly(u) * to_poly(v))
                 check(u + v, to_poly(u) + to_poly(v))
             check(u.inverse(), sympy.invert(to_poly(u), modulus))
+        # one reduction for a whole sum of products, and for a sum of values
+        for pairs in (list(zip(values, reversed(values))), list(zip(values, values[1:]))):
+            check(CycNum.dot(pairs), sum((to_poly(u) * to_poly(v) for u, v in pairs),
+                                         sympy.Poly(0, x, domain="QQ")))
+        check(CycNum.sum(values), sum(map(to_poly, values), sympy.Poly(0, x, domain="QQ")))
 
 
 def brute_splits(u, p):

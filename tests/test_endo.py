@@ -6,8 +6,9 @@ from math import lcm
 
 import pytest
 
-from planeaut import (CycNum, PlaneEndo, SparsePoly, TriangularAffine,
-                      compose, conjugate, endo_order, parse_endo)
+from planeaut import (CycNum, DomainMismatchError, PlaneEndo, SparsePoly,
+                      TriangularAffine, compose, conjugate, endo_order,
+                      multiplicative_order, parse_endo)
 from planeaut import endo
 
 from conftest import COEFF_POOL, NONZERO_POOL, random_cycnum, random_poly
@@ -231,7 +232,111 @@ def finite_order_cases(seed, count):
         yield psi, rng.choice((order - 1, order, 12)) or 1
 
 
+def squaring_order(psi, max_order):
+    """The order as psi^m alone gave it, m = lcm(ord gamma, ord beta), formed
+    by repeated squaring: the oracle for reading the order off the
+    resonances."""
+    t = TriangularAffine(psi.f1, psi.f2)
+    orders = multiplicative_order(t.gamma), multiplicative_order(t.beta)
+    if None in orders or (m := lcm(*orders)) > max_order:
+        return None
+    power = psi
+    for bit in bin(m)[3:]:
+        power = compose(power, power)
+        if bit == "1":
+            power = compose(power, psi)
+    return m if power == PlaneEndo.identity() else None
+
+
+def tower_root(rng, p, max_level=3):
+    """zeta_{p^n}^j, n <= max_level, possibly 1."""
+    n = rng.randint(0, max_level)
+    return CycNum.zeta(p, n, rng.randrange(p ** n))
+
+
+def resonance_cases(seed, count):
+    """(shape, psi, max_order) for triangular-affine psi over one p-tower,
+    p in {2, 3, 5}, by shape:
+
+    - translation: beta = 1, beta0 zero or not;
+    - unipotent: gamma = 1, beta a root, beta0 zero or not;
+    - constant: gamma = 1 and beta != 1, so the constant term of
+      h(y) = g(y + t) resonates, t = beta0/(1 - beta); g(t) = 0 or not;
+    - resonant: gamma = beta^d for a d <= deg g, with h_d zero or not;
+    - non-resonant: beta^d != gamma for every d <= deg g;
+    - conjugated: theta^-1 * diag(a, a) * theta as in the maps benchmark.
+
+    max_order is m - 1, m or m + 5 for m = lcm(ord gamma, ord beta)."""
+    rng = random.Random(seed)
+    shapes = ("translation", "unipotent", "constant", "resonant", "non-resonant",
+              "conjugated")
+    for i in range(count):
+        shape, p = shapes[i % len(shapes)], rng.choice((2, 3, 5))
+        beta, beta0 = tower_root(rng, p), tower_element(rng, p)
+        while shape in ("constant", "resonant", "non-resonant") and beta == 1:
+            beta = tower_root(rng, p)
+        if rng.random() < 0.3:
+            beta0 = CycNum.zero()
+        gamma = tower_root(rng, p)
+        h = {d: tower_element(rng, p) for d in rng.sample(range(5), rng.randint(1, 3))}
+        if shape == "translation":
+            beta = CycNum.one()
+        elif shape in ("unipotent", "constant"):
+            gamma = CycNum.one()
+        elif shape == "resonant":
+            gamma = beta ** rng.choice(sorted(h))
+        elif shape == "non-resonant":
+            while any(beta ** d == gamma for d in range(max(h) + 1)):
+                gamma = tower_root(rng, p)
+        if shape == "conjugated":
+            n = rng.randint(1, 2)
+            a = CycNum.zeta(p, n, rng.choice([j for j in range(p ** n) if j % p]))
+            theta = TriangularAffine(x1() * tower_element(rng, p) + SparsePoly(
+                {(0, d): tower_element(rng, p) for d in (0, 2, 3)}),
+                x2() * tower_element(rng, p) + tower_element(rng, p))
+            psi = conjugate(TriangularAffine.scaling(a, a), theta)
+        else:
+            if beta != 1 and rng.random() < 0.5:
+                # zero h at every resonant d, so that psi has finite order
+                h = {d: c for d, c in h.items() if beta ** d != gamma}
+            t = beta0 / (1 - beta) if beta != 1 else CycNum.zero()
+            g = SparsePoly({(0, d): c for d, c in h.items()}).substitute(x1(), x2() - t)
+            psi = PlaneEndo(x1() * gamma + g, x2() * beta + beta0)
+        t = TriangularAffine(psi.f1, psi.f2)
+        m = lcm(multiplicative_order(t.gamma), multiplicative_order(t.beta))
+        yield shape, psi, max(1, m + rng.choice((-1, 0, 5)))
+
+
 class TestOrder:
+    def test_resonances_match_repeated_squaring(self):
+        outcomes = {}
+        for shape, psi, max_order in resonance_cases(83, 360):
+            k = endo_order(psi, max_order)
+            assert k == squaring_order(psi, max_order), (shape, str(psi), max_order)
+            outcomes.setdefault(shape, set()).add(k is not None)
+        assert outcomes == dict.fromkeys(outcomes, {True, False})
+        assert len(outcomes) == 6
+
+    @pytest.mark.parametrize("text,max_order,expected", [
+        # a constant g meets gamma alone, and beta meets beta0 alone
+        ("(z(3)*x1 + 1, z(5)*x2)", 15, 15),
+        ("(z(3)*x1 + 1, z(5)*x2 + z(25))", 30, 15),
+        ("(z(3)*x1 + z(4), z(5)*x2)", 15, "mixed primes 2 and 3"),
+        ("(z(3)*x1 + 1, z(5)*x2 + z(4))", 15, "mixed primes 5 and 2"),
+        # g(beta*x2 + beta0) meets gamma*g once g involves x2
+        ("(z(3)*x1 + x2, z(5)*x2)", 15, "mixed primes 3 and 5"),
+    ])
+    def test_two_towers_meet_where_psi_m_multiplies_them(self, text, max_order,
+                                                          expected):
+        psi = parse_endo(text)
+        if isinstance(expected, str):
+            with pytest.raises(DomainMismatchError, match=f"^{expected}$"):
+                endo_order(psi, max_order)
+            with pytest.raises(DomainMismatchError):
+                squaring_order(psi, max_order)
+        else:
+            assert endo_order(psi, max_order) == expected == squaring_order(psi, max_order)
+
     def test_matches_composition_loop(self):
         found = set()
         for psi, max_order in order_oracle_cases(71, 150):

@@ -1,11 +1,12 @@
 """Sparse bivariate polynomial arithmetic and substitution."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planeaut import CycNum, NEG_INF, SparsePoly
+from planeaut import CycNum, DomainMismatchError, NEG_INF, SparsePoly
 
 from conftest import random_cycnum, random_poly
 
@@ -259,6 +260,91 @@ def test_one_sum_per_monomial_matches_pairwise_folds(operands):
             (f.substitute(s1, s2), pairwise_substitute(f, s1, s2)),
             (swap_odd.substitute(s2, s2), pairwise_substitute(swap_odd, s2, s2))]:
         assert got == want and stores_no_zero(got)
+
+
+def per_pair_collect(products):
+    """Reference accumulator: one CycNum product per pair (c, d), then one
+    CycNum.sum per monomial, as the ring did before it reduced each output
+    coefficient once."""
+    groups = {}
+    for mono, c, d in products:
+        groups.setdefault(mono, []).append(c * d)
+    return SparsePoly({mono: CycNum.sum(cs) for mono, cs in groups.items()})
+
+
+def per_pair_mul(f, g):
+    return per_pair_collect(((a1 + b1, a2 + b2), c, d)
+                            for (a1, a2), c in f.terms() for (b1, b2), d in g.terms())
+
+
+def per_pair_pow(f, e):
+    out = SparsePoly.one()
+    for _ in range(e):
+        out = per_pair_mul(out, f)
+    return out
+
+
+def per_pair_substitute(f, s1, s2):
+    return per_pair_collect(
+        (mono, d, c) for (e1, e2), c in f.terms()
+        for mono, d in per_pair_mul(per_pair_pow(s1, e1), per_pair_pow(s2, e2)).terms())
+
+
+# denominators that share factors and ones that do not
+DENOMINATORS = [1, 2, 3, 4, 6, 9, 35, 1024, 1000003]
+
+
+def ring_operands(seed):
+    """(p, f, g, s1, s2) over one p-tower, p in {2, 3, 5, 7}, on few
+    monomials so that products meet: coefficients of levels 0-3 (0-1 for
+    p = 7) scaled by rationals over DENOMINATORS, or all rational."""
+    rng = random.Random(seed)
+    p = rng.choice((2, 3, 5, 7))
+    top = 0 if rng.random() < 0.2 else 1 if p == 7 else 3
+
+    def coeff():
+        q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.choice(DENOMINATORS))
+        return random_cycnum(rng, p, max_level=top, nonzero=True) * q
+
+    def poly(n_terms, degree):
+        terms = {}
+        for _ in range(n_terms):
+            e1 = rng.randint(0, degree)
+            terms[e1, rng.randint(0, degree - e1)] = coeff()
+        return SparsePoly(terms)
+
+    return (p, poly(rng.randint(1, 5), 3), poly(rng.randint(1, 4), 3),
+            poly(rng.randint(1, 3), 2), poly(rng.randint(1, 3), 2))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_one_reduction_per_coefficient_matches_a_product_per_pair(seed):
+    _, f, g, s1, s2 = ring_operands(seed)
+    for got, want in [(f * g, per_pair_mul(f, g)),
+                      (g * f, per_pair_mul(g, f)),
+                      (f ** 3, per_pair_pow(f, 3)),
+                      (f.substitute(s1, s2), per_pair_substitute(f, s1, s2)),
+                      (f.substitute(s2, s2), per_pair_substitute(f, s2, s2))]:
+        assert got == want and stores_no_zero(got)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_two_towers_fail_in_both_accumulators(seed):
+    # f gains an x1 term of another tower, which meets an irrational term of
+    # g, and of s1 in the substitution, in one product
+    p, f, g, s1, _ = ring_operands(seed)
+    q = {2: 3, 3: 5, 5: 7, 7: 2}[p]
+    f = SparsePoly({**dict(f.terms()), (1, 0): z(q, 2)})
+    g = SparsePoly({**dict(g.terms()), (0, 0): z(p, 2)})
+    s1 = SparsePoly({**dict(s1.terms()), (4, 0): z(p, 2)})
+    for ours, reference in [(lambda: f * g, lambda: per_pair_mul(f, g)),
+                            (lambda: g * f, lambda: per_pair_mul(g, f)),
+                            (lambda: f.substitute(s1, x2()),
+                             lambda: per_pair_substitute(f, s1, x2()))]:
+        with pytest.raises(DomainMismatchError):
+            ours()
+        with pytest.raises(DomainMismatchError):
+            reference()
 
 
 small_ints = st.integers(-4, 4)
