@@ -15,9 +15,13 @@ scalars:
   infinitely many indices;
 * on an infinite common support, beta^(p^k + 1) is eventually constant for
   class members (the root part stabilizes, the rational part must be +-1),
-  so the ratios b_k/a_k must be eventually constant;
+  so the ratios b_k/a_k must be eventually constant, which is decided
+  cross-multiplied against one reference offset r, b_k a_r = b_r a_k, with
+  no inverse;
 * candidate pairs come from the exact roots of the anchor ratio equation
   beta^(p^k - p^k*) = (a_k* b_k)/(a_k b_k*), one root per rational split;
+  one inverse, 1/(a_k b_k*), serves that ratio and 1/b_k* = a_k/(a_k b_k*),
+  so each candidate's gamma is a product;
   as p^k - p^k* = p^k* (p^(k-k*) - 1), the p-part of the exponent is p^k*,
   so the other roots differ from it by a kernel element kappa of order
   dividing p^k*, and kappa^(p^k + 1) = kappa for k >= k* is absorbed into
@@ -32,8 +36,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import (CycNum, DomainMismatchError, RootOfUnity,
-                         root_of_unity_splits)
+from .cyclotomic import (MAX_POWER_BITS, CycNum, DomainMismatchError,
+                         RootOfUnity, over_power_budget, root_of_unity_splits)
 # compose and conj_closed_form are unused here, but perfbench/tracing.py wraps them
 from .endo import TriangularAffine, compose  # noqa: F401
 from .prufer import CoeffSequence, conj_closed_form, exponent_of  # noqa: F401
@@ -169,12 +173,17 @@ def _candidates_from(a: CoeffSequence, b: CoeffSequence, start: int,
     if not common:
         return (Fraction(1), RootOfUnity.one(p), CycNum.one())
     k_star = common[0]
+    a_star, b_star = a.coeff(k_star), b.coeff(k_star)
     if len(common) == 1:
         raw = [(Fraction(1), RootOfUnity.one(p))]
+        a_over_b = a_star * b_star.inverse()
     else:
         k2 = common[1]
         u = p ** (k2 - k_star) - 1  # the exponent p^k2 - p^k* is p^k* u
-        c = (a.coeff(k_star) * b.coeff(k2)) / (a.coeff(k2) * b.coeff(k_star))
+        # one inverse serves the anchor ratio c and 1/b_k* = a_k2 * inv
+        inv = (a.coeff(k2) * b_star).inverse()
+        c = a_star * b.coeff(k2) * inv
+        a_over_b = a_star * a.coeff(k2) * inv
         raw = []
         for q, rho in root_of_unity_splits(c, p):
             root = _root_power_solution(p, k_star, u, rho)
@@ -184,8 +193,7 @@ def _candidates_from(a: CoeffSequence, b: CoeffSequence, start: int,
     for scale, root in raw:
         if infinite_support and abs(scale) != 1:
             continue
-        gamma = (a.coeff(k_star) * _beta_power(scale, root, exponent_of(p, k_star))
-                 / b.coeff(k_star))
+        gamma = a_over_b * _beta_power(scale, root, exponent_of(p, k_star))
         # all is periodic past max(join, root.level, 1), so one more period
         # decides every k >= start; where a_k = 0 the condition does not involve
         # beta, which spares scale^(p^k+1) past a finite support
@@ -234,8 +242,9 @@ def necessary_condition(a: CoeffSequence, b: CoeffSequence,
             CERTIFICATE, preamble=join, period=period, offsets=periodic,
             reason="supports disagree on a periodic index set")
     common_offsets = [k - join for k in common if k >= join]
-    ratios = [b.coeff(join + o) / a.coeff(join + o) for o in common_offsets]
-    if any(r != ratios[0] for r in ratios[1:]):
+    # with a_k, a_r != 0, b_k/a_k = b_r/a_r is b_k*a_r = b_r*a_k: no inverse
+    pairs = [(a.coeff(join + o), b.coeff(join + o)) for o in common_offsets]
+    if any(b_k * pairs[0][0] != pairs[0][1] * a_k for a_k, b_k in pairs[1:]):
         return ConjugacyReport(
             CERTIFICATE, preamble=join, period=period, offsets=common_offsets,
             reason="eventual ratios b_k/a_k are not constant")
@@ -269,7 +278,9 @@ def verify_subgroup_conjugator(a: CoeffSequence, b: CoeffSequence,
     the least k with p^k + 1 > deg g, g has no term and both sequences repeat
     with the joint period P; the condition at k and k + P gives a_k = b_k = 0
     or beta^(p^k (p^P - 1)) = 1, and so holds on the residue class of k.  Two
-    periods past that point decide every k.
+    periods past that point decide every k.  A beta that is no root of unity
+    meets the parser's budget: beta^(p^k+1) estimated at more than
+    MAX_POWER_BITS numerator bits raises ValueError before it is formed.
     """
     if a.prime != b.prime:
         raise DomainMismatchError(f"mixed primes {a.prime} and {b.prime}")
@@ -289,6 +300,13 @@ def verify_subgroup_conjugator(a: CoeffSequence, b: CoeffSequence,
     if any(d not in shifts and (d == 0 or (d - 1) % p ** min(levels, d.bit_length()))
            for d in degrees):
         return False
-    return all(_matches(a, b, k, theta.gamma, theta.beta.__pow__,
-                        theta.g.coefficient(0, d))
+    beta = theta.beta
+
+    def beta_power(e: int) -> CycNum:
+        if over_power_budget(beta, e):
+            raise ValueError(f"beta^{e} over the budget of {MAX_POWER_BITS} "
+                             "numerator bits")
+        return beta ** e
+
+    return all(_matches(a, b, k, theta.gamma, beta_power, theta.g.coefficient(0, d))
                for k, d in enumerate(shifts))

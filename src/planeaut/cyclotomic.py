@@ -556,3 +556,23 @@ def as_root_of_unity(u: CycNum, p: int) -> RootOfUnity | None:
     """Recognize u as an element of C_{p^infty}, or return None."""
     return next((omega for q, omega in root_of_unity_splits(u, p) if q == 1),
                 None)
+
+
+# The most numerator bits a scalar power may be estimated at, where its base
+# is no root of unity: seven times what Python prints of an int by default
+# (4,300 digits).  (1+z(7))^50000, at the edge, takes 0.04 s (x86-64); a
+# denser base costs more, with the square of its term count.
+MAX_POWER_BITS = 100_000
+
+
+def over_power_budget(base: CycNum, e: int) -> bool:
+    """Whether base^e is estimated at more than MAX_POWER_BITS numerator bits
+    and base is no root of unity (+-1 among them), which raises to any power.
+    The estimate is e times the base's largest numerator or denominator bit
+    length, plus log2(terms) per factor for a multi-term base, whose products
+    carry into wider numerators."""
+    if not base.terms:
+        return False
+    bits = max(base.den.bit_length(), *(abs(c).bit_length() for _, c in base.terms))
+    return (e * (bits + (len(base.terms) - 1).bit_length()) > MAX_POWER_BITS
+            and multiplicative_order(base) is None)

@@ -7,8 +7,15 @@ matching the coefficient of x2^d in target*theta = theta*h gives
 
     g_d * (alpha^d - alpha) = S_d,
 
-solvable exactly unless alpha^(d-1) = 1 while S_d != 0.  The orientation of
-that formula is pinned by the composition check run on every solution.
+solvable exactly unless alpha^(d-1) = 1 while S_d != 0.  The solve makes no
+inverse: write alpha = sign * zeta^r and let w = alpha^(d-1) != 1 have order
+m; then sum_{i<m} i w^i = m/(w - 1), so
+
+    1/(alpha^d - alpha) = alpha^-1 * (1/m) * sum_{i<m} i w^i,
+
+one exponent map over the denominator m, reduced once.  The orientation of
+that formula is pinned by the composition check run on every solution,
+target*theta = theta*h, which makes no inverse either.
 
 On the shift-conjugate of diag(alpha) the solve gives g_d = -a_k at each
 d = p^k+1 with k < level(alpha) and a_k != 0, so minimal_linearizer_degree
@@ -17,10 +24,14 @@ reads its answer off the sequence and builds no target.
 
 from __future__ import annotations
 
-from .cyclotomic import CycNum, RootOfUnity, multiplicative_order
+from math import gcd
+
+from .cyclotomic import (CycNum, RootOfUnity, multiplicative_order,
+                         root_of_unity_splits)
 from .poly import SparsePoly
-from .endo import PlaneEndo, TriangularAffine, conjugate
-# conj_closed_form is unused here, but perfbench/tracing.py wraps it under this name
+# conjugate and conj_closed_form are unused here, but perfbench/tracing.py
+# wraps them under these names
+from .endo import PlaneEndo, TriangularAffine, conjugate  # noqa: F401
 from .prufer import CoeffSequence, conj_closed_form, exponent_of  # noqa: F401
 
 
@@ -67,6 +78,23 @@ def _target_shape(target: PlaneEndo) -> tuple[CycNum, int, dict[int, CycNum]]:
     return t.beta, order, t.g.x2_profile()
 
 
+def _inverse_gap(alpha: CycNum, order: int, d: int) -> CycNum:
+    """1/(alpha^d - alpha), alpha^(d-1) != 1, in the sum_{i<m} i w^i form
+    above.  With alpha = sign * zeta_{p^n}^r (a rational alpha read in the
+    2-tower), the i-th term is sign^t * zeta^(r*t), t = i*(d-1) - 1, read
+    modulo 2 and p^n, so d = 0 forms no negative power."""
+    sign, omega = next(split for split in root_of_unity_splits(alpha, alpha.prime or 2)
+                       if abs(split[0]) == 1)
+    p, n, r = omega.prime, max(omega.level, 1), omega.exp
+    pn, m = p ** n, order // gcd(order, d - 1)
+    emap: dict[int, int] = {}
+    for i in range(1, m):
+        t = i * (d - 1) - 1
+        e = r * t % pn
+        emap[e] = emap.get(e, 0) + (-i if sign < 0 and t % 2 else i)
+    return CycNum._from_exponent_map(p, n, emap, m)
+
+
 def solve_linearization(target: PlaneEndo, degree_bound: int) -> LinearizationResult:
     """Find theta = (x1 + g(x2), x2) with deg g <= degree_bound diagonalizing
     the target."""
@@ -78,11 +106,11 @@ def solve_linearization(target: PlaneEndo, degree_bound: int) -> LinearizationRe
         return LinearizationResult(obstruction_degree=min(resonant))
     if max(profile, default=0) > degree_bound:
         return LinearizationResult(obstruction_degree=max(profile))
-    g = SparsePoly({(0, d): s_d / (alpha ** d - alpha) for d, s_d in profile.items()})
+    g = SparsePoly({(0, d): s_d * _inverse_gap(alpha, order, d)
+                    for d, s_d in profile.items()})
     theta = TriangularAffine.shift(g)
     h = TriangularAffine.scaling(alpha, alpha)
-    check = conjugate(target, theta)
-    if check != h:
+    if target * theta != theta * h:
         raise AssertionError("per-monomial solve failed its composition check")
     return LinearizationResult(theta=theta, h=h)
 

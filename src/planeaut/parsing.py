@@ -40,19 +40,14 @@ from functools import cache, lru_cache
 from math import lcm
 from operator import add, mul, sub
 
-from .cyclotomic import (PRIME_LIMIT, CycNum, DomainMismatchError,
-                         multiplicative_order, prime_power_decompose)
+from .cyclotomic import (MAX_POWER_BITS, PRIME_LIMIT, CycNum,
+                         DomainMismatchError, over_power_budget,
+                         prime_power_decompose)
 from .poly import SparsePoly
 from .endo import PlaneEndo, TriangularAffine
 
 
 MAX_NESTING = 100
-
-# The most numerator bits a scalar power may be estimated at: seven times
-# what Python prints of an int by default (4,300 digits).  (1+z(7))^50000,
-# at the edge, takes 0.04 s (x86-64); a denser base costs more, with the
-# square of its term count.
-MAX_POWER_BITS = 100_000
 
 _OPS = {"+": add, "-": sub, "*": mul, "/": mul}
 
@@ -83,16 +78,6 @@ def _root(m: int) -> tuple[int, int, CycNum]:
     each time."""
     p, n = prime_power_decompose(m)
     return p, n, CycNum.zeta(p, n) if n else CycNum.one()
-
-
-def _power_bits(base: CycNum, e: int) -> int:
-    """An estimate of the numerator bits of base^e: e times the base's
-    largest numerator or denominator bit length, plus log2(terms) per factor
-    for a multi-term base, whose products carry into wider numerators."""
-    if not base.terms:
-        return 0
-    bits = max(base.den.bit_length(), *(abs(c).bit_length() for _, c in base.terms))
-    return e * (bits + (len(base.terms) - 1).bit_length())
 
 
 class ParseError(ValueError):
@@ -236,8 +221,7 @@ class _Parser:
         c = base
         if isinstance(base, SparsePoly) and base.degree <= 0:
             c = base.coefficient(0, 0)
-        if (isinstance(c, CycNum) and _power_bits(c, e) > MAX_POWER_BITS
-                and multiplicative_order(c) is None):
+        if isinstance(c, CycNum) and over_power_budget(c, e):
             raise self.error("scalar power over the budget of "
                              f"{MAX_POWER_BITS} numerator bits", tok)
         return base ** e

@@ -66,3 +66,17 @@ def random_sequence(rng, p, max_prefix=4, allow_tail=True) -> CoeffSequence:
     if allow_tail and rng.random() < 0.5:
         tail = [rng.choice(COEFF_POOL) for _ in range(rng.randint(1, 3))]
     return CoeffSequence(p, prefix, tail)
+
+
+def count_inverses(monkeypatch) -> list[int]:
+    """Patch CycNum.inverse to count its calls, which also counts the
+    inverses behind '/' and negative powers; returns the one-item counter."""
+    calls = [0]
+    inverse = CycNum.inverse
+
+    def counting(self):
+        calls[0] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(CycNum, "inverse", counting)
+    return calls

@@ -243,6 +243,19 @@ class TestCommands:
                              timeout=5) == (
             0, f"OK: conjugator intertwines levels 1..{levels}\n", "")
 
+    @pytest.mark.parametrize("theta,b,expected", [
+        # beta = 2 is no root of unity, and beta^(2^40+1) would need 2^40 bits
+        ("(x1, 2*x2)", "1", (2, "", f"error: beta^{2 ** 40 + 1} over the budget of "
+                                    f"{MAX_POWER_BITS} numerator bits\n")),
+        # a root of unity raises to any power
+        ("(x1, -x2)", "-1", (0, "OK: conjugator intertwines levels 1..41\n", "")),
+    ], ids=["over-the-budget", "root-of-unity"])
+    def test_verify_conjugator_power_budget(self, theta, b, expected):
+        zeros = ",".join(["0"] * 40)
+        assert fresh_process("verify-conjugator", "--p", "2", "--prefix", zeros + ",1",
+                             "--prefix", f"{zeros},{b}", "--theta", theta,
+                             "--levels", "41", timeout=5) == expected
+
     @pytest.mark.parametrize("flags,theta,expected", [
         # a zero sequence never meets gamma: the verdict holds over C
         pytest.param(("--p", "2", "--prefix", "0", "--prefix", "0"), "(z(3)*x1,x2)",

@@ -5,7 +5,9 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import planeaut.conjugacy as conjugacy
 from planeaut import (CERTIFICATE, CoeffSequence, CycNum, DomainMismatchError,
                       RootOfUnity, SATISFIABLE, SparsePoly, TriangularAffine, compose, differ_infinitely,
                       necessary_condition, omega0_family,
@@ -13,7 +15,8 @@ from planeaut import (CERTIFICATE, CoeffSequence, CycNum, DomainMismatchError,
 from planeaut.conjugacy import MAX_FAMILY, MAX_K0
 from planeaut.prufer import conj_closed_form
 
-from conftest import random_cycnum, random_prefix, random_root, random_sequence
+from conftest import (count_inverses, random_cycnum, random_prefix, random_root,
+                      random_sequence)
 
 
 def brute_differ(lam, mu):
@@ -333,6 +336,79 @@ class TestNecessaryCondition:
             for k0 in (None, 0, rng.randint(0, 6)):
                 outcomes.add(check_against_scan(a, b, k0))
         assert outcomes == {SATISFIABLE}
+
+
+class TestDivisionCount:
+    """necessary_condition divides only where the algebra needs it."""
+
+    def test_ratio_mismatch_certificate_makes_no_inverse(self, monkeypatch):
+        z9 = CycNum.zeta(3, 2)
+        a = CoeffSequence(3, [], [1, z9])
+        b = CoeffSequence(3, [], [2, 3 * z9])
+        calls = count_inverses(monkeypatch)
+        report = necessary_condition(a, b)
+        assert (report.reason, report.offsets) == (RATIOS, [0, 1])
+        assert calls == [0]
+
+    def test_one_inverse_per_candidate_search_with_anchors(self, monkeypatch):
+        calls = count_inverses(monkeypatch)
+        spent = []
+        search = conjugacy._candidates_from
+
+        def counted(a, b, start, common, *rest):
+            before = calls[0]
+            hit = search(a, b, start, common, *rest)
+            spent.append((bool(common), calls[0] - before))
+            return hit
+
+        monkeypatch.setattr(conjugacy, "_candidates_from", counted)
+        cases = [([1, 1, 1], [1, 2, 3], None, None),   # two starts rejected
+                 ([1, 1], [1, 2], [1], [2]),           # a non-unit scale skipped
+                 ([2], [1], [0, 5, 0], [0, 10, 0]),    # one anchor per period
+                 ([1, 0], [0, 1], None, None)]         # no anchor at all
+        for a_prefix, b_prefix, a_tail, b_tail in cases:
+            necessary_condition(CoeffSequence(2, a_prefix, a_tail),
+                                CoeffSequence(2, b_prefix, b_tail), 0)
+        assert {with_anchors for with_anchors, _ in spent} == {True, False}
+        assert all(n == with_anchors for with_anchors, n in spent)
+
+    def test_workload_shaped_satisfiable_pair_makes_one_inverse(self, monkeypatch):
+        # b_k = a_k beta^(p^k+1) / gamma with dense level-2 entries, beta =
+        # -z(9)^2 and gamma = 3/2*z(3); the first start hits
+        rng = random.Random(139)
+        p, beta = 3, -CycNum.zeta(3, 2, 2)
+        gamma = Fraction(3, 2) * CycNum.zeta(3, 1)
+        entry = lambda: random_cycnum(rng, p, max_level=2, max_terms=6, nonzero=True)  # noqa: E731
+        a_prefix, a_tail = [entry()], [entry(), entry()]
+        a = CoeffSequence(p, a_prefix, a_tail)
+        image = [a.coeff(k) * beta ** (p ** k + 1) / gamma for k in range(4)]
+        b = CoeffSequence(p, image[:2], image[2:])
+        calls = count_inverses(monkeypatch)
+        report = necessary_condition(a, b)
+        assert report.satisfiable and report.effective_from == 2
+        assert calls == [1]
+        for k in range(2, 6):
+            assert a.coeff(k) * report.beta ** (p ** k + 1) == report.gamma * b.coeff(k)
+
+
+@settings(deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), seed=st.integers(0, 2 ** 32),
+       perturbed=st.booleans())
+def test_cross_multiplied_ratio_test_agrees_with_division(p, seed, perturbed):
+    # b_k = r_k * a_k on the tail, r_k constant or with one entry redrawn; the
+    # old form divides, b_k/a_k = b_r/a_r at every common index
+    rng = random.Random(seed)
+    period = rng.randint(1, 4)
+    a_tail = [random_cycnum(rng, p, max_level=2) for _ in range(period)]
+    ratios = [random_cycnum(rng, p, max_level=2, nonzero=True)] * period
+    if perturbed:
+        ratios[rng.randrange(period)] = random_cycnum(rng, p, max_level=2, nonzero=True)
+    b_tail = [r * c for r, c in zip(ratios, a_tail)]
+    divided = [b_k / a_k for a_k, b_k in zip(a_tail, b_tail) if a_k]
+    constant = all(q == divided[0] for q in divided[1:])
+    report = necessary_condition(CoeffSequence(p, [], a_tail), CoeffSequence(p, [], b_tail))
+    assert (report.reason == RATIOS) == (not constant)
+    assert report.satisfiable == constant
 
 
 class TestVerifyConjugator:

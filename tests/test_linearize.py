@@ -12,7 +12,12 @@ from planeaut import (CoeffSequence, CycNum,
                       minimal_linearizer_degree, parse_endo,
                       solve_linearization)
 
-from conftest import random_sequence
+from planeaut.cyclotomic import multiplicative_order
+
+from conftest import count_inverses, random_sequence
+
+# the (p, n) cells of the linearize benchmark workload
+WORKLOAD_CELLS = [(2, 4), (2, 5), (2, 6), (3, 3), (5, 2), (7, 2)]
 
 
 class TestSolve:
@@ -74,6 +79,41 @@ class TestSolve:
         # alpha = -1: degree-3 equation is degenerate with S_3 = 0, so g_3 = 0
         result = solve_linearization(parse_endo("(-x1 - 2*x2^2, -x2)"), 5)
         assert result.theta.g.coefficient(0, 3).is_zero
+
+
+class TestInverseGap:
+    """1/(alpha^d - alpha) from sum_{i<m} i w^i, against the tower inverse."""
+
+    @pytest.mark.parametrize("p,n", WORKLOAD_CELLS)
+    def test_matches_the_tower_inverse(self, p, n):
+        # j = 0 gives the rational +-1; for odd p, -zeta^j is -omega
+        for j in range(p ** n):
+            for alpha in (CycNum.zeta(p, n, j), -CycNum.zeta(p, n, j)):
+                order = multiplicative_order(alpha)
+                for d in range(31):
+                    if (d - 1) % order:
+                        assert (linearize._inverse_gap(alpha, order, d)
+                                == (alpha ** d - alpha).inverse()), (p, n, j, d)
+
+    @pytest.mark.parametrize("alpha,order", [
+        pytest.param(-CycNum.zeta(3, 1), 6, id="minus-omega"),
+        pytest.param(-CycNum.zeta(7, 2, 3), 98, id="minus-omega-level-2"),
+        pytest.param(CycNum.rational(-1), 2, id="minus-one"),
+        pytest.param(CycNum.zeta(2, 3, 5), 8, id="p2"),
+    ])
+    def test_constant_term(self, alpha, order):
+        # d = 0 makes d - 1 negative: no negative power is formed
+        assert linearize._inverse_gap(alpha, order, 0) == (1 - alpha).inverse()
+
+    def test_solve_makes_no_inverse(self, monkeypatch):
+        targets = [parse_endo("(-z(3)*x1 + 1 + x2^2, -z(3)*x2)"),
+                   parse_endo("(-x1 - 2*x2^2, -x2)"),
+                   conj_closed_form(CoeffSequence(7, [1, CycNum.zeta(7, 2, 5), 3]),
+                                    RootOfUnity(7, 2, 4))]
+        calls = count_inverses(monkeypatch)
+        for target in targets:
+            assert solve_linearization(target, 50).found
+        assert calls == [0]
 
 
 class TestSoundnessAndCompleteness:
