@@ -56,8 +56,9 @@ class TriangularAffine(PlaneEndo):
     """The automorphism (gamma*x1 + g(x2), beta*x2 + beta0), gamma, beta != 0.
 
     Built from its two polynomials: the constructor checks the shape, keeps
-    f1 and f2 as given and reads gamma, g, beta and beta0 off them once;
-    any other map raises ValueError.  Closed under inversion, which is the
+    f1 and f2 as given and reads gamma, g, beta and beta0 off their terms,
+    with no arithmetic (g is every term of f1 but the x1 term); any other
+    map raises ValueError.  Closed under inversion, which is the
     only inversion this package needs: every conjugator in the
     constructions here is of this shape.
     """
@@ -66,7 +67,7 @@ class TriangularAffine(PlaneEndo):
 
     def __init__(self, f1: SparsePoly, f2: SparsePoly):
         gamma = f1.coefficient(1, 0)
-        g = f1 - SparsePoly.x1() * gamma
+        g = SparsePoly({mono: c for mono, c in f1.terms() if mono != (1, 0)})
         beta = f2.coefficient(0, 1)
         beta0 = f2.coefficient(0, 0)
         if (gamma.is_zero or beta.is_zero or g.involves_x1()
@@ -112,11 +113,8 @@ def endo_order(psi: PlaneEndo, max_order: int) -> int | None:
     (beta^d/gamma)^i vanishes.  So the order is m exactly when, at each such
     d <= D = deg g (one residue class modulo ord beta, or none), (1 - beta)^D
     * h_d = sum_{e>=d} C(e,d) g_e beta0^(e-d) (1 - beta)^(D-e+d) is zero: no
-    inverse and no power above D.  Before deciding, the scalars that psi^m
-    would multiply together are added by CycNum.sum, which raises
-    DomainMismatchError on two towers: g's coefficients, gamma, beta and
-    beta0 when g involves x2, and otherwise g's constant and gamma, then
-    beta and beta0.
+    inverse and no power above D.  A DomainMismatchError arises only where
+    that sum itself multiplies or adds scalars of two towers.
 
     Any other map is composed with itself up to max_order times, returning
     None at the first power whose degree (the larger of its components'
@@ -144,14 +142,7 @@ def endo_order(psi: PlaneEndo, max_order: int) -> int | None:
     orders = multiplicative_order(gamma), multiplicative_order(beta)
     if None in orders or (m := lcm(*orders)) > max_order:
         return None
-    # DomainMismatchError where psi^m would multiply scalars of two towers;
-    # g(beta*x2 + beta0) meets gamma*g only when g involves x2
     top = max(g, default=0)
-    if top:
-        CycNum.sum([*g.values(), gamma, beta, beta0])
-    else:
-        CycNum.sum([*g.values(), gamma])
-        CycNum.sum([beta, beta0])
     if beta == 1:
         return m if beta0.is_zero and (gamma != 1 or not g) else None
     if beta0.is_zero:  # t = 0, so h = g

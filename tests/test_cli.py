@@ -126,12 +126,10 @@ class TestCommands:
         assert fresh_process("order", endo, f"--max-order={max_order}", timeout=5) == expected
 
     @pytest.mark.parametrize("endo,max_order,expected", [
-        # the scalars' order 15 is over the bound 10, so the verdict comes
-        # before the one-tower check of the scalars, which raises the
-        # mixed-prime error
+        # the scalars' order 15 decides against the bound; with beta0 = 0 and
+        # no beta^d = gamma, the rule multiplies no scalars of two towers
         ("(z(3)*x1 + z(4)*x2^2, z(5)*x2)", 10, (1, "no order found up to 10\n", "")),
-        ("(z(3)*x1 + z(4)*x2^2, z(5)*x2)", 60,
-         (2, "", "error: mixed primes 2 and 3\n")),
+        ("(z(3)*x1 + z(4)*x2^2, z(5)*x2)", 60, (0, "order = 15\n", "")),
         ("(z(3)*x1, z(5)*x2)", 20, (0, "order = 15\n", "")),
     ])
     def test_order_with_scalars_of_two_towers(self, capsys, endo, max_order, expected):

@@ -1,6 +1,8 @@
 """Composition, inversion, conjugation, and order of plane endomorphisms."""
 
+import itertools
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -25,6 +27,20 @@ def random_parameters(rng, p=2, max_g_degree=4):
     g = SparsePoly({(0, d): random_cycnum(rng, p, max_level=2)
                     for d in rng.sample(range(max_g_degree + 1), rng.randint(0, 3))})
     return gamma, g, beta, beta0
+
+
+def count_dots(monkeypatch) -> list[int]:
+    """Patch CycNum.dot, the kernel of every field sum and product, to count
+    its calls; returns the one-item counter."""
+    calls = [0]
+    dot = CycNum.dot
+
+    def counting(pairs):
+        calls[0] += 1
+        return dot(pairs)
+
+    monkeypatch.setattr(CycNum, "dot", staticmethod(counting))
+    return calls
 
 
 def random_triangular(rng, p=2, max_g_degree=4):
@@ -248,6 +264,73 @@ def squaring_order(psi, max_order):
     return m if power == PlaneEndo.identity() else None
 
 
+def sympy_order(text, max_order):
+    """The order of the map `text` over Q(zeta_N) = Q[t]/Phi_N(t), N the lcm
+    of its z(k) moduli and z(k) = t^(N/k), in SymPy: the least divisor d of
+    m = lcm(ord gamma, ord beta) with psi^d = (x1, x2), each power built by
+    substitution with every coefficient reduced by Poly.rem, else None (also
+    when m > max_order).  Scalars of two towers multiply freely in
+    Q(zeta_N), so this decides maps the package's field cannot compose."""
+    sympy = pytest.importorskip("sympy")
+    t, v1, v2 = sympy.symbols("t x1 x2")
+    N = lcm(1, *map(int, re.findall(r"z\((\d+)\)", text)))
+    phi = sympy.Poly(sympy.cyclotomic_poly(N, t), t, domain="QQ")
+
+    def reduce(expr):
+        poly = sympy.Poly(sympy.expand(expr), v1, v2)
+        return sum((sympy.Poly(c, t, domain="QQ").rem(phi).as_expr() * v1 ** i * v2 ** j
+                    for (i, j), c in poly.terms()), sympy.Integer(0))
+
+    def compose(a, b):
+        return tuple(reduce(f.subs({v1: b[0], v2: b[1]}, simultaneous=True)) for f in a)
+
+    def power(k):
+        if k == 1:
+            return psi
+        half = power(k // 2)
+        out = compose(half, half)
+        return compose(out, psi) if k % 2 else out
+
+    def root_order(c):
+        # a root of unity of Q(zeta_N) has an order dividing lcm(2, N)
+        value = sympy.Integer(1)
+        for k in range(1, 2 * N + 1):
+            value = reduce(value * c)
+            if value == 1:
+                return k
+        return None
+
+    source = re.sub(r"z\((\d+)\)", lambda hit: f"(t**{N // int(hit.group(1))})", text)
+    psi = tuple(map(reduce, sympy.sympify(source.replace("^", "**"), locals={"t": t})))
+    orders = (root_order(sympy.Poly(psi[0], v1, v2).coeff_monomial(v1)),
+              root_order(sympy.Poly(psi[1], v1, v2).coeff_monomial(v2)))
+    if None in orders or (m := lcm(*orders)) > max_order:
+        return None
+    return next((d for d in range(1, m + 1)
+                 if m % d == 0 and power(d) == (v1, v2)), None)
+
+
+def mixed_tower_maps(seed, count):
+    """Map texts with gamma and beta roots of unity of two different towers
+    among the moduli 3, 4 and 5 (gamma = z(a)^0 = 1 on every other map, so
+    that d = 0 resonates), g of degree at most 2 with coefficients of either
+    tower, and beta0 0 or of either tower."""
+    rng = random.Random(seed)
+    for i in range(count):
+        a, b = rng.sample((3, 4, 5), 2)
+
+        def scalar():
+            k = rng.choice((a, b))
+            return f"{rng.choice(('', '-', '2*'))}z({k})^{rng.randrange(k)}"
+
+        gamma = f"z({a})^{rng.randrange(1, a) if i % 2 else 0}"
+        beta = f"z({b})^{rng.randrange(1, b)}"
+        g = " + ".join(f"{scalar()}*x2^{d}"
+                       for d in rng.sample(range(3), rng.randint(1, 3)))
+        beta0 = rng.choice(("0", scalar()))
+        yield f"({gamma}*x1 + {g}, {beta}*x2 + {beta0})"
+
+
 def tower_root(rng, p, max_level=3):
     """zeta_{p^n}^j, n <= max_level, possibly 1."""
     n = rng.randint(0, max_level)
@@ -318,24 +401,39 @@ class TestOrder:
         assert len(outcomes) == 6
 
     @pytest.mark.parametrize("text,max_order,expected", [
-        # a constant g meets gamma alone, and beta meets beta0 alone
         ("(z(3)*x1 + 1, z(5)*x2)", 15, 15),
         ("(z(3)*x1 + 1, z(5)*x2 + z(25))", 30, 15),
-        ("(z(3)*x1 + z(4), z(5)*x2)", 15, "mixed primes 2 and 3"),
-        ("(z(3)*x1 + 1, z(5)*x2 + z(4))", 15, "mixed primes 5 and 2"),
-        # g(beta*x2 + beta0) meets gamma*g once g involves x2
-        ("(z(3)*x1 + x2, z(5)*x2)", 15, "mixed primes 3 and 5"),
+        ("(z(3)*x1 + z(4), z(5)*x2)", 15, 15),
+        ("(z(3)*x1 + 1, z(5)*x2 + z(4))", 15, 15),
+        ("(z(3)*x1 + x2, z(5)*x2)", 15, 15),
+        # beta0 = 0 and no beta^d = gamma: the rule multiplies no scalars
+        ("(z(3)*x1 + z(3)*x2^2 + z(3)^2, -z(4)*x2)", 100, 12),
+        # d = 1 resonates; with beta0 = 0 the rule reads g_1 = z(3) alone
+        ("(z(5)*x1 + z(3)*x2, z(5)*x2)", 15, None),
+        # d = 1 resonates with beta0 != 0, so the rule forms z(3) * (1 - z(5))
+        ("(z(5)*x1 + z(3)*x2, z(5)*x2 + z(4))", 15, "mixed primes 3 and 5"),
     ])
-    def test_two_towers_meet_where_psi_m_multiplies_them(self, text, max_order,
-                                                          expected):
+    def test_scalars_decide_where_two_towers_meet(self, text, max_order, expected):
         psi = parse_endo(text)
         if isinstance(expected, str):
             with pytest.raises(DomainMismatchError, match=f"^{expected}$"):
                 endo_order(psi, max_order)
-            with pytest.raises(DomainMismatchError):
-                squaring_order(psi, max_order)
+            # over Q(zeta_N) the order is infinite
+            assert sympy_order(text, max_order) is None
         else:
-            assert endo_order(psi, max_order) == expected == squaring_order(psi, max_order)
+            assert endo_order(psi, max_order) == expected == sympy_order(text, max_order)
+
+    def test_seeded_mixed_towers_answer_as_the_oracle_or_raise(self):
+        outcomes = set()
+        for text in mixed_tower_maps(97, 12):
+            try:
+                k = endo_order(parse_endo(text), 60)
+            except DomainMismatchError:
+                outcomes.add("error")
+            else:
+                assert k == sympy_order(text, 60), text
+                outcomes.add("verdict")
+        assert outcomes == {"error", "verdict"}
 
     def test_matches_composition_loop(self):
         found = set()
@@ -416,6 +514,37 @@ class TestRecognition:
         f1, f2 = x1() * 2 + x2() ** 3, x2() + 1
         theta = TriangularAffine(f1, f2)
         assert theta.f1 is f1 and theta.f2 is f2
+
+    def test_constructor_makes_no_field_call(self, monkeypatch):
+        rng = random.Random(67)
+        maps = [(t.f1, t.f2) for p in (2, 3, 5) for t in
+                (random_triangular(rng, p) for _ in range(10))]
+        calls = count_dots(monkeypatch)
+        built = [TriangularAffine(f1, f2) for f1, f2 in maps]
+        assert calls == [0]
+        monkeypatch.undo()
+        for t in built:
+            assert t.g == t.f1 - x1() * t.gamma
+
+    @pytest.mark.parametrize("text", ["(x2, x1)", "(x1*x2, 2*x2)", "(x1, x2^2)"])
+    def test_rejected_shape_makes_no_field_call(self, monkeypatch, text):
+        psi = parse_endo(text)
+        calls = count_dots(monkeypatch)
+        with pytest.raises(ValueError, match="^not triangular-affine"):
+            TriangularAffine(psi.f1, psi.f2)
+        assert calls == [0]
+
+    def test_two_tower_inverse_fails_alike_in_every_term_order(self):
+        # g is read in print order, so the first two primes met are those of
+        # the map, not of how its terms were written
+        terms = ["z(3)*x2^2", "z(5)*x2", "z(4)"]
+        errors = set()
+        for order in itertools.permutations(terms):
+            theta = parse_endo(f"(z(9)*x1 + {' + '.join(order)}, z(8)*x2 + 1)")
+            with pytest.raises(DomainMismatchError) as info:
+                TriangularAffine(theta.f1, theta.f2).inverse()
+            errors.add(str(info.value))
+        assert len(errors) == 1
 
     def test_rejects_non_triangular(self):
         for text in ("(x1, x1 + x2)", "(x2, x1)", "(x1 + x1*x2, x2)"):
