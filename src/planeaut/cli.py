@@ -213,10 +213,15 @@ def _add_sequence_flags(sub):
                      help="the prime (omit to read a JSON manifest from stdin)")
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
 # built on the first main call, not at import; parse_args keeps no state
 # between calls, so one tree serves them all
 @cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="planeaut",
         description="Exact computations with plane polynomial automorphisms "
@@ -282,11 +287,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--count", type=int, required=True)
     sub.set_defaults(run=_cmd_omega_family)
 
-    return parser
+    return parser, commands.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), read by the command's own parser
+    when argv[0] names a command and that parser takes every other argument:
+    the full parser hands it the same strings.  Anything else (no command,
+    an unknown one, a leftover argument, a '--') goes through the full
+    parser, so every usage, help and error text is the same."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = commands.get(argv[0]) if argv and "--" not in argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         code, report = args.run(args)
     # ParseError, DomainMismatchError and json.JSONDecodeError are ValueErrors

@@ -7,6 +7,10 @@ denominator, which shares no factor with them (Cohen, GTM 138, 4.2).  A
 product then reduces once per value, not once per coefficient, and a sum of
 any number of products (CycNum.dot, whose one-pair case is a product and
 whose case with every second factor 1 is CycNum.sum) reduces once in all.
+The shapes that dominate the callers skip the kernel's general form: a
+product by 1 returns the other operand, a product of two one-term values is
+one exponent sum modulo p^n, and a sum or difference of two values merges
+their numerators directly.
 The form is canonical: a value is stored at the lowest level that contains
 it (plain rationals at level 0, zero as no terms over 1), so equality is a
 plain tuple comparison.  A root zeta^j of order p^n (0 < j < p^n) is one term
@@ -205,7 +209,8 @@ class CycNum:
         level, over the lcm of the x.den * y.den, and convolved into one
         exponent map for one _from_exponent_map; when every pair has a
         rational factor no exponent reaches phi, and _make alone reduces.  A
-        single pair with a rational factor is a scaling.  A second prime
+        single pair with a rational factor is a scaling, and one of two
+        one-term factors one exponent sum modulo p^n.  A second prime
         raises DomainMismatchError, even where a pairwise fold would first
         cancel to a rational.
         """
@@ -226,6 +231,22 @@ class CycNum:
             if x.prime != y.prime:
                 raise DomainMismatchError(f"mixed primes {x.prime} and {y.prime}")
             p, n, den, wide = x.prime, max(x.level, y.level), x.den * y.den, True
+            if len(x.terms) == 1 == len(y.terms):
+                # two one-term factors: one exponent sum modulo p^n
+                (i, a), (j, b) = x.terms[0], y.terms[0]
+                q = p ** (n - 1)
+                phi, c = q * (p - 1), a * b
+                e = (i * p ** (n - x.level) + j * p ** (n - y.level)) % (q * p)
+                if e >= phi:  # the p - 1 terms -zeta^r, one term for p = 2
+                    if p != 2:
+                        return CycNum._make(
+                            p, n, {r: -c for r in range(e - phi, phi, q)}, den)
+                    e, c = e - phi, -c
+                while n and e % p == 0:
+                    e //= p
+                    n -= 1
+                g = gcd(c, den)
+                return CycNum(p if n else None, n, ((e, c // g),), den // g)
         else:
             p, n, den, wide = None, 0, 1, False
             for pair in pairs:
@@ -268,11 +289,26 @@ class CycNum:
         value paired with 1."""
         return CycNum.dot([(v, _CYC_ONE) for v in values])
 
+    @staticmethod
+    def _plus(x: "CycNum", y: "CycNum", sign: int = 1) -> "CycNum":
+        """x + sign*y, sign = +-1: both lifted to the top level over the lcm
+        of their denominators and merged, with no pair form of dot."""
+        if x.level and y.level and x.prime != y.prime:
+            raise DomainMismatchError(f"mixed primes {x.prime} and {y.prime}")
+        p, n = x.prime or y.prime, max(x.level, y.level)
+        den = x.den if x.den == y.den else lcm(x.den, y.den)
+        f, g = den // x.den, sign * (den // y.den)
+        out = {e: f * c for e, c in x._lift(p, n)}
+        get = out.get
+        for e, c in y._lift(p, n):
+            out[e] = get(e, 0) + g * c
+        return CycNum._make(p, n, out, den)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum.dot(((self, _CYC_ONE), (o, _CYC_ONE)))
+        return CycNum._plus(self, o)
 
     __radd__ = __add__
 
@@ -284,18 +320,22 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum.dot(((self, _CYC_ONE), (o, _CYC_MINUS_ONE)))
+        return CycNum._plus(self, o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum.dot(((o, _CYC_ONE), (self, _CYC_MINUS_ONE)))
+        return CycNum._plus(o, self, -1)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.den == 1 and o.terms == _ONE_TERMS:  # (canonical) o is 1
+            return self
+        if self.den == 1 and self.terms == _ONE_TERMS:
+            return o
         return CycNum.dot(((self, o),))
 
     __rmul__ = __mul__
@@ -404,9 +444,9 @@ class CycNum:
         return f"CycNum({str(self)!r})"
 
 
+_ONE_TERMS = ((0, 1),)
 _CYC_ZERO = CycNum(None, 0, ())
-_CYC_ONE = CycNum(None, 0, ((0, 1),))
-_CYC_MINUS_ONE = CycNum(None, 0, ((0, -1),))
+_CYC_ONE = CycNum(None, 0, _ONE_TERMS)
 
 
 def as_cycnum(value) -> CycNum:

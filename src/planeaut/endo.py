@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb, lcm
 
 from .cyclotomic import CycNum, multiplicative_order
-from .poly import SparsePoly
+from .poly import SparsePoly, _raw
 
 
 class PlaneEndo:
@@ -67,7 +67,7 @@ class TriangularAffine(PlaneEndo):
 
     def __init__(self, f1: SparsePoly, f2: SparsePoly):
         gamma = f1.coefficient(1, 0)
-        g = SparsePoly({mono: c for mono, c in f1.terms() if mono != (1, 0)})
+        g = _raw({mono: c for mono, c in f1.terms() if mono != (1, 0)})
         beta = f2.coefficient(0, 1)
         beta0 = f2.coefficient(0, 0)
         if (gamma.is_zero or beta.is_zero or g.involves_x1()

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import planeaut.prufer as prufer
 from planeaut import PlaneEndo
-from planeaut.cli import main
+from planeaut.cli import _parse_args, build_parser, main
 from planeaut.conjugacy import MAX_K0
 from planeaut.parsing import MAX_POWER_BITS
 
@@ -86,6 +86,16 @@ class TestCommands:
         code, out, _ = run(capsys, "compose", "(x1 + x2^2, x2)", "(2*x1, x2)")
         assert code == 0
         assert out == "(2*x1 + x2^2, x2)\n"
+
+    def test_compose_monomial_maps(self, capsys):
+        # a diagonal map of roots: each term rewritten once
+        assert run(capsys, "compose", "(x1*x2 + z(9)*x2^2, x2)",
+                   "(z(9)*x1, z(9)^2*x2)") == (
+            0, "(z(3)*x1*x2 + z(9)^5*x2^2, z(9)^2*x2)\n", "")
+
+    def test_compose_two_towers_names_the_substituted_scalar_first(self, capsys):
+        assert run(capsys, "compose", "(z(3)*x1, x2)", "(z(5)*x1, x2)") == (
+            2, "", "error: mixed primes 5 and 3\n")
 
     def test_invert(self, capsys):
         code, out, _ = run(capsys, "invert", "(x1 + x2^2 + x2^3, x2)")
@@ -911,3 +921,47 @@ class TestParserReuse:
         first, second = map(int, line.split())
         assert at_import == "0"
         assert first > 0 and second == first
+
+
+def parse_outcome(capsys, parse, argv):
+    """(namespace fields or ("exit", code), stdout, stderr) of one parse."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+DISPATCH_ARGVS = [
+    pytest.param([], id="no-command"),
+    pytest.param(["-h"], id="help"),
+    pytest.param(["compose", "-h"], id="command-help"),
+    pytest.param(["bogus", "(x1, x2)"], id="unknown-command"),
+    pytest.param(["compose", "(x1, x2)"], id="missing-positional"),
+    pytest.param(["invert", "(x1, x2)", "(x1, x2)"], id="extra-positional"),
+    pytest.param(["order", "(x1, x2)", "--bogus"], id="unknown-flag"),
+    pytest.param(["order", "(x1, x2)", "--max-order", "ten"], id="bad-int"),
+    pytest.param(["omega-family", "--count", "2", "--count", "3"], id="repeated-count"),
+    pytest.param(["order", "(x1, x2)", "--max-order=5"], id="flag-equals-value"),
+    pytest.param(["verify-formula", "--p=2", "--prefix=1,1", "--alpha=1/2"],
+                 id="flags-equals-values"),
+    pytest.param(["order", "(x1, x2)", "--max", "5"], id="abbreviated-flag"),
+    pytest.param(["compose", "--", "(x1, x2)", "(x1, x2)"], id="double-dash"),
+    pytest.param(["linearize", "--target"], id="flag-without-value"),
+    pytest.param(["compose", "-x1", "(x1, x2)"], id="dash-positional"),
+]
+
+
+class TestDispatch:
+    """main reads argv with the command's own parser when that parser takes
+    every argument, and with the full parser otherwise; either way it must
+    parse, print and exit exactly as build_parser().parse_args does."""
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS)
+    def test_same_parse_as_the_full_parser(self, capsys, argv):
+        expected = parse_outcome(capsys, build_parser().parse_args, argv)
+        assert parse_outcome(capsys, _parse_args, argv) == expected
+        if isinstance(expected[0], tuple):
+            # main itself exits with the same code and text
+            assert parse_outcome(capsys, main, argv) == expected

@@ -266,6 +266,88 @@ def test_dot_rejects_a_second_prime():
             CycNum.dot(pairs)
 
 
+def general_dot(pairs):
+    """The same sum by dot's many-pair path: a (0, 0) pair added."""
+    return CycNum.dot(list(pairs) + [(CycNum.zero(), CycNum.zero())])
+
+
+SCALARS = [1, -1, Fraction(3, 4), Fraction(-11, 1024), 10 ** 20 + 1]
+
+
+def one_term_value(rng, p, top):
+    """0, +-1, a rational, or q * zeta_{p^n}^j for n <= top and any j < p^n
+    (the p - 1 terms of j >= phi for odd p)."""
+    if rng.random() < 0.3:
+        return CycNum.rational(rng.choice([0, 1, -1, Fraction(-7, 1000003)]))
+    n = rng.randint(1, top)
+    return zeta(p, n, rng.randrange(p ** n)) * rng.choice(SCALARS)
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from([2, 3, 5, 7]))
+@example(0, 2)
+def test_one_term_products_match_the_general_path(seed, p):
+    """One-term by one-term (one exponent sum), one-term by many-term and
+    products by +-1 and 0 equal dot's many-pair path, in both orders; a
+    partner root whose exponent sum is a multiple of p makes products that
+    fall to a lower level or to a rational."""
+    rng = random.Random(seed)
+    top = 1 if p == 7 else 3
+    n = rng.randint(1, top)
+    j = rng.randrange(p ** n)
+    x = zeta(p, n, j) * rng.choice(SCALARS)
+    partner = zeta(p, n, rng.randrange(p ** (n - 1)) * p - j) * rng.choice(SCALARS)
+    for y in [partner, one_term_value(rng, p, top), random_cycnum(rng, p, top),
+              wide_cycnum(rng, p, rng.randint(1, top)), CycNum.one(), -CycNum.one(),
+              CycNum.zero()]:
+        for a, b in ((x, y), (y, x)):
+            got = a * b
+            assert got == general_dot([(a, b)]) and is_canonical(got)
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from([2, 3, 5, 7]))
+@example(0, 3)
+def test_two_value_sums_match_the_general_path(seed, p):
+    """x + y, x - y and the reflected y.__rsub__(x) equal dot's many-pair
+    path over mixed levels, denominators, 0 and +-1; y = x, -x and x minus a
+    rational cancel to zero or to level 0."""
+    rng = random.Random(seed)
+    top = 1 if p == 7 else 3
+    x = rng.choice([random_cycnum(rng, p, top), one_term_value(rng, p, top),
+                    wide_cycnum(rng, p, rng.randint(1, top))])
+    one = CycNum.one()
+    for y in [random_cycnum(rng, p, top), one_term_value(rng, p, top),
+              wide_cycnum(rng, p, rng.randint(1, top)), x, -x,
+              x - Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+              CycNum.zero(), one, -one]:
+        for a, b in ((x, y), (y, x)):
+            difference = general_dot([(a, one), (b, -one)])
+            for got, want in [(a + b, general_dot([(a, one), (b, one)])),
+                              (a - b, difference), (b.__rsub__(a), difference)]:
+                assert got == want and is_canonical(got)
+    for q in (1, -1, Fraction(3, 2)):
+        assert q - x == general_dot([(CycNum.rational(q), one), (x, -one)])
+
+
+@pytest.mark.parametrize("x,y", [
+    (zeta(3, 1), zeta(5, 2)), (zeta(2, 3, 3), zeta(3, 2, 7)), (zeta(7, 1, 6), zeta(2, 2)),
+    (1 + zeta(3, 2), zeta(5, 1)), (zeta(2, 2) * Fraction(1, 3), zeta(3, 1) - 2)])
+def test_fast_paths_reject_a_second_prime(x, y):
+    # the first operand's prime is named first, in either order
+    for a, b in ((x, y), (y, x)):
+        for op in (lambda: a * b, lambda: a + b, lambda: a - b, lambda: b.__rsub__(a)):
+            with pytest.raises(DomainMismatchError,
+                               match=f"^mixed primes {a.prime} and {b.prime}$"):
+                op()
+
+
+def test_one_term_product_demotes():
+    # z(8)^2 = z(4), and z(4) * z(4) crosses phi into -1 at level 0
+    square = zeta(2, 3, 2) * zeta(2, 3, 2)
+    assert square == -1 and square.level == 0 and is_canonical(square)
+    assert zeta(3, 2, 5) * zeta(3, 2, 7) == zeta(3, 1, 1)  # z(9)^12 = z(3)
+    assert zeta(5, 2, 3) * zeta(5, 2, 22) == 1
+
+
 class TestIdentityShortcuts:
     """Multiplying by 1 returns the other operand, and a rational power is
     two integer powers; both must keep the canonical form."""
@@ -414,7 +496,10 @@ class TestSympyOracle:
                  for _ in range(2)]
         # large coprime denominators at mixed levels
         wide = [wide_cycnum(rng, p, level) for level in sorted({1, (n + 1) // 2, n})]
-        values = sparse + dense + wide
+        # one-term roots, which take the field's one-term product path
+        roots = [zeta(p, level, rng.randrange(p ** level)) * rng.choice(NONZERO_POOL)
+                 for level in (1, n)]
+        values = sparse + dense + wide + roots
         for u in values:
             for v in values:
                 check(u * v, to_poly(u) * to_poly(v))

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planeaut import CycNum, DomainMismatchError, NEG_INF, SparsePoly
+from planeaut import CycNum, DomainMismatchError, NEG_INF, SparsePoly, compose
+from planeaut.parsing import parse_endo
 
 from conftest import random_cycnum, random_poly
 
@@ -345,6 +346,89 @@ def test_two_towers_fail_in_both_accumulators(seed):
             ours()
         with pytest.raises(DomainMismatchError):
             reference()
+
+
+def one_term_coeff(rng, p):
+    """A nonzero coefficient of the p-tower: a root of any exponent, +-1, a
+    rational, or a sparse value scaled by a rational."""
+    top = 1 if p == 7 else 3
+    n = rng.randint(1, top)
+    return rng.choice([
+        z(p, n, rng.randrange(p ** n)), CycNum.one(), -CycNum.one(),
+        CycNum.rational(Fraction(rng.randint(1, 9), rng.choice(DENOMINATORS))),
+        random_cycnum(rng, p, max_level=top, nonzero=True) * Fraction(-3, 7)])
+
+
+def termwise_image(f, s1, s2):
+    """Oracle for a substitution of monomials: each term c*x1^e1*x2^e2 goes to
+    c1^e1 * c2^e2 * c (repeated field products, no powers) at the monomial
+    e1*u + e2*v, added into what is there, so terms that meet are summed."""
+    ((u1, u2), c1), = s1.terms()
+    ((v1, v2), c2), = s2.terms()
+    out = {}
+    for (e1, e2), c in f.terms():
+        d = CycNum.one()
+        for factor in [c1] * e1 + [c2] * e2:
+            d = d * factor
+        mono = (e1 * u1 + e2 * v1, e1 * u2 + e2 * v2)
+        out[mono] = out.get(mono, CycNum.zero()) + d * c
+    return SparsePoly(out)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_one_term_factor_matches_a_termwise_expansion(seed):
+    p, f, g, _, _ = ring_operands(seed)
+    rng = random.Random(2000 + seed)
+    m = SparsePoly({(rng.randint(0, 3), rng.randint(0, 3)): one_term_coeff(rng, p)})
+    for got, want in [(m * f, pairwise_mul(m, f)), (f * m, pairwise_mul(f, m)),
+                      (g * m, pairwise_mul(g, m)), (m * m, pairwise_mul(m, m))]:
+        assert got == want and stores_no_zero(got)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_monomial_substitution_matches_a_termwise_image(seed):
+    # injective maps take the one-rewrite path, the others (independent
+    # exponent vectors or not) the general one; both must match the oracle
+    p, f, g, _, _ = ring_operands(seed)
+    rng = random.Random(3000 + seed)
+
+    def monomial(e1, e2):
+        return SparsePoly({(e1, e2): one_term_coeff(rng, p)})
+
+    maps = [(monomial(rng.randint(0, 2), rng.randint(0, 2)),
+             monomial(rng.randint(0, 2), rng.randint(0, 2))) for _ in range(4)]
+    maps += [(monomial(1, 0), monomial(0, 1)), (monomial(0, 1), monomial(1, 0)),
+             (monomial(1, 1), monomial(1, 1)), (monomial(0, 0), monomial(0, 1)),
+             (monomial(2, 0), monomial(1, 0))]
+    for s1, s2 in maps:
+        for h in (f, g, f * g):
+            got = h.substitute(s1, s2)
+            assert got == termwise_image(h, s1, s2) and stores_no_zero(got)
+
+
+def test_non_injective_monomial_map_adds_the_terms_that_meet():
+    # x1 and x2 both go to x1*x2, so the two terms of x1 + x2 meet
+    phi = compose(parse_endo("(x1 + x2, x2)"), parse_endo("(x1*x2, x1*x2)"))
+    assert str(phi) == "(2*x1*x2, x1*x2)"
+
+
+@pytest.mark.parametrize("first,second,primes", [
+    # a substitution pairs the power's coefficient first
+    ("(z(3)*x1, x2)", "(z(5)*x1, x2)", (5, 3)),
+    # every product of scalar powers comes before any term's product
+    ("(z(7)*x1 + x1*x2, x2)", "(z(3)*x1, z(5)*x2)", (3, 5)),
+    ("(z(7)*x1, x2)", "(z(3)*x1, z(5)*x2)", (3, 7))])
+def test_two_tower_substitution_names_the_primes_in_product_order(first, second, primes):
+    with pytest.raises(DomainMismatchError, match="^mixed primes %d and %d$" % primes):
+        compose(parse_endo(first), parse_endo(second))
+
+
+def test_two_tower_one_term_factor_keeps_the_operand_order():
+    f, g = x1() * z(3, 1), x2() * z(5, 1) + x1() * z(5, 2)
+    with pytest.raises(DomainMismatchError, match="^mixed primes 3 and 5$"):
+        f * g
+    with pytest.raises(DomainMismatchError, match="^mixed primes 5 and 3$"):
+        g * f
 
 
 small_ints = st.integers(-4, 4)
