@@ -16,7 +16,8 @@ it (plain rationals at level 0, zero as no terms over 1), so equality is a
 plain tuple comparison.  A root zeta^j of order p^n (0 < j < p^n) is one term
 when j < phi = phi(p^n), and otherwise the p - 1 terms -zeta^(j - phi +
 i*p^(n-1)), i < p - 1, so one term for every p = 2 root.  Fractions appear
-only at the edges: rational, as_fraction, str and root_of_unity_splits.
+only at the edges: rational, as_fraction and root_of_unity_splits; str
+formats each numerator over den in lowest terms itself.
 
 A fixed prime p is assumed per computation; combining values from the
 towers of two different primes raises DomainMismatchError.
@@ -111,11 +112,11 @@ class CycNum:
               den: int = 1) -> "CycNum":
         """The canonical form of sum(c * zeta^e) / den, den > 0."""
         terms = sorted([t for t in coeffs.items() if t[1]])
-        while level and all(e % prime == 0 for e, _ in terms):
+        while level and not [e for e, _ in terms if e % prime]:
             terms = [(e // prime, c) for e, c in terms]
             level -= 1
         if den != 1:
-            g = gcd(den, *(c for _, c in terms))
+            g = gcd(den, *[c for _, c in terms])
             if g != 1:
                 terms = [(e, c // g) for e, c in terms]
                 den //= g
@@ -420,18 +421,19 @@ class CycNum:
         return not self.is_zero
 
     def __str__(self):
-        m = self.modulus()
+        m, den = self.modulus(), self.den
         parts = []
         try:
             for e, num in self.terms:
-                c = Fraction(num, self.den)
+                g = gcd(num, den)
+                c = str(num // g) if g == den else f"{num // g}/{den // g}"
                 if e == 0:
-                    parts.append(str(c))
+                    parts.append(c)
                     continue
                 base = f"z({m})" if e == 1 else f"z({m})^{e}"
-                if c == 1:
+                if num == den:
                     parts.append(base)
-                elif c == -1:
+                elif num == -den:
                     parts.append("-" + base)
                 else:
                     parts.append(f"{c}*{base}")

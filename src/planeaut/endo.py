@@ -116,6 +116,15 @@ def endo_order(psi: PlaneEndo, max_order: int) -> int | None:
     inverse and no power above D.  A DomainMismatchError arises only where
     that sum itself multiplies or adds scalars of two towers.
 
+    An affine psi = (A x + b) of finite order k has k = ord A, since psi^k
+    is a translation, of infinite order unless zero; A's eigenvalues are
+    roots of unity in a quadratic extension of the coefficients' field
+    Q(zeta_{p^n}), so k divides W = lcm(12, 4*p^(n+1)) (W = 12 over Q), and
+    k is the least divisor d of W with psi^d the identity, each power formed
+    from the squares psi^(2^i).  Scalars of two towers take both primes
+    into W, and raise DomainMismatchError where a power meets them, as the
+    composition loop's first power psi*psi does.
+
     Any other map is composed with itself up to max_order times, returning
     None at the first power whose degree (the larger of its components'
     total degrees) exceeds psi's.  A map of finite order is an automorphism;
@@ -129,8 +138,10 @@ def endo_order(psi: PlaneEndo, max_order: int) -> int | None:
     try:
         t = TriangularAffine(psi.f1, psi.f2)
     except ValueError:
-        ident = PlaneEndo.identity()
-        bound, power = max(psi.f1.degree, psi.f2.degree), psi
+        bound = max(psi.f1.degree, psi.f2.degree)
+        if bound <= 1:
+            return _affine_order(psi, max_order)
+        ident, power = PlaneEndo.identity(), psi
         for k in range(1, max_order + 1):
             if power == ident:
                 return k
@@ -156,3 +167,32 @@ def endo_order(psi: PlaneEndo, max_order: int) -> int | None:
                        for e, c in g.items() if e >= d]):
             return None
     return m
+
+
+def _affine_order(psi: PlaneEndo, max_order: int) -> int | None:
+    """The least divisor d <= max_order of W with psi^d the identity, for an
+    affine psi (see endo_order), else None."""
+    levels: dict[int, int] = {}
+    for _, c in (*psi.f1.terms(), *psi.f2.terms()):
+        if c.level:
+            levels[c.prime] = max(levels.get(c.prime, 0), c.level)
+    w = lcm(12, *(4 * p ** (n + 1) for p, n in levels.items()))
+    divisors = [1]
+    for q in {2, 3, *levels}:
+        e = 0
+        while w % q ** (e + 1) == 0:
+            e += 1
+        divisors = [d * q ** i for d in divisors for i in range(e + 1)]
+    ident, squares = PlaneEndo.identity(), [psi]   # squares[i] = psi^(2^i)
+    for d in sorted(divisors):
+        if d > max_order:
+            break
+        power = None
+        for i in range(d.bit_length()):
+            if i == len(squares):
+                squares.append(compose(squares[-1], squares[-1]))
+            if d >> i & 1:
+                power = squares[i] if power is None else compose(power, squares[i])
+        if power == ident:
+            return d
+    return None

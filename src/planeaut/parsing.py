@@ -18,14 +18,20 @@ e^(2*pi*i/m) with m a prime power.  Constants are evaluated in the field
 (CycNum); a value becomes a SparsePoly only where it meets x1 or x2, so a
 scalar, and a divisor, is an expression that mentions neither x1 nor x2.
 Division requires a nonzero scalar divisor.  An expr that is a '+'/'-'
-chain of q, z(m), z(m)^e and q*z(m)^e terms (q an INT or INT/INT, after any
-unary '-') up to ')', ',' or the end is read in one regular-expression match
-into one exponent map, and each z(m) modulus is decoded once, so a long
-literal reads in linear time.  The descent, one left fold per precedence
-level, reads every other expr, and each such chain with two primes, a zero
-divisor, a rejected z(m) modulus or an INT too long, so that errors keep one
-code path.  Tokens are scanned on demand, never over the chain reader's
-text, after one up-front match that reports the first unexpected character.
+chain of terms up to ')', ',' or the end, each term a coefficient, a
+monomial x1[^a][*x2[^b]] or x2[^b], or a coefficient '*' a monomial, where a
+coefficient is a q, z(m), z(m)^e or q*z(m)^e term (q an INT or INT/INT,
+after any unary '-') or a parenthesized chain of them, is read in one
+regular-expression match: each monomial's terms go into one exponent map,
+reduced once, and each z(m) modulus is decoded once, so a long literal, the
+printers' output among them, reads in linear time.  The descent, one left
+fold per precedence level, reads every other expr, and each such chain with
+two primes in one monomial's sum, a zero divisor, a rejected z(m) modulus,
+an INT too long or a parenthesized coefficient past MAX_NESTING, so that
+errors keep one code path; once a polynomial enters its '+'/'-' fold, each
+term is added into one term map, so a long sum is linear there too.  Tokens
+are scanned on demand, never over the chain reader's text, after one
+up-front match that reports the first unexpected character.
 A scalar power whose numerators are estimated at more than MAX_POWER_BITS
 bits is an error at its exponent; roots of unity, +-1 among them, raise to
 any power.  Parentheses nest at most MAX_NESTING deep, so that no input
@@ -43,7 +49,7 @@ from operator import add, mul, sub
 from .cyclotomic import (MAX_POWER_BITS, PRIME_LIMIT, CycNum,
                          DomainMismatchError, over_power_budget,
                          prime_power_decompose)
-from .poly import SparsePoly
+from .poly import SparsePoly, _raw
 from .endo import PlaneEndo, TriangularAffine
 
 
@@ -58,17 +64,76 @@ _TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
 _VALID = re.compile(r"[0-9\s+*/^(),-]*(?:[A-Za-z][A-Za-z0-9_]*[0-9\s+*/^(),-]*)*")
 
 
+def _bare(pattern: str) -> str:
+    """pattern with every capturing group made non-capturing."""
+    return re.sub(r"(?<!\\)\((?!\?)", "(?:", pattern)
+
+
 @cache
-def _chain_patterns() -> tuple[re.Pattern, re.Pattern]:
-    """(term, chain), compiled on the first read: 1.4 ms kept off the import.
-    A term is q, z(m), z(m)^e or q*z(m)^e, q an INT or INT/INT, after its
-    signs; its groups are (signs, num, den, m, e, m, e).  A chain joins
-    terms by '+'/'-', each after any unary '-'."""
+def _chain_patterns() -> tuple[re.Pattern, ...]:
+    """(scalar term, scalar chain, term, chain), compiled on the first read,
+    off the import.  A scalar term is q, z(m), z(m)^e or q*z(m)^e, q an INT
+    or INT/INT, after its signs; its groups are (signs, num, den, m, e, m,
+    e).  A term is a coefficient, a monomial x1[^a][*x2[^b]] or x2[^b], or
+    a coefficient '*' a monomial, after its signs, where a coefficient is a
+    scalar term or a parenthesized scalar chain; its groups are (signs, the
+    parenthesized chain, num, den, m, e, m, e, x1, a, x2, b, x2, b).  A
+    chain joins terms by '+'/'-', each after any unary '-'."""
+    def chain(term: str) -> str:
+        return rf"(?:-\s*)*{term}(?:\s*[-+]\s*(?:-\s*)*{term})*"
+
     root = r"z\s*\(\s*([0-9]+)\s*\)(?:\s*\^\s*([0-9]+))?"
     body = rf"(?:([0-9]+)(?:\s*/\s*([0-9]+))?(?:\s*\*\s*{root})?|{root})"
-    bare = body.replace("([0-9]+)", "[0-9]+")
-    return (re.compile(r"([-+\s]*)" + body),
-            re.compile(rf"\s*(?:-\s*)*{bare}(?:\s*[-+]\s*(?:-\s*)*{bare})*\s*"))
+    scalars = _bare(chain(body))
+    mono = (r"(?:(x1)(?:\s*\^\s*([0-9]+))?(?:\s*\*\s*(x2)(?:\s*\^\s*([0-9]+))?)?"
+            r"|(x2)(?:\s*\^\s*([0-9]+))?)")
+    # a coefficient ends its term unless '*' and a monomial follow
+    term = (rf"(?:(?:\(\s*({scalars})\s*\)|{body})(?:\s*\*\s*(?=x[12])|(?!\s*x))"
+            rf"|(?=x[12])){mono}?")
+    return (re.compile(r"([-+\s]*)" + body), re.compile(rf"\s*{scalars}\s*"),
+            re.compile(r"([-+\s]*)" + term), re.compile(rf"\s*{_bare(chain(term))}\s*"))
+
+
+def _reach(pattern: re.Pattern, text: str, off: int) -> int | None:
+    """The end of pattern's match at off where ')', ',' or the end of text
+    follows it, else None."""
+    match = pattern.match(text, off)
+    if match is None or text[match.end():match.end() + 1] not in ("", ")", ","):
+        return None
+    return match.end()
+
+
+def _gather(acc: list, entries, minus: int) -> bool:
+    """Add the scalar terms (signs, num, den, m, e, m, e), each negated once
+    more where minus is odd, into acc = [prime, level, den, [(numerator,
+    divisor, m, e), ...]]; False at a second prime or a zero divisor, and
+    a ValueError at a z(m) modulus _root rejects or an INT too long."""
+    prime, level, den, out = acc
+    for signs, num, d, m1, e1, m2, e2 in entries:
+        d, m = int(d or 1), int(m1 or m2 or 1)
+        p, n, _ = _root(m)
+        if not d or n and prime not in (None, p):
+            return False
+        if n:
+            prime, level = p, max(level, n)
+        den = lcm(den, d)
+        k = int(num or 1)
+        out.append((-k if (minus + signs.count("-")) & 1 else k, d, m, int(e1 or e2 or 1)))
+    acc[:3] = prime, level, den
+    return True
+
+
+def _reduce(prime: int | None, level: int, den: int, entries) -> CycNum:
+    """The sum of the (numerator, divisor, m, e) terms numerator/divisor *
+    z(m)^e, lifted into one exponent map over den and reduced once."""
+    top = prime ** level if level else 1
+    emap: dict[int, int] = {}
+    for k, d, m, e in entries:
+        key = e % m * (top // m)
+        emap[key] = emap.get(key, 0) + k * (den // d)
+    if level:
+        return CycNum._from_exponent_map(prime, level, emap, den)
+    return CycNum._make(None, 0, emap, den)
 
 
 @lru_cache(maxsize=PRIME_LIMIT)
@@ -141,51 +206,93 @@ class _Parser:
         except DomainMismatchError as exc:
             raise self.error(str(exc), tok) from None
 
-    def chain(self) -> CycNum | None:
-        """The value of a chain of rational-times-root terms that is
-        the whole expression, up to ')', ',' or the end, read in one match
-        and added as one exponent map; None where the descent must read it:
-        another shape, two primes, a zero divisor, a z(m) modulus _root
-        rejects, or an INT over int()'s digit limit."""
-        text = self.text
-        term, chain = _chain_patterns()
-        match = chain.match(text, self.off)
-        if match is None or text[match.end():match.end() + 1] not in ("", ")", ","):
-            return None
-        end = match.end()
-        terms, prime, level, den = [], None, 0, 1
+    def chain(self) -> CycNum | SparsePoly | None:
+        """The value of a chain of coefficient-times-monomial terms that is
+        the whole expression, up to ')', ',' or the end, read in one match:
+        each monomial's rationals and roots are added into one exponent map
+        and reduced once, and zero sums dropped.  A SparsePoly where some
+        term names x1 or x2, else a CycNum; None where the descent must read
+        it: another shape, two primes in one monomial's sum, a zero divisor,
+        a z(m) modulus _root rejects, an INT over int()'s digit limit, or a
+        parenthesized coefficient at the nesting limit."""
+        text, off = self.text, self.off
+        scalar, scalars, term, chain = _chain_patterns()
         try:
-            for signs, num, d, m1, e1, m2, e2 in term.findall(text, self.off, end):
-                d, m = int(d or 1), int(m1 or m2 or 1)
-                p, n, _ = _root(m)
-                if not d or n and prime not in (None, p):
+            # most literals are scalar chains: their narrower pattern and
+            # 7-group terms keep them at the cost they had before monomials
+            if (end := _reach(scalars, text, off)) is not None:
+                acc = [None, 0, 1, []]
+                if not _gather(acc, scalar.findall(text, off, end), 0):
                     return None
-                if n:
-                    prime, level = p, max(level, n)
-                den = lcm(den, d)
-                c = int(num or 1)
-                terms.append((-c if signs.count("-") & 1 else c, d, m, int(e1 or e2 or 1)))
+                self.off, self.tok = end, None
+                return _reduce(*acc)
+            if (end := _reach(chain, text, off)) is None or (
+                    self.depth == MAX_NESTING and "(" in text[off:end]):
+                return None
+            # monomial -> [prime, level, den, [(numerator, divisor, m, e), ...]]
+            sums: dict[tuple[int, int], list] = {}
+            named = False
+            for (signs, inner, num, d, m1, e1, m2, e2,
+                 x1, a, x2, b, y2, c) in term.findall(text, off, end):
+                mono = (int(a or 1) if x1 else 0, int(b or c or 1) if x2 or y2 else 0)
+                if mono not in sums:
+                    sums[mono] = [None, 0, 1, []]
+                if not named and (x1 or y2):
+                    named = True
+                    if "+" in signs and mono != (0, 0) and (0, 0) in sums:
+                        # s + P puts P's term first (SparsePoly.__radd__)
+                        sums[(0, 0)] = sums.pop((0, 0))
+                if inner:
+                    entries, minus = scalar.findall(inner), signs.count("-")
+                else:
+                    entries, minus = ((signs, num, d, m1, e1, m2, e2),), 0
+                if not _gather(sums[mono], entries, minus):
+                    return None
         except ValueError:
             return None
-        top = prime ** level if level else 1
-        emap: dict[int, int] = {}
-        for c, d, m, e in terms:
-            key = e % m * (top // m)
-            emap[key] = emap.get(key, 0) + c * (den // d)
         self.off, self.tok = end, None
-        if level:
-            return CycNum._from_exponent_map(prime, level, emap, den)
-        return CycNum._make(None, 0, emap, den)
+        if not named:
+            return _reduce(*sums[(0, 0)])
+        return _raw({mono: c for mono, acc in sums.items() if (c := _reduce(*acc))})
 
     def expr(self) -> CycNum | SparsePoly:
-        """A '+'/'-' chain, by chain() where it reads it, else by a left fold."""
+        """A '+'/'-' chain, by chain() where it reads it, else by a left fold;
+        once a polynomial enters the fold, each right-hand side is added
+        into its one term map."""
         if (value := self.chain()) is not None:
             return value
-        value = self.term()
+        value, owned = self.term(), False
         while self.peek()[0] in ("+", "-"):
             tok = self.advance()
-            value = self.step(tok, value, self.term())
+            rhs = self.term()
+            if owned:
+                self.add_into(tok, value, rhs)
+            else:
+                # a sum with a polynomial is a new SparsePoly, owned by the fold
+                value = self.step(tok, value, rhs)
+                owned = isinstance(value, SparsePoly)
         return value
+
+    def add_into(self, tok, value: SparsePoly, rhs) -> None:
+        """value +/- rhs at tok, into value's term map, as SparsePoly's sum
+        forms it: the field op of tok per shared monomial, zero sums
+        dropped, new monomials appended; linear in rhs's terms."""
+        terms = value._terms
+        other = rhs._terms if isinstance(rhs, SparsePoly) else {(0, 0): rhs} if rhs else {}
+        op, plus = _OPS[tok[0]], tok[0] == "+"
+        try:
+            sums = [(mono, op(terms[mono], c) if mono in terms else c if plus else -c)
+                    for mono, c in other.items()]
+        except DomainMismatchError:
+            # SparsePoly's sum meets the shared monomials in value's order,
+            # so it raises at tok naming the pair the pairwise fold named
+            self.step(tok, value, rhs)
+            raise
+        for mono, c in sums:
+            if c:
+                terms[mono] = c
+            else:
+                del terms[mono]
 
     def term(self) -> CycNum | SparsePoly:
         value = self.unary()

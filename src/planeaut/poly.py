@@ -269,9 +269,9 @@ def _term_str(mono: Monomial, coeff: CycNum) -> str:
     if mono == (0, 0):
         return str(coeff)
     ms = _mono_str(mono)
-    if coeff == 1:
+    if coeff.den == 1 and coeff.terms == ((0, 1),):  # the canonical 1
         return ms
-    if coeff == -1:
+    if coeff.den == 1 and coeff.terms == ((0, -1),):
         return "-" + ms
     cs = str(coeff)
     if len(coeff.terms) > 1:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import planeaut.prufer as prufer
-from planeaut import PlaneEndo
+from planeaut import CycNum, PlaneEndo, SparsePoly
 from planeaut.cli import _parse_args, build_parser, main
 from planeaut.conjugacy import MAX_K0
 from planeaut.parsing import MAX_POWER_BITS
@@ -856,6 +856,9 @@ def fresh_process(*argv, timeout=None):
 
 # 20,000 terms in the printer's form, short enough for one argv entry
 LONG_CHAIN = "+".join(["z(8)", "2"] * 10_000)
+# c*x2^k for k < 10,000, c cycling through 1, -1, 1, 2 and z(8): 115 KB printed
+LONG_POLY = SparsePoly({(0, k): CycNum.zeta(2, 3) if k % 5 == 4 else (1, -1, 1, 2)[k % 5]
+                        for k in range(10_000)})
 
 
 class TestLongLiterals:
@@ -866,9 +869,30 @@ class TestLongLiterals:
                              "--alpha", "1/2", timeout=5) == (0, GOLDEN_VERIFY, "")
 
     def test_chain_times_a_variable(self):
-        # the chain reader declines at '*', and the descent reads every term
+        # the scalar chain stops at '*', and the chain reader reads every
+        # term, the last one 2*x1
         assert fresh_process("compose", f"({LONG_CHAIN}*x1, x2)", "(x1, x2)",
                              timeout=5) == (0, "(19998 + 10000*z(8) + 2*x1, x2)\n", "")
+
+    def test_printed_polynomial(self):
+        # 10,000 terms in the printer's form, read back in one match
+        poly = str(LONG_POLY)
+        assert fresh_process("compose", f"({poly}, x2)", "(x1, x2)",
+                             timeout=5) == (0, f"({poly}, x2)\n", "")
+
+    def test_declined_polynomial(self):
+        # the chain reader matches 10,000 terms and declines at the last
+        # '*x1', so the descent reads them all, into one term map
+        last = SparsePoly.monomial(0, 9999, LONG_POLY.coefficient(0, 9999))
+        value = LONG_POLY + last * (SparsePoly.monomial(2, 0) - 1)
+        assert fresh_process("compose", f"({LONG_POLY}*x1*x1, x2)", "(x1, x2)",
+                             timeout=5) == (0, f"({value}, x2)\n", "")
+
+    def test_chain_of_distinct_denominators(self):
+        # 1/1*x2 + ... + 1/10000*x2: one x2 sum over one denominator
+        chain = "+".join(f"1/{k}*x2" for k in range(1, 10001))
+        assert fresh_process("order", f"(x1 + {chain}, x2)", timeout=5) == (
+            1, "no order found up to 256\n", "")
 
     def test_digit_run_before_a_name(self):
         assert fresh_process("verify-formula", "--p", "2", "--prefix", "1" * 4000 + "x",

@@ -390,6 +390,56 @@ def resonance_cases(seed, count):
         yield shape, psi, max(1, m + rng.choice((-1, 0, 5)))
 
 
+def affine_inverse(m):
+    """The inverse of an invertible affine map m = A x + t: A^-1 (x - t)."""
+    (a, b), (c, d) = ((f.coefficient(1, 0), f.coefficient(0, 1)) for f in (m.f1, m.f2))
+    inv = (a * d - b * c).inverse()
+    y1, y2 = x1() - m.f1.coefficient(0, 0), x2() - m.f2.coefficient(0, 0)
+    return PlaneEndo((y1 * d - y2 * b) * inv, (y2 * a - y1 * c) * inv)
+
+
+def affine_cases(seed, count):
+    """(kind, psi, max_order) for affine psi over Q or one p-tower, p in {2,
+    3, 5}: a linear map L of finite order (the swap, rotations of order 3,
+    4 and 6, a companion (x2, c*x1) or a diagonal of roots, c and the roots
+    of order up to p^2), plus a translation half the time, conjugated by a
+    random invertible affine map; or a random affine map, of infinite order
+    but for chance.  max_order is the order minus one, the order, or 30
+    when brute_order(psi, 60) finds none."""
+    rng = random.Random(seed)
+    for i in range(count):
+        p = rng.choice((None, 2, 3, 5))
+
+        def scalar(nonzero=False):
+            c = rng.choice(NONZERO_POOL if nonzero else COEFF_POOL)
+            return c * tower_root(rng, p, 2) if p and rng.random() < 0.5 else CycNum.rational(c)
+
+        def affine(a, b, c, d, e, f):
+            return PlaneEndo(x1() * a + x2() * b + e, x1() * c + x2() * d + f)
+
+        zero, one = CycNum.zero(), CycNum.one()
+        kind = rng.choice(("finite", "finite", "random"))
+        if kind == "random":
+            psi = affine(*(scalar() for _ in range(6)))
+        else:
+            linear = [(zero, one, one, zero), (zero, one, -one, zero),
+                      (zero, one, -one, -one), (zero, one, -one, one)]
+            if p:
+                root = lambda: tower_root(rng, p, 2)   # noqa: E731
+                linear += [(zero, one, root(), zero), (root(), zero, zero, root())]
+            a, b, c, d = rng.choice(linear)
+            e, f = (scalar(), scalar()) if rng.random() < 0.5 else (zero, zero)
+            m = affine(*(scalar(nonzero=True) for _ in range(4)), scalar(), scalar())
+            while (m.f1.coefficient(1, 0) * m.f2.coefficient(0, 1)
+                   == m.f1.coefficient(0, 1) * m.f2.coefficient(1, 0)):
+                m = affine(*(scalar(nonzero=True) for _ in range(4)), scalar(), scalar())
+            m_inv = affine_inverse(m)
+            assert compose(m, m_inv) == PlaneEndo.identity()
+            psi = compose(compose(m_inv, affine(a, b, c, d, e, f)), m)
+        order = brute_order(psi, 60)
+        yield kind, psi, rng.choice((order - 1, order)) or 1 if order else 30
+
+
 class TestOrder:
     def test_resonances_match_repeated_squaring(self):
         outcomes = {}
@@ -442,6 +492,33 @@ class TestOrder:
             assert k == brute_order(psi, max_order), (str(psi), max_order)
             found.add(k is not None)
         assert found == {True, False}
+
+    def test_affine_maps_match_composition_loop(self):
+        found = {}
+        for kind, psi, max_order in affine_cases(157, 160):
+            k = endo_order(psi, max_order)
+            assert k == brute_order(psi, max_order), (kind, str(psi), max_order)
+            found.setdefault(kind, set()).add(k is not None)
+        assert found["finite"] == {True, False} and False in found["random"]
+
+    @pytest.mark.parametrize("text,order", [
+        ("(x2, x1 + 1)", None), ("(x2, -x1 - x2 + 1)", 3), ("(x2, z(8)*x1)", 16),
+        ("(x2, -z(9)*x1 + 1)", 36), ("(-x1 + x2, x1)", None), ("(x1, x1)", None)])
+    def test_affine_order_is_a_divisor_of_w(self, text, order, monkeypatch):
+        # at most log2(W) squares and one product per bit of each divisor,
+        # whatever the bound
+        calls = []
+        monkeypatch.setattr(endo, "compose", lambda phi, psi: calls.append(1) or compose(phi, psi))
+        assert endo_order(parse_endo(text), 10 ** 12) == order
+        assert len(calls) < 200
+
+    def test_two_tower_affine_map_keeps_its_error(self):
+        # the first power is psi*psi, as in the composition loop
+        psi = parse_endo("(z(3)*x2, z(5)*x1)")
+        with pytest.raises(DomainMismatchError, match="^mixed primes 5 and 3$"):
+            brute_order(psi, 10)
+        with pytest.raises(DomainMismatchError, match="^mixed primes 5 and 3$"):
+            endo_order(psi, 10)
 
     @pytest.mark.parametrize("text,order", [("(x2, x1)", 2), ("(x2, -x1)", 4)])
     def test_non_triangular_maps_take_the_loop(self, text, order):

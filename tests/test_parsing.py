@@ -87,6 +87,14 @@ class TestParseErrors:
             parse_scalar("z(4) + 1 + z(3)")
         assert (err.value.line, err.value.column) == (1, 10)
 
+    @pytest.mark.parametrize("op", "+-")
+    def test_mixed_primes_in_a_polynomial_sum_name_the_running_sums_pair(self, op):
+        # both shared monomials mix primes: the running sum's first (x1) is
+        # named, whatever order the right-hand side holds them in
+        with pytest.raises(ParseError) as err:
+            parse_poly(f"z(5)*x1 + z(3)*x2 {op} (z(5)*x2 + z(3)*x1)")
+        assert str(err.value) == "mixed primes 5 and 3 (line 1, column 19)"
+
     def test_missing_operand_at_end(self):
         with pytest.raises(ParseError, match="expected a value but found 'end of input'") as err:
             parse_poly("x1 +")
@@ -161,6 +169,16 @@ class TestNesting:
         assert parse_poly("-(" * MAX_NESTING + "x1" + ")" * MAX_NESTING) == SparsePoly.x1()
         with pytest.raises(ParseError, match="nested deeper"):
             parse_poly("-(" * 250 + "x1" + ")" * 250)
+
+    def test_parenthesized_coefficient_at_the_limit(self):
+        # the chain reader declines a coefficient's parenthesis past the
+        # limit, so the descent rejects it where it stands
+        inner = "(1/2)*x1 + x2"
+        assert parse_poly(nested(MAX_NESTING - 1, inner)) == (
+            SparsePoly.monomial(1, 0, Fraction(1, 2)) + SparsePoly.x2())
+        with pytest.raises(ParseError, match="nested deeper") as err:
+            parse_poly(nested(MAX_NESTING, inner))
+        assert (err.value.line, err.value.column) == (1, MAX_NESTING + 1)
 
     def test_scalar(self):
         assert parse_scalar("-" * 1001 + nested(MAX_NESTING, "1/2")) == Fraction(-1, 2)
@@ -404,44 +422,41 @@ def test_every_input_parses_or_fails_inside_the_text(text):
 
 SPACES = st.sampled_from(["", " ", "  ", "\t", "\n"])
 # terms the chain reader leaves to the descent: a root of a second prime
-# (next to an irrational one of p), a zero divisor, moduli that z(m)
-# rejects, INTs over the digit limit
+# (next to an irrational one of p), in one coefficient or in one monomial's
+# sum, a zero divisor, moduli that z(m) rejects, INTs over the digit limit
 FAULTS = ["z({pp}) + z({q})", "3/0", "z(6)", "z(12)", "z(1009)", "z(0)",
-          "1" * 4301, "z(4)^" + "1" * 4301]
+          "1" * 4301, "z(4)^" + "1" * 4301, "(z({pp}) + z({q}))*x1",
+          "z({pp})*x2 - z({q})*x2", "(1/0)*x2", "x1^" + "1" * 4301]
+# monomials of the terms (None for a scalar term), x1^0 among them, few
+# enough that they recur
+MONOMIALS = [None, None, (0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 3), (2, 1)]
 
 
 @st.composite
-def chain_literals(draw):
-    """(text, value): a '+'/'-' chain of q, z(m), z(m)^e and q*z(m)^e terms
-    over one prime p, spaced at random or in the printer's form, with up to
-    three unary '-' per term, z(1), exponents past m and zero numerators;
-    half the time each term recurs negated, so that the roots cancel.  The
-    value is the sum of q * CycNum.zeta(p, n, e) through the field's API, or
-    None where a fault is mixed in."""
-    p = draw(st.sampled_from([2, 3, 5]))
-    terms = []
-    for _ in range(draw(st.integers(1, 5))):
-        text, value = "", CycNum.one()
-        level = draw(st.sampled_from([None, 0, 1, 2, 3]))
-        if level is None or draw(st.booleans()):
-            num, den = draw(st.integers(0, 40)), draw(st.sampled_from([None, 1, 2, 9]))
-            text = f"{num}" + (f"{draw(SPACES)}/{draw(SPACES)}{den}" if den else "")
-            value = CycNum.rational(Fraction(num, den or 1))
-        if level is not None:
-            e = draw(st.none() | st.integers(0, 2 * p ** level + 1))
-            text += (f"{draw(SPACES)}*{draw(SPACES)}" if text else "") + (
-                f"z{draw(SPACES)}({draw(SPACES)}{p ** level}{draw(SPACES)})")
-            if e is not None:
-                text += f"{draw(SPACES)}^{draw(SPACES)}{e}"
-            value = value * CycNum.zeta(p, level, 1 if e is None else e)
-        terms.append((text, value, draw(st.booleans())))
-    if draw(st.booleans()):
-        terms += [(text, value, not negate) for text, value, negate in terms]
-    fault = draw(st.none() | st.sampled_from(FAULTS))
-    if fault is not None:
-        q = 7 if p == 5 else 5
-        terms.insert(draw(st.integers(0, len(terms))),
-                     (fault.format(pp=p * p, q=q), None, False))
+def scalar_terms(draw, p):
+    """(text, value): q, z(m), z(m)^e or q*z(m)^e over p, spaced at random or
+    in the printer's form, with z(1), exponents past m and zero numerators;
+    the value is q * CycNum.zeta(p, n, e) through the field's API."""
+    text, value = "", CycNum.one()
+    level = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    if level is None or draw(st.booleans()):
+        num, den = draw(st.integers(0, 40)), draw(st.sampled_from([None, 1, 2, 9]))
+        text = f"{num}" + (f"{draw(SPACES)}/{draw(SPACES)}{den}" if den else "")
+        value = CycNum.rational(Fraction(num, den or 1))
+    if level is not None:
+        e = draw(st.none() | st.integers(0, 2 * p ** level + 1))
+        text += (f"{draw(SPACES)}*{draw(SPACES)}" if text else "") + (
+            f"z{draw(SPACES)}({draw(SPACES)}{p ** level}{draw(SPACES)})")
+        if e is not None:
+            text += f"{draw(SPACES)}^{draw(SPACES)}{e}"
+        value = value * CycNum.zeta(p, level, 1 if e is None else e)
+    return text, value
+
+
+@st.composite
+def signed_sum(draw, terms):
+    """(text, value) of the (text, value, negate) terms joined by '+'/'-',
+    each after up to three unary '-', with value None where a term's is."""
     text, value = draw(SPACES), CycNum.zero()
     for i, (term, v, negate) in enumerate(terms):
         op = draw(st.sampled_from("+-")) if i else "+"
@@ -449,9 +464,56 @@ def chain_literals(draw):
         if i:
             text += f"{draw(SPACES)}{op}{draw(SPACES)}"
         text += f"-{draw(SPACES)}" * minus + term
-        if fault is None:
-            value = value - v if negate else value + v
-    return text + draw(SPACES), None if fault else value
+        if value is not None:
+            value = None if v is None else value - v if negate else value + v
+    return text + draw(SPACES), value
+
+
+@st.composite
+def chain_literals(draw):
+    """(text, value, distinct): a '+'/'-' chain of terms over one prime p,
+    each a coefficient, a monomial or a coefficient '*' a monomial, where a
+    coefficient is a scalar term or a parenthesized chain of them and a
+    monomial is written x1^a*x2^b, with x1^0, ^1 and x2^b alone among the
+    forms; half the time each term recurs negated, so that the monomials
+    cancel.  The value is the sum through the field's and the ring's API, or
+    None where a fault is mixed in; distinct tells whether no two terms
+    share a monomial, a scalar term's being 1."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        mono = draw(st.sampled_from(MONOMIALS))
+        shape = draw(st.sampled_from(["scalar", "paren"] + ["bare"] * (mono is not None)))
+        if shape == "scalar":
+            text, value = draw(scalar_terms(p))
+        elif shape == "paren":
+            inner = draw(st.lists(st.tuples(scalar_terms(p), st.booleans()),
+                                  min_size=1, max_size=3))
+            text, value = draw(signed_sum([(t, v, neg) for (t, v), neg in inner]))
+            text = f"({text})"
+        else:
+            text, value = "", CycNum.one()
+        if mono is not None:
+            e1, e2 = mono
+            factors = [f"x1{draw(SPACES)}^{draw(SPACES)}{e1}" if e1 != 1 or draw(st.booleans())
+                       else "x1"] if e1 or not e2 else []
+            if e2:
+                factors.append(f"x2{draw(SPACES)}^{draw(SPACES)}{e2}"
+                               if e2 != 1 or draw(st.booleans()) else "x2")
+            monomial = f"{draw(SPACES)}*{draw(SPACES)}".join(factors)
+            text = f"{text}{draw(SPACES)}*{draw(SPACES)}{monomial}" if text else monomial
+            value = SparsePoly.monomial(e1, e2, value)
+        terms.append((text, value, draw(st.booleans()), mono or (0, 0)))
+    if draw(st.booleans()):
+        terms += [(text, value, not negate, mono) for text, value, negate, mono in terms]
+    distinct = len({mono for *_, mono in terms}) == len(terms)
+    fault = draw(st.none() | st.sampled_from(FAULTS))
+    if fault is not None:
+        q = 7 if p == 5 else 5
+        terms.insert(draw(st.integers(0, len(terms))),
+                     (fault.format(pp=p * p, q=q), None, False, None))
+    text, value = draw(signed_sum([term[:3] for term in terms]))
+    return text, value, distinct
 
 
 def outcome(parse, text):
@@ -467,13 +529,31 @@ def outcome(parse, text):
 def test_chain_reader_agrees_with_the_descent(case):
     """The reader takes every fault-free chain and declines every other; the
     descent alone (the reader patched to decline) gives the same value or
-    the same error, read whole, as a coefficient in a map and as a map's
-    entry."""
-    text, value = case
+    the same error, read whole as a scalar and as a polynomial, as a
+    coefficient in a map and as a map's entry; where no two terms share a
+    monomial, the term map is in the descent's order too."""
+    text, value, distinct = case
     assert (_Parser(text).chain() is None) == (value is None)
     in_map = f"(({text})*x1 + x2, {text})"
-    read = [outcome(parse_scalar, text), outcome(parse_endo, in_map)]
+    parses = (parse_scalar, parse_poly, parse_endo)
+    read = [outcome(parse, t) for parse, t in zip(parses, (text, text, in_map))]
     with patch.object(_Parser, "chain", lambda self: None):
-        assert [outcome(parse_scalar, text), outcome(parse_endo, in_map)] == read
+        descent = [outcome(parse, t) for parse, t in zip(parses, (text, text, in_map))]
+    assert descent == read
     if value is not None:
-        assert read[0] == value
+        assert read[1] == value
+        if isinstance(value, CycNum):
+            assert read[0] == value
+        if distinct:
+            assert list(read[1]._terms) == list(descent[1]._terms)
+
+
+def test_printed_maps_are_read_in_one_match():
+    """The printers emit the chain reader's language: each component of a
+    random map is read whole by the reader, to itself."""
+    rng = random.Random(149)
+    for _ in range(100):
+        p = rng.choice([2, 3, 5])
+        for f in (random_poly(rng, p=p), random_poly(rng, p=p, max_terms=20, max_level=3)):
+            value = _Parser(str(f)).chain()
+            assert value is not None and value == f, str(f)
