@@ -176,6 +176,14 @@ class CycNum:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @property
+    def is_one(self) -> bool:
+        return self.den == 1 and self.terms == _ONE_TERMS
+
+    @property
+    def is_minus_one(self) -> bool:
+        return self.den == 1 and self.terms == _MINUS_ONE_TERMS
+
     def as_fraction(self) -> Fraction:
         if self.level != 0:
             raise ValueError(f"{self} is not rational")
@@ -333,9 +341,9 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.den == 1 and o.terms == _ONE_TERMS:  # (canonical) o is 1
+        if o.is_one:
             return self
-        if self.den == 1 and self.terms == _ONE_TERMS:
+        if self.is_one:
             return o
         return CycNum.dot(((self, o),))
 
@@ -446,7 +454,8 @@ class CycNum:
         return f"CycNum({str(self)!r})"
 
 
-_ONE_TERMS = ((0, 1),)
+_ONE_TERMS = ((0, 1),)       # the canonical terms of 1 and -1, over den 1
+_MINUS_ONE_TERMS = ((0, -1),)
 _CYC_ZERO = CycNum(None, 0, ())
 _CYC_ONE = CycNum(None, 0, _ONE_TERMS)
 

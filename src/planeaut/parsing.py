@@ -22,14 +22,17 @@ chain of terms up to ')', ',' or the end, each term a coefficient, a
 monomial x1[^a][*x2[^b]] or x2[^b], or a coefficient '*' a monomial, where a
 coefficient is a q, z(m), z(m)^e or q*z(m)^e term (q an INT or INT/INT,
 after any unary '-') or a parenthesized chain of them, is read in one
-regular-expression match: each monomial's terms go into one exponent map,
-reduced once, and each z(m) modulus is decoded once, so a long literal, the
-printers' output among them, reads in linear time.  The descent, one left
-fold per precedence level, reads every other expr, and each such chain with
-two primes in one monomial's sum, a zero divisor, a rejected z(m) modulus,
-an INT too long or a parenthesized coefficient past MAX_NESTING, so that
-errors keep one code path; once a polynomial enters its '+'/'-' fold, each
-term is added into one term map, so a long sum is linear there too.  Tokens
+regular-expression match (a chain of scalar terms alone by a narrower
+pattern): each monomial's terms go into one exponent map, reduced once, and
+each z(m) modulus is decoded once, so a long literal, the printers' output
+among them, reads in linear time.  The descent, one left fold per
+precedence level, reads every other expr, and each such chain with a
+monomial that recurs after another monomial's term (where the descent's
+sums may move it), two primes in one monomial's sum, a zero divisor, a
+rejected z(m) modulus, an INT too long or a parenthesized coefficient past
+MAX_NESTING, so that errors and term order keep one code path; once a
+polynomial enters its '+'/'-' fold, each term is merged into its one term
+map (SparsePoly._merge_into), so a long sum is linear there too.  Tokens
 are scanned on demand, never over the chain reader's text, after one
 up-front match that reports the first unexpected character.
 A scalar power whose numerators are estimated at more than MAX_POWER_BITS
@@ -49,7 +52,7 @@ from operator import add, mul, sub
 from .cyclotomic import (MAX_POWER_BITS, PRIME_LIMIT, CycNum,
                          DomainMismatchError, over_power_budget,
                          prime_power_decompose)
-from .poly import SparsePoly, _raw
+from .poly import SparsePoly, _coerce_poly, _raw
 from .endo import PlaneEndo, TriangularAffine
 
 
@@ -76,9 +79,10 @@ def _chain_patterns() -> tuple[re.Pattern, ...]:
     or INT/INT, after its signs; its groups are (signs, num, den, m, e, m,
     e).  A term is a coefficient, a monomial x1[^a][*x2[^b]] or x2[^b], or
     a coefficient '*' a monomial, after its signs, where a coefficient is a
-    scalar term or a parenthesized scalar chain; its groups are (signs, the
-    parenthesized chain, num, den, m, e, m, e, x1, a, x2, b, x2, b).  A
-    chain joins terms by '+'/'-', each after any unary '-'."""
+    scalar term or a parenthesized scalar chain; its groups are a scalar
+    term's seven, then (the parenthesized chain, x1, a, x2, b, x2, b).  A
+    chain joins terms by '+'/'-', each after any unary '-'; a scalar chain
+    joins scalar terms."""
     def chain(term: str) -> str:
         return rf"(?:-\s*)*{term}(?:\s*[-+]\s*(?:-\s*)*{term})*"
 
@@ -88,7 +92,7 @@ def _chain_patterns() -> tuple[re.Pattern, ...]:
     mono = (r"(?:(x1)(?:\s*\^\s*([0-9]+))?(?:\s*\*\s*(x2)(?:\s*\^\s*([0-9]+))?)?"
             r"|(x2)(?:\s*\^\s*([0-9]+))?)")
     # a coefficient ends its term unless '*' and a monomial follow
-    term = (rf"(?:(?:\(\s*({scalars})\s*\)|{body})(?:\s*\*\s*(?=x[12])|(?!\s*x))"
+    term = (rf"(?:(?:{body}|\(\s*({scalars})\s*\))(?:\s*\*\s*(?=x[12])|(?!\s*x))"
             rf"|(?=x[12])){mono}?")
     return (re.compile(r"([-+\s]*)" + body), re.compile(rf"\s*{scalars}\s*"),
             re.compile(r"([-+\s]*)" + term), re.compile(rf"\s*{_bare(chain(term))}\s*"))
@@ -103,24 +107,55 @@ def _reach(pattern: re.Pattern, text: str, off: int) -> int | None:
     return match.end()
 
 
-def _gather(acc: list, entries, minus: int) -> bool:
-    """Add the scalar terms (signs, num, den, m, e, m, e), each negated once
-    more where minus is odd, into acc = [prime, level, den, [(numerator,
-    divisor, m, e), ...]]; False at a second prime or a zero divisor, and
-    a ValueError at a z(m) modulus _root rejects or an INT too long."""
-    prime, level, den, out = acc
+def _by_monomial(terms, scalar: re.Pattern) -> tuple[dict, bool] | None:
+    """(monomial -> its scalar terms (signs, num, den, m, e, m, e), whether
+    some term names x1 or x2) of a chain's terms, each monomial where it
+    first occurs and a leading constant where the ring's s +/- P puts it,
+    as the descent's sums order them; None where a monomial recurs after
+    another monomial's term, which the descent moves to the end where its
+    sum was zero in between.  A ValueError at an INT too long."""
+    sums: dict[tuple[int, int], list] = {}
+    named, last = False, None
+    for t in terms:
+        inner, x1, a, x2, b, y2, c = t[7:]
+        mono = (int(a or 1) if x1 else 0,
+                int(b or c or 1) if x2 or y2 else 0) if x1 or y2 else (0, 0)
+        if mono != last:
+            if mono in sums:
+                return None
+            sums[mono] = []
+            last = mono
+        if not named and (x1 or y2):
+            named = True
+            if mono != (0, 0) and (0, 0) in sums and _constant_last(
+                    "+" if "+" in t[0] else "-"):
+                sums[(0, 0)] = sums.pop((0, 0))
+        if not inner:
+            sums[mono].append(t[:7])
+        elif t[0].count("-") & 1:   # a negated parenthesized coefficient
+            sums[mono] += [("-" + e[0], *e[1:]) for e in scalar.findall(inner)]
+        else:
+            sums[mono] += scalar.findall(inner)
+    return sums, named
+
+
+def _gather(entries) -> tuple | None:
+    """(prime, level, den, [(numerator, divisor, m, e), ...]) of the scalar
+    terms (signs, num, den, m, e, m, e); None at a second prime or a zero
+    divisor, and a ValueError at a z(m) modulus _root rejects or an INT too
+    long."""
+    prime, level, den, out = None, 0, 1, []
     for signs, num, d, m1, e1, m2, e2 in entries:
         d, m = int(d or 1), int(m1 or m2 or 1)
         p, n, _ = _root(m)
         if not d or n and prime not in (None, p):
-            return False
+            return None
         if n:
             prime, level = p, max(level, n)
         den = lcm(den, d)
         k = int(num or 1)
-        out.append((-k if (minus + signs.count("-")) & 1 else k, d, m, int(e1 or e2 or 1)))
-    acc[:3] = prime, level, den
-    return True
+        out.append((-k if signs.count("-") & 1 else k, d, m, int(e1 or e2 or 1)))
+    return prime, level, den, out
 
 
 def _reduce(prime: int | None, level: int, den: int, entries) -> CycNum:
@@ -134,6 +169,13 @@ def _reduce(prime: int | None, level: int, den: int, entries) -> CycNum:
     if level:
         return CycNum._from_exponent_map(prime, level, emap, den)
     return CycNum._make(None, 0, emap, den)
+
+
+@cache
+def _constant_last(op: str) -> bool:
+    """Whether the ring's s op P, for a scalar s and a polynomial P with no
+    constant term, puts s's term after P's terms; asked of the ring once."""
+    return next(iter(_OPS[op](CycNum.rational(2), SparsePoly.x1())._terms)) != (0, 0)
 
 
 @lru_cache(maxsize=PRIME_LIMIT)
@@ -212,42 +254,31 @@ class _Parser:
         each monomial's rationals and roots are added into one exponent map
         and reduced once, and zero sums dropped.  A SparsePoly where some
         term names x1 or x2, else a CycNum; None where the descent must read
-        it: another shape, two primes in one monomial's sum, a zero divisor,
-        a z(m) modulus _root rejects, an INT over int()'s digit limit, or a
-        parenthesized coefficient at the nesting limit."""
+        it: another shape, a monomial that recurs after another monomial's
+        term, two primes in one monomial's sum, a zero divisor, a z(m)
+        modulus _root rejects, an INT over int()'s digit limit, or a
+        parenthesized coefficient at the nesting limit.  The terms keep the
+        order the descent's sums give them: each monomial where it first
+        occurs, and a leading constant where the ring's s +/- P puts it."""
         text, off = self.text, self.off
         scalar, scalars, term, chain = _chain_patterns()
+        named = False
         try:
-            # most literals are scalar chains: their narrower pattern and
-            # 7-group terms keep them at the cost they had before monomials
             if (end := _reach(scalars, text, off)) is not None:
-                acc = [None, 0, 1, []]
-                if not _gather(acc, scalar.findall(text, off, end), 0):
-                    return None
-                self.off, self.tok = end, None
-                return _reduce(*acc)
-            if (end := _reach(chain, text, off)) is None or (
+                # most literals are scalar chains; their own pattern, with
+                # 7 groups a term and no monomials to file, reads them faster
+                sums = {(0, 0): scalar.findall(text, off, end)}
+            elif (end := _reach(chain, text, off)) is None or (
                     self.depth == MAX_NESTING and "(" in text[off:end]):
                 return None
-            # monomial -> [prime, level, den, [(numerator, divisor, m, e), ...]]
-            sums: dict[tuple[int, int], list] = {}
-            named = False
-            for (signs, inner, num, d, m1, e1, m2, e2,
-                 x1, a, x2, b, y2, c) in term.findall(text, off, end):
-                mono = (int(a or 1) if x1 else 0, int(b or c or 1) if x2 or y2 else 0)
-                if mono not in sums:
-                    sums[mono] = [None, 0, 1, []]
-                if not named and (x1 or y2):
-                    named = True
-                    if "+" in signs and mono != (0, 0) and (0, 0) in sums:
-                        # s + P puts P's term first (SparsePoly.__radd__)
-                        sums[(0, 0)] = sums.pop((0, 0))
-                if inner:
-                    entries, minus = scalar.findall(inner), signs.count("-")
-                else:
-                    entries, minus = ((signs, num, d, m1, e1, m2, e2),), 0
-                if not _gather(sums[mono], entries, minus):
+            elif (filed := _by_monomial(term.findall(text, off, end), scalar)) is None:
+                return None
+            else:
+                sums, named = filed
+            for mono, entries in sums.items():
+                if (acc := _gather(entries)) is None:
                     return None
+                sums[mono] = acc
         except ValueError:
             return None
         self.off, self.tok = end, None
@@ -257,42 +288,23 @@ class _Parser:
 
     def expr(self) -> CycNum | SparsePoly:
         """A '+'/'-' chain, by chain() where it reads it, else by a left fold;
-        once a polynomial enters the fold, each right-hand side is added
-        into its one term map."""
+        once a polynomial enters the fold, the fold owns it and merges each
+        right-hand side into its term map, in time linear in that side."""
         if (value := self.chain()) is not None:
             return value
         value, owned = self.term(), False
         while self.peek()[0] in ("+", "-"):
             tok = self.advance()
             rhs = self.term()
-            if owned:
-                self.add_into(tok, value, rhs)
-            else:
-                # a sum with a polynomial is a new SparsePoly, owned by the fold
+            if not owned:
                 value = self.step(tok, value, rhs)
-                owned = isinstance(value, SparsePoly)
+                owned = isinstance(value, SparsePoly)   # a new SparsePoly
+                continue
+            try:   # value +/- rhs, as SparsePoly's + and - form it
+                value._merge_into(_coerce_poly(rhs), 1 if tok[0] == "+" else -1)
+            except DomainMismatchError as exc:
+                raise self.error(str(exc), tok) from None
         return value
-
-    def add_into(self, tok, value: SparsePoly, rhs) -> None:
-        """value +/- rhs at tok, into value's term map, as SparsePoly's sum
-        forms it: the field op of tok per shared monomial, zero sums
-        dropped, new monomials appended; linear in rhs's terms."""
-        terms = value._terms
-        other = rhs._terms if isinstance(rhs, SparsePoly) else {(0, 0): rhs} if rhs else {}
-        op, plus = _OPS[tok[0]], tok[0] == "+"
-        try:
-            sums = [(mono, op(terms[mono], c) if mono in terms else c if plus else -c)
-                    for mono, c in other.items()]
-        except DomainMismatchError:
-            # SparsePoly's sum meets the shared monomials in value's order,
-            # so it raises at tok naming the pair the pairwise fold named
-            self.step(tok, value, rhs)
-            raise
-        for mono, c in sums:
-            if c:
-                terms[mono] = c
-            else:
-                del terms[mono]
 
     def term(self) -> CycNum | SparsePoly:
         value = self.unary()

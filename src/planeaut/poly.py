@@ -7,15 +7,16 @@ factors of their terms by monomial in one accumulator, _collect, and reduce
 each output coefficient once, by one CycNum.dot, unless no two terms can
 meet: a product with a one-term factor shifts the other's exponents and
 scales its coefficients, and a substitution of two monomials with
-independent exponent vectors rewrites each term once.  A sum adds the two
-coefficients of each monomial the operands share.
+independent exponent vectors rewrites each term once.  A sum copies the
+left operand's term map and merges the right one into it (_merge_into),
+adding the two coefficients of each monomial the operands share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CycNum, as_cycnum
+from .cyclotomic import CycNum, DomainMismatchError, as_cycnum
 
 Monomial = tuple[int, int]
 
@@ -108,10 +109,7 @@ class SparsePoly:
         o = _coerce_poly(other)
         if o is None:
             return NotImplemented
-        a, b = self._terms, o._terms
-        terms = {mono: c + b[mono] if mono in b else c for mono, c in a.items()}
-        terms.update((mono, d) for mono, d in b.items() if mono not in a)
-        return _raw({mono: c for mono, c in terms.items() if not c.is_zero})
+        return _raw(dict(self._terms))._merge_into(o, 1)
 
     __radd__ = __add__
 
@@ -122,13 +120,38 @@ class SparsePoly:
         o = _coerce_poly(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _raw(dict(self._terms))._merge_into(o, -1)
 
     def __rsub__(self, other):
         o = _coerce_poly(other)
         if o is None:
             return NotImplemented
         return o + (-self)
+
+    def _merge_into(self, other: "SparsePoly", sign: int) -> "SparsePoly":
+        """self + sign*other (sign +-1) formed in self's own term map, which
+        only its maker may hold: the coefficients of each shared monomial
+        added (or subtracted), zero sums dropped and other's new monomials
+        appended, in time linear in other's terms.  Where two shared
+        coefficients lie in two towers, the DomainMismatchError names the
+        pair met first in self's order."""
+        a, b = self._terms, other._terms
+        try:
+            if sign > 0:
+                sums = [(mono, a[mono] + d if mono in a else d) for mono, d in b.items()]
+            else:
+                sums = [(mono, a[mono] - d if mono in a else -d) for mono, d in b.items()]
+        except DomainMismatchError:
+            for mono, c in a.items():
+                if mono in b:
+                    CycNum._plus(c, b[mono], sign)   # raises at the first such pair
+            raise
+        for mono, c in sums:
+            if c:
+                a[mono] = c
+            else:
+                del a[mono]
+        return self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNum)):
@@ -269,9 +292,9 @@ def _term_str(mono: Monomial, coeff: CycNum) -> str:
     if mono == (0, 0):
         return str(coeff)
     ms = _mono_str(mono)
-    if coeff.den == 1 and coeff.terms == ((0, 1),):  # the canonical 1
+    if coeff.is_one:
         return ms
-    if coeff.den == 1 and coeff.terms == ((0, -1),):
+    if coeff.is_minus_one:
         return "-" + ms
     cs = str(coeff)
     if len(coeff.terms) > 1:

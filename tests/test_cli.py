@@ -97,6 +97,11 @@ class TestCommands:
         assert run(capsys, "compose", "(z(3)*x1, x2)", "(z(5)*x1, x2)") == (
             2, "", "error: mixed primes 5 and 3\n")
 
+    def test_compose_two_towers_after_a_cancelled_monomial(self, capsys):
+        # x1 - x1 cancels, so the last x1 term follows z(3)*x2 and z(3) is met first
+        assert run(capsys, "compose", "(x1 - x1 + z(3)*x2 + x1, x2)",
+                   "(x1 + z(5)*x2, x2)") == (2, "", "error: mixed primes 3 and 5\n")
+
     def test_invert(self, capsys):
         code, out, _ = run(capsys, "invert", "(x1 + x2^2 + x2^3, x2)")
         assert code == 0

@@ -87,6 +87,14 @@ class TestParseErrors:
             parse_scalar("z(4) + 1 + z(3)")
         assert (err.value.line, err.value.column) == (1, 10)
 
+    def test_monomial_recurring_after_its_sum_cancelled_goes_last(self):
+        # x1 - x1 leaves no x1 term, so the last x1 comes after z(3)*x2: the
+        # substitution meets z(3) before z(5), as the descent's sums order it
+        endo = parse_endo("(x1 - x1 + z(3)*x2 + x1, x2)")
+        assert list(endo.f1._terms) == [(0, 1), (1, 0)]
+        with pytest.raises(DomainMismatchError, match="mixed primes 3 and 5"):
+            endo.f1.substitute(parse_poly("x1 + z(5)*x2"), SparsePoly.x2())
+
     @pytest.mark.parametrize("op", "+-")
     def test_mixed_primes_in_a_polynomial_sum_name_the_running_sums_pair(self, op):
         # both shared monomials mix primes: the running sum's first (x1) is
@@ -471,14 +479,16 @@ def signed_sum(draw, terms):
 
 @st.composite
 def chain_literals(draw):
-    """(text, value, distinct): a '+'/'-' chain of terms over one prime p,
+    """(text, value, reads): a '+'/'-' chain of terms over one prime p,
     each a coefficient, a monomial or a coefficient '*' a monomial, where a
     coefficient is a scalar term or a parenthesized chain of them and a
     monomial is written x1^a*x2^b, with x1^0, ^1 and x2^b alone among the
-    forms; half the time each term recurs negated, so that the monomials
-    cancel.  The value is the sum through the field's and the ring's API, or
-    None where a fault is mixed in; distinct tells whether no two terms
-    share a monomial, a scalar term's being 1."""
+    forms; two times in three each term recurs negated, right after it or
+    after all the terms, so that the monomials cancel.  The value is the sum
+    through the field's and the ring's API, or None where a fault is mixed
+    in; reads tells whether the chain reader takes the chain: no fault, and
+    no monomial recurs after another monomial's term, a scalar term's
+    monomial being 1."""
     p = draw(st.sampled_from([2, 3, 5]))
     terms = []
     for _ in range(draw(st.integers(1, 5))):
@@ -504,16 +514,20 @@ def chain_literals(draw):
             text = f"{text}{draw(SPACES)}*{draw(SPACES)}{monomial}" if text else monomial
             value = SparsePoly.monomial(e1, e2, value)
         terms.append((text, value, draw(st.booleans()), mono or (0, 0)))
-    if draw(st.booleans()):
-        terms += [(text, value, not negate, mono) for text, value, negate, mono in terms]
-    distinct = len({mono for *_, mono in terms}) == len(terms)
+    cancel = draw(st.sampled_from(["none", "next", "last"]))
+    negated = [(text, value, not negate, mono) for text, value, negate, mono in terms]
+    if cancel == "next":
+        terms = [t for pair in zip(terms, negated) for t in pair]
+    elif cancel == "last":
+        terms += negated
+    runs = [mono for i, (*_, mono) in enumerate(terms) if not i or terms[i - 1][3] != mono]
     fault = draw(st.none() | st.sampled_from(FAULTS))
     if fault is not None:
         q = 7 if p == 5 else 5
         terms.insert(draw(st.integers(0, len(terms))),
                      (fault.format(pp=p * p, q=q), None, False, None))
     text, value = draw(signed_sum([term[:3] for term in terms]))
-    return text, value, distinct
+    return text, value, fault is None and len(set(runs)) == len(runs)
 
 
 def outcome(parse, text):
@@ -530,10 +544,10 @@ def test_chain_reader_agrees_with_the_descent(case):
     """The reader takes every fault-free chain and declines every other; the
     descent alone (the reader patched to decline) gives the same value or
     the same error, read whole as a scalar and as a polynomial, as a
-    coefficient in a map and as a map's entry; where no two terms share a
-    monomial, the term map is in the descent's order too."""
-    text, value, distinct = case
-    assert (_Parser(text).chain() is None) == (value is None)
+    coefficient in a map and as a map's entry, and the same term map, in the
+    same order."""
+    text, value, reads = case
+    assert (_Parser(text).chain() is not None) == reads
     in_map = f"(({text})*x1 + x2, {text})"
     parses = (parse_scalar, parse_poly, parse_endo)
     read = [outcome(parse, t) for parse, t in zip(parses, (text, text, in_map))]
@@ -544,8 +558,7 @@ def test_chain_reader_agrees_with_the_descent(case):
         assert read[1] == value
         if isinstance(value, CycNum):
             assert read[0] == value
-        if distinct:
-            assert list(read[1]._terms) == list(descent[1]._terms)
+        assert list(read[1]._terms) == list(descent[1]._terms)
 
 
 def test_printed_maps_are_read_in_one_match():

@@ -33,6 +33,24 @@ class TestAddition:
         g = x2() * z(2, 2, 3)
         assert (f + g).is_zero
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_sum_keeps_the_left_order_then_appends(self, sign):
+        f = x1() * 2 + x2() + SparsePoly.constant(3)
+        g = SparsePoly.constant(5) + x2() * -sign + x1() ** 2
+        total = f + g if sign > 0 else f - g
+        assert list(total._terms) == [(1, 0), (0, 0), (2, 0)]
+        assert list(f._terms) == [(1, 0), (0, 1), (0, 0)]   # f is not changed
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_two_tower_sum_names_the_left_operands_first_pair(self, sign):
+        # both shared monomials mix primes; the left operand's first is met
+        # first, where the right operand's first would name 3 and 5
+        f = x1() * z(5, 1) + x2() * z(3, 1)
+        g = x2() * z(5, 1) + x1() * z(3, 1)
+        for left, right in ((f, g), (g, f)):
+            with pytest.raises(DomainMismatchError, match="mixed primes 5 and 3"):
+                left + right if sign > 0 else left - right
+
 
 class TestMultiplication:
     def test_monomials(self):
