@@ -483,8 +483,12 @@ class RootOfUnity:
         _check_prime(prime)
         if level < 0:
             raise ValueError("level must be nonnegative")
-        m = prime ** level
-        exp %= m
+        self._set(prime, level, exp)
+
+    def _set(self, prime: int, level: int, exp: int) -> "RootOfUnity":
+        """Store zeta_{p^level}^exp in lowest terms, for a prime already
+        checked and level >= 0; the path of every derived root."""
+        exp %= prime ** level
         if exp == 0:
             level = 0
         else:
@@ -494,6 +498,7 @@ class RootOfUnity:
         self.prime = prime
         self.level = level
         self.exp = exp
+        return self
 
     @classmethod
     def one(cls, p: int) -> "RootOfUnity":
@@ -512,7 +517,7 @@ class RootOfUnity:
         if den != 1:
             raise ValueError(
                 f"exponent denominator must be a power of {p}, got {exponent}")
-        return cls(p, level, exponent.numerator)
+        return cls.__new__(cls)._set(p, level, exponent.numerator)
 
     @property
     def order(self) -> int:
@@ -525,13 +530,15 @@ class RootOfUnity:
             raise DomainMismatchError(
                 f"mixed primes {self.prime} and {other.prime}")
         p, level = self.prime, max(self.level, other.level)
-        return RootOfUnity(p, level, self.exp * p ** (level - self.level)
-                           + other.exp * p ** (level - other.level))
+        return RootOfUnity.__new__(RootOfUnity)._set(
+            p, level, self.exp * p ** (level - self.level)
+            + other.exp * p ** (level - other.level))
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        return RootOfUnity(self.prime, self.level, self.exp * e)
+        return RootOfUnity.__new__(RootOfUnity)._set(
+            self.prime, self.level, self.exp * e)
 
     def inverse(self) -> "RootOfUnity":
         return self ** -1
@@ -539,7 +546,7 @@ class RootOfUnity:
     def to_field(self) -> CycNum:
         if self.level == 0:
             return CycNum.one()
-        return CycNum.zeta(self.prime, self.level, self.exp)
+        return CycNum._from_exponent_map(self.prime, self.level, {self.exp: 1})
 
     def __eq__(self, other):
         if not isinstance(other, RootOfUnity):

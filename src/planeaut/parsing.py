@@ -332,7 +332,7 @@ class _Parser:
         base = self.atom()
         if self.peek()[0] != "^":
             return base
-        self.advance()
+        caret = self.advance()
         tok = self.expect("int")
         e = self.integer(tok)
         # a constant polynomial (x2 - x2 + 3) counts as its scalar; roots of
@@ -343,7 +343,10 @@ class _Parser:
         if isinstance(c, CycNum) and over_power_budget(c, e):
             raise self.error("scalar power over the budget of "
                              f"{MAX_POWER_BITS} numerator bits", tok)
-        return base ** e
+        try:
+            return base ** e
+        except DomainMismatchError as exc:
+            raise self.error(str(exc), caret) from None
 
     def atom(self) -> CycNum | SparsePoly:
         tok = self.advance()

@@ -19,7 +19,7 @@ from math import lcm
 from .cyclotomic import (CycNum, DomainMismatchError, RootOfUnity, as_cycnum,
                          _check_prime)
 from .poly import SparsePoly
-# compose and endo_order are unused here, but perfbench/tracing.py wraps them
+# conjugate and endo_order are unused here, but perfbench/tracing.py wraps them
 from .endo import PlaneEndo, TriangularAffine, compose, conjugate, endo_order  # noqa: F401
 
 
@@ -95,7 +95,8 @@ def conj_closed_form(s: CoeffSequence, alpha: RootOfUnity) -> PlaneEndo:
     Equals (alpha*x1 + alpha * sum_k a_k (1 - alpha^(p^k)) x2^(p^k+1), alpha*x2);
     the scalar 1 - alpha^(p^k) vanishes once p^k is a multiple of alpha's
     order, so only k < level(alpha) contributes and the result is polynomial
-    no matter how many a_k are nonzero.
+    no matter how many a_k are nonzero.  Each coefficient is one product,
+    a_k * (alpha - alpha^(p^k+1)), the power taken on alpha's exponent.
     """
     if alpha.prime != s.prime:
         raise ValueError(f"root lives over p={alpha.prime}, sequence over p={s.prime}")
@@ -104,20 +105,25 @@ def conj_closed_form(s: CoeffSequence, alpha: RootOfUnity) -> PlaneEndo:
     terms = {(1, 0): af}
     for k in range(alpha.level):
         c = s.coeff(k)
-        if not c.is_zero:  # spares alpha^(p^k) for a zero a_k
-            terms[0, exponent_of(p, k)] = af * c * (1 - (alpha ** (p ** k)).to_field())
+        if not c.is_zero:  # spares alpha^(p^k+1) for a zero a_k
+            e = exponent_of(p, k)
+            terms[0, e] = c * (af - (alpha ** e).to_field())
     return PlaneEndo(SparsePoly(terms), SparsePoly.x2() * af)
 
 
 def verify_formula(s: CoeffSequence, alpha: RootOfUnity) -> bool:
-    """Check the closed form against one brute-force conjugation.
+    """Check the closed form h against one brute-force composition.
 
-    Conjugates diag(alpha) by the truncation g at N + 2, N = level(alpha).  The
-    result (alpha*x1 + alpha*g(x2) - g(alpha*x2), alpha*x2) is additive in the
-    terms of g, term k on its own monomial x2^(p^k+1) with the scalar
-    alpha*a_k*(1 - alpha^(p^k)), zero for k >= N.  So it equals the closed form
-    exactly when the conjugates by the truncations at N and N + 1 also do, and
-    it still covers the dropped terms k = N, N+1 and N+2.
+    With theta = (x1 + g(x2), x2) the truncation at N + 2, N = level(alpha),
+    the check is diag(alpha)*theta == theta*h.  theta is an automorphism, so
+    this holds exactly when theta^-1 * diag(alpha) * theta == h, and it takes
+    no inverse.  That conjugate, (alpha*x1 + alpha*g(x2) - g(alpha*x2),
+    alpha*x2), is additive in the terms of g, term k on its own monomial
+    x2^(p^k+1) with the scalar alpha*a_k*(1 - alpha^(p^k)), zero for k >= N.
+    So it equals the closed form exactly when the conjugates by the
+    truncations at N and N + 1 also do, and it still covers the dropped
+    terms k = N, N+1 and N+2.
     """
+    h = conj_closed_form(s, alpha)
     theta = series_truncation(s, alpha.level + 2)
-    return conjugate(diag(alpha), theta) == conj_closed_form(s, alpha)
+    return compose(diag(alpha), theta) == compose(theta, h)

@@ -525,6 +525,15 @@ class TestInputErrors:
         assert (code, out) == (2, "")
         assert err == f"error: mixed primes {first} and {second} (line 1, column 34)\n"
 
+    @pytest.mark.parametrize("f1,column", [
+        pytest.param("(z(4)*x2 + z(9))^2", 18, id="power"),
+        pytest.param("(z(4)*x2)*(x2 + z(9))", 11, id="product"),
+    ])
+    def test_two_tower_power_is_placed_like_a_product(self, capsys, f1, column):
+        code, out, err = run(capsys, "compose", f"({f1}, x2)", "(x1, x2)")
+        assert (code, out) == (2, "")
+        assert err == f"error: mixed primes 2 and 3 (line 1, column {column})\n"
+
     def test_missing_subcommand_is_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -419,6 +419,32 @@ class TestRootOfUnity:
             for e in [*range(-3, 4), p ** rng.randint(0, 3) + 1]:
                 assert (a ** e).to_field() == a.to_field() ** e
 
+    def test_derived_roots_match_the_public_constructors(self):
+        # products and powers skip the prime check, not the reduction
+        rng = random.Random(29)
+        for _ in range(80):
+            p = rng.choice([2, 3, 5, 7])
+            a, b = random_root(rng, p), random_root(rng, p)
+            e = rng.choice([-p ** 2 - 1, -1, 0, 2, p, p ** rng.randint(0, 3) + 1])
+            for got, exponent in [
+                    (a * b, Fraction(a.exp, a.order) + Fraction(b.exp, b.order)),
+                    (a ** e, Fraction(a.exp * e, a.order))]:
+                want = RootOfUnity.from_exponent(p, exponent)
+                assert ((got.prime, got.level, got.exp)
+                        == (want.prime, want.level, want.exp)), (a, b, e)
+            want = zeta(p, a.level, a.exp) if a.level else CycNum.one()
+            assert a.to_field() == want
+
+    @pytest.mark.parametrize("build,p", [
+        pytest.param(lambda: RootOfUnity(4, 1, 1), 4, id="root"),
+        pytest.param(lambda: CycNum.zeta(9, 1), 9, id="zeta"),
+        pytest.param(lambda: RootOfUnity.from_exponent(6, Fraction(1, 6)), 6,
+                     id="from-exponent"),
+    ])
+    def test_public_constructors_check_the_prime(self, build, p):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            build()
+
     def test_order_of_field_image(self):
         for p, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]:
             alpha = RootOfUnity(p, n, 1)

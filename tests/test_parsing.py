@@ -82,6 +82,12 @@ class TestParseErrors:
             parse_poly("x1 + z(4)*z(3)")
         assert (err.value.line, err.value.column) == (1, 10)
 
+    def test_mixed_primes_in_a_power_at_the_caret(self):
+        # the square multiplies z(4) by z(9): the error is placed at '^'
+        with pytest.raises(ParseError) as err:
+            parse_poly("(z(4)*x2 + z(9))^2")
+        assert str(err.value) == "mixed primes 2 and 3 (line 1, column 17)"
+
     def test_mixed_primes_in_a_sum_at_the_operator(self):
         with pytest.raises(ParseError, match="mixed primes 2 and 3") as err:
             parse_scalar("z(4) + 1 + z(3)")

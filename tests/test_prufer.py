@@ -11,7 +11,7 @@ from planeaut import (CoeffSequence, CycNum, DomainMismatchError, PlaneEndo,
 from planeaut import prufer
 from planeaut.prufer import exponent_of
 
-from conftest import random_prefix, random_root, random_sequence
+from conftest import count_inverses, random_prefix, random_root, random_sequence
 
 x2 = SparsePoly.x2
 
@@ -117,6 +117,25 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             conj_closed_form(CoeffSequence(2, [1]), RootOfUnity(3, 1, 1))
 
+    def test_one_product_per_term_matches_two(self):
+        # a_k * (alpha - alpha^(p^k+1)) against alpha * a_k * (1 - alpha^(p^k))
+        rng = random.Random(71)
+        for p in (2, 3, 5, 7):
+            for level in range(4):
+                for _ in range(3):
+                    exp = rng.choice([j for j in range(p ** level) if j % p]) if level else 0
+                    alpha = RootOfUnity(p, level, exp)
+                    s = random_sequence(rng, p, max_prefix=5)
+                    af = alpha.to_field()
+                    want = {(1, 0): af}
+                    for k in range(level):
+                        c = s.coeff(k)
+                        if not c.is_zero:
+                            want[0, exponent_of(p, k)] = af * c * (
+                                1 - (alpha ** p ** k).to_field())
+                    assert conj_closed_form(s, alpha) == PlaneEndo(
+                        SparsePoly(want), x2() * af), (s, alpha)
+
 
 class TestVerifyFormula:
     def test_alpha_one(self):
@@ -166,9 +185,9 @@ CLOSED_FORM = conj_closed_form
 
 
 def formula_cases(seed):
-    """(s, alpha) for p in {2, 3, 5} and alpha of level 0-3, two of each."""
+    """(s, alpha) for p in {2, 3, 5, 7} and alpha of level 0-3, two of each."""
     rng = random.Random(seed)
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7):
         for level in range(4):
             for _ in range(2):
                 exp = rng.choice([j for j in range(p ** level) if j % p]) if level else 0
@@ -200,8 +219,9 @@ def changed_x2_scalar(s, alpha):
 
 
 class TestOneTruncation:
-    """verify_formula conjugates once, at N + 2, and gives the verdict of the
-    loop over N, N+1 and N+2 that it replaced, also on wrong closed forms."""
+    """verify_formula composes once, at N + 2, as diag*theta == theta*h, and
+    gives the verdict of the loop of conjugations at N, N+1 and N+2 that it
+    replaced, also on wrong closed forms."""
 
     @staticmethod
     def agree(s, alpha):
@@ -217,6 +237,20 @@ class TestOneTruncation:
     def test_as_built(self):
         for s, alpha in formula_cases(89):
             assert self.agree(s, alpha)
+
+    def test_makes_no_inverse(self, monkeypatch):
+        maps = [0]
+        inverse = TriangularAffine.inverse
+
+        def counting(self):
+            maps[0] += 1
+            return inverse(self)
+
+        monkeypatch.setattr(TriangularAffine, "inverse", counting)
+        scalars = count_inverses(monkeypatch)
+        for s, alpha in formula_cases(89):
+            assert verify_formula(s, alpha)
+        assert (maps, scalars) == ([0], [0])
 
     def test_dropped_term_below_the_level(self, monkeypatch):
         rng = random.Random(97)
