@@ -24,7 +24,6 @@ error naming it.  Both sequences live over the top-level "prime": "a" and
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
@@ -61,7 +60,7 @@ def _field(record: dict, key: str, kind: type, default=_REQUIRED):
 
 
 def _alpha(prime: int, text: str) -> RootOfUnity:
-    return RootOfUnity.from_exponent(prime, parse_scalar(text).as_fraction())
+    return RootOfUnity.from_exponent(prime, parse_scalar(text))
 
 
 def _split(text: str) -> list[str]:
@@ -75,6 +74,7 @@ def _read(args, *keys: str) -> tuple:
     if args.p is None:
         if args.prefix is not None or args.tail is not None:
             raise ValueError("--prefix and --tail need --p")
+        import json   # off the import and the flag-form requests
         try:
             manifest = json.load(sys.stdin)
         except RecursionError:

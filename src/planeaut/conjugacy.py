@@ -34,8 +34,6 @@ class violates the condition at infinitely many indices.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cyclotomic import (MAX_POWER_BITS, CycNum, DomainMismatchError,
                          RootOfUnity, over_power_budget, root_of_unity_splits)
 # compose and conj_closed_form are unused here, but perfbench/tracing.py wraps them
@@ -126,15 +124,15 @@ def _integer_root(n: int, t: int) -> int | None:
     return lo if lo ** t == n else None
 
 
-def _rational_roots(q: Fraction, t: int) -> list[Fraction]:
-    """All rational r with r^t = q, for q != 0."""
-    if q < 0 and t % 2 == 0:
+def _rational_roots(num: int, den: int, t: int) -> list[CycNum]:
+    """All rational r with r^t = num/den, for num != 0 and den > 0 in lowest
+    terms and t >= 1, as level-0 values: r, or r > 0 then -r."""
+    if num < 0 and t % 2 == 0:
         return []
-    num = _integer_root(abs(q.numerator), t)
-    den = _integer_root(q.denominator, t)
-    if num is None or den is None:
+    r, d = _integer_root(abs(num), t), _integer_root(den, t)
+    if r is None or d is None:
         return []
-    r = Fraction(num if q > 0 else -num, den)
+    r = CycNum(None, 0, ((0, r if num > 0 else -r),), d)
     return [r, -r] if t % 2 == 0 else [r]
 
 
@@ -147,9 +145,9 @@ def _root_power_solution(p: int, a: int, u: int, target: RootOfUnity) -> RootOfU
     return RootOfUnity(p, a + level, e0)
 
 
-def _beta_power(scale: Fraction, root: RootOfUnity, e: int) -> CycNum:
-    """(scale * root)^e without big field exponentiations."""
-    return CycNum.rational(scale ** e) * (root ** e).to_field()
+def _beta_power(scale: CycNum, root: RootOfUnity, e: int) -> CycNum:
+    """(scale * root)^e, scale rational, without big field exponentiations."""
+    return scale ** e * (root ** e).to_field()
 
 
 def _matches(a: CoeffSequence, b: CoeffSequence, k: int, gamma, beta_power,
@@ -171,11 +169,11 @@ def _candidates_from(a: CoeffSequence, b: CoeffSequence, start: int,
     None; `common` lists the common support indices from `start` on."""
     p = a.prime
     if not common:
-        return (Fraction(1), RootOfUnity.one(p), CycNum.one())
+        return (CycNum.one(), RootOfUnity.one(p), CycNum.one())
     k_star = common[0]
     a_star, b_star = a.coeff(k_star), b.coeff(k_star)
     if len(common) == 1:
-        raw = [(Fraction(1), RootOfUnity.one(p))]
+        raw = [(CycNum.one(), RootOfUnity.one(p))]
         a_over_b = a_star * b_star.inverse()
     else:
         k2 = common[1]
@@ -187,11 +185,13 @@ def _candidates_from(a: CoeffSequence, b: CoeffSequence, start: int,
         raw = []
         for q, rho in root_of_unity_splits(c, p):
             root = _root_power_solution(p, k_star, u, rho)
-            for scale in _rational_roots(q, p ** k_star * u):
+            for scale in _rational_roots(q.terms[0][1], q.den, p ** k_star * u):
                 raw.append((scale, root))
-    raw.sort(key=lambda sr: (sr[1].level, sr[1].exp, abs(sr[0] - 1), sr[0] < 0))
+    # one split per root, whose _rational_roots list r > 0 before -r, as the
+    # stable sort keeps them
+    raw.sort(key=lambda sr: (sr[1].level, sr[1].exp))
     for scale, root in raw:
-        if infinite_support and abs(scale) != 1:
+        if infinite_support and not (scale.is_one or scale.is_minus_one):
             continue
         gamma = a_over_b * _beta_power(scale, root, exponent_of(p, k_star))
         # all is periodic past max(join, root.level, 1), so one more period
@@ -258,7 +258,7 @@ def necessary_condition(a: CoeffSequence, b: CoeffSequence,
                                bool(common_offsets))
         if hit is not None:
             scale, root, gamma = hit
-            beta = CycNum.rational(scale) * root.to_field()
+            beta = scale * root.to_field()
             return ConjugacyReport(SATISFIABLE, beta=beta, gamma=gamma,
                                    effective_from=start)
     raise AssertionError("periodic structure admitted no witness and no certificate")

@@ -15,9 +15,9 @@ The form is canonical: a value is stored at the lowest level that contains
 it (plain rationals at level 0, zero as no terms over 1), so equality is a
 plain tuple comparison.  A root zeta^j of order p^n (0 < j < p^n) is one term
 when j < phi = phi(p^n), and otherwise the p - 1 terms -zeta^(j - phi +
-i*p^(n-1)), i < p - 1, so one term for every p = 2 root.  Fractions appear
-only at the edges: rational, as_fraction and root_of_unity_splits; str
-formats each numerator over den in lowest terms itself.
+i*p^(n-1)), i < p - 1, so one term for every p = 2 root.  A rational is a
+level-0 value; a Fraction is accepted on input, returned only by as_fraction
+and imported there on use; str writes each numerator over den in lowest terms.
 
 A fixed prime p is assumed per computation; combining values from the
 towers of two different primes raises DomainMismatchError.
@@ -26,7 +26,6 @@ towers of two different primes raises DomainMismatchError.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -126,9 +125,8 @@ class CycNum:
     def rational(cls, value) -> "CycNum":
         if isinstance(value, int):
             num, den = int(value), 1
-        else:
-            q = Fraction(value)
-            num, den = q.numerator, q.denominator
+        else:   # a Fraction or another rational, in lowest terms
+            num, den = value.numerator, value.denominator
         return cls(None, 0, ((0, num),), den) if num else _CYC_ZERO
 
     @classmethod
@@ -184,7 +182,8 @@ class CycNum:
     def is_minus_one(self) -> bool:
         return self.den == 1 and self.terms == _MINUS_ONE_TERMS
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self):
+        from fractions import Fraction
         if self.level != 0:
             raise ValueError(f"{self} is not rational")
         return Fraction(self.terms[0][1], self.den) if self.terms else Fraction(0)
@@ -206,7 +205,7 @@ class CycNum:
     def _coerce(value) -> "CycNum | None":
         if isinstance(value, CycNum):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, int) or hasattr(value, "denominator"):
             return CycNum.rational(value)
         return None
 
@@ -505,19 +504,20 @@ class RootOfUnity:
         return cls(p, 0, 0)
 
     @classmethod
-    def from_exponent(cls, p: int, exponent: Fraction) -> "RootOfUnity":
-        """Build from the additive exponent j/p^n in Z[1/p]/Z."""
+    def from_exponent(cls, p: int, exponent) -> "RootOfUnity":
+        """Build from the additive exponent j/p^n in Z[1/p]/Z, any rational."""
         _check_prime(p)
-        exponent = Fraction(exponent)
-        den = exponent.denominator
-        level = 0
+        q = as_cycnum(exponent)
+        if q.level:
+            raise ValueError(f"{q} is not rational")
+        num, den, level = q.terms[0][1] if q.terms else 0, q.den, 0
         while den % p == 0:
             den //= p
             level += 1
         if den != 1:
             raise ValueError(
-                f"exponent denominator must be a power of {p}, got {exponent}")
-        return cls.__new__(cls)._set(p, level, exponent.numerator)
+                f"exponent denominator must be a power of {p}, got {num}/{q.den}")
+        return cls.__new__(cls)._set(p, level, num)
 
     @property
     def order(self) -> int:
@@ -567,11 +567,12 @@ class RootOfUnity:
         return f"z({m})" if self.exp == 1 else f"z({m})^{self.exp}"
 
     def __repr__(self):
+        from fractions import Fraction
         return f"RootOfUnity(p={self.prime}, {Fraction(self.exp, self.order)})"
 
 
-def root_of_unity_splits(u: CycNum, p: int) -> list[tuple[Fraction, RootOfUnity]]:
-    """Every split u = q * omega with q rational and omega in C_{p^infty}.
+def root_of_unity_splits(u: CycNum, p: int) -> list[tuple[CycNum, RootOfUnity]]:
+    """Every split u = q * omega, q a level-0 CycNum, omega in C_{p^infty}.
 
     Read off the canonical terms at level n = max(level, 1) (a rational's
     single term sits at exponent 0 on every level): q * zeta^j is the single
@@ -586,7 +587,7 @@ def root_of_unity_splits(u: CycNum, p: int) -> list[tuple[Fraction, RootOfUnity]
     terms = u.terms
     if len(terms) == 1:
         (j, c), = terms
-        q = Fraction(c, u.den)
+        q = CycNum(None, 0, ((0, c),), u.den)
         splits = [(q, RootOfUnity(p, n, j))]
         if p == 2:
             splits.append((-q, RootOfUnity(p, n, j + phi)))
@@ -594,7 +595,7 @@ def root_of_unity_splits(u: CycNum, p: int) -> list[tuple[Fraction, RootOfUnity]
     if len(terms) == p - 1:
         j, c = terms[0]
         if terms == tuple((j + i * p ** (n - 1), c) for i in range(p - 1)):
-            return [(Fraction(-c, u.den), RootOfUnity(p, n, j + phi))]
+            return [(CycNum(None, 0, ((0, -c),), u.den), RootOfUnity(p, n, j + phi))]
     return []
 
 
@@ -605,14 +606,14 @@ def multiplicative_order(u: CycNum) -> int | None:
     -omega has order lcm(2, order of omega), or less for p = 2, where the
     split with q = 1 is listed as well, so the least candidate is the order.
     """
-    return min((lcm(2, omega.order) if q == -1 else omega.order
+    return min((lcm(2, omega.order) if q.is_minus_one else omega.order
                 for q, omega in root_of_unity_splits(u, u.prime or 2)
-                if abs(q) == 1), default=None)
+                if q.is_one or q.is_minus_one), default=None)
 
 
 def as_root_of_unity(u: CycNum, p: int) -> RootOfUnity | None:
     """Recognize u as an element of C_{p^infty}, or return None."""
-    return next((omega for q, omega in root_of_unity_splits(u, p) if q == 1),
+    return next((omega for q, omega in root_of_unity_splits(u, p) if q.is_one),
                 None)
 
 

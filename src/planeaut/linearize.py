@@ -84,14 +84,14 @@ def _inverse_gap(alpha: CycNum, order: int, d: int) -> CycNum:
     2-tower), the i-th term is sign^t * zeta^(r*t), t = i*(d-1) - 1, read
     modulo 2 and p^n, so d = 0 forms no negative power."""
     sign, omega = next(split for split in root_of_unity_splits(alpha, alpha.prime or 2)
-                       if abs(split[0]) == 1)
+                       if split[0].is_one or split[0].is_minus_one)
     p, n, r = omega.prime, max(omega.level, 1), omega.exp
     pn, m = p ** n, order // gcd(order, d - 1)
     emap: dict[int, int] = {}
     for i in range(1, m):
         t = i * (d - 1) - 1
         e = r * t % pn
-        emap[e] = emap.get(e, 0) + (-i if sign < 0 and t % 2 else i)
+        emap[e] = emap.get(e, 0) + (-i if sign.is_minus_one and t % 2 else i)
     return CycNum._from_exponent_map(p, n, emap, m)
 
 

@@ -72,30 +72,38 @@ def _bare(pattern: str) -> str:
     return re.sub(r"(?<!\\)\((?!\?)", "(?:", pattern)
 
 
-@cache
-def _chain_patterns() -> tuple[re.Pattern, ...]:
-    """(scalar term, scalar chain, term, chain), compiled on the first read,
-    off the import.  A scalar term is q, z(m), z(m)^e or q*z(m)^e, q an INT
-    or INT/INT, after its signs; its groups are (signs, num, den, m, e, m,
-    e).  A term is a coefficient, a monomial x1[^a][*x2[^b]] or x2[^b], or
-    a coefficient '*' a monomial, after its signs, where a coefficient is a
-    scalar term or a parenthesized scalar chain; its groups are a scalar
-    term's seven, then (the parenthesized chain, x1, a, x2, b, x2, b).  A
-    chain joins terms by '+'/'-', each after any unary '-'; a scalar chain
-    joins scalar terms."""
-    def chain(term: str) -> str:
-        return rf"(?:-\s*)*{term}(?:\s*[-+]\s*(?:-\s*)*{term})*"
+def _chain(term: str) -> str:
+    """Terms joined by '+'/'-', each after any unary '-'."""
+    return rf"(?:-\s*)*{term}(?:\s*[-+]\s*(?:-\s*)*{term})*"
 
-    root = r"z\s*\(\s*([0-9]+)\s*\)(?:\s*\^\s*([0-9]+))?"
-    body = rf"(?:([0-9]+)(?:\s*/\s*([0-9]+))?(?:\s*\*\s*{root})?|{root})"
-    scalars = _bare(chain(body))
+
+_ROOT = r"z\s*\(\s*([0-9]+)\s*\)(?:\s*\^\s*([0-9]+))?"
+_BODY = rf"(?:([0-9]+)(?:\s*/\s*([0-9]+))?(?:\s*\*\s*{_ROOT})?|{_ROOT})"
+
+
+@cache
+def _scalar_patterns() -> tuple[re.Pattern, re.Pattern]:
+    """(scalar term, scalar chain), compiled on the first read, off the
+    import.  A scalar term is q, z(m), z(m)^e or q*z(m)^e, q an INT or
+    INT/INT, after its signs; its groups are (signs, num, den, m, e, m, e)."""
+    return (re.compile(r"([-+\s]*)" + _BODY),
+            re.compile(rf"\s*{_bare(_chain(_BODY))}\s*"))
+
+
+@cache
+def _poly_patterns() -> tuple[re.Pattern, re.Pattern]:
+    """(term, chain), compiled on the first literal that is no scalar chain.
+    A term is a coefficient, a monomial x1[^a][*x2[^b]] or x2[^b], or a
+    coefficient '*' a monomial, after its signs, where a coefficient is a
+    scalar term or a parenthesized scalar chain; its groups are a scalar
+    term's seven, then (the parenthesized chain, x1, a, x2, b, x2, b)."""
     mono = (r"(?:(x1)(?:\s*\^\s*([0-9]+))?(?:\s*\*\s*(x2)(?:\s*\^\s*([0-9]+))?)?"
             r"|(x2)(?:\s*\^\s*([0-9]+))?)")
     # a coefficient ends its term unless '*' and a monomial follow
-    term = (rf"(?:(?:{body}|\(\s*({scalars})\s*\))(?:\s*\*\s*(?=x[12])|(?!\s*x))"
-            rf"|(?=x[12])){mono}?")
-    return (re.compile(r"([-+\s]*)" + body), re.compile(rf"\s*{scalars}\s*"),
-            re.compile(r"([-+\s]*)" + term), re.compile(rf"\s*{_bare(chain(term))}\s*"))
+    term = (rf"(?:(?:{_BODY}|\(\s*({_bare(_chain(_BODY))})\s*\))"
+            rf"(?:\s*\*\s*(?=x[12])|(?!\s*x))|(?=x[12])){mono}?")
+    return (re.compile(r"([-+\s]*)" + term),
+            re.compile(rf"\s*{_bare(_chain(term))}\s*"))
 
 
 def _reach(pattern: re.Pattern, text: str, off: int) -> int | None:
@@ -261,19 +269,20 @@ class _Parser:
         order the descent's sums give them: each monomial where it first
         occurs, and a leading constant where the ring's s +/- P puts it."""
         text, off = self.text, self.off
-        scalar, scalars, term, chain = _chain_patterns()
+        scalar, scalars = _scalar_patterns()
         named = False
         try:
             if (end := _reach(scalars, text, off)) is not None:
                 # most literals are scalar chains; their own pattern, with
                 # 7 groups a term and no monomials to file, reads them faster
                 sums = {(0, 0): scalar.findall(text, off, end)}
-            elif (end := _reach(chain, text, off)) is None or (
-                    self.depth == MAX_NESTING and "(" in text[off:end]):
-                return None
-            elif (filed := _by_monomial(term.findall(text, off, end), scalar)) is None:
-                return None
             else:
+                term, chain = _poly_patterns()
+                if (end := _reach(chain, text, off)) is None or (
+                        self.depth == MAX_NESTING and "(" in text[off:end]):
+                    return None
+                if (filed := _by_monomial(term.findall(text, off, end), scalar)) is None:
+                    return None
                 sums, named = filed
             for mono, entries in sums.items():
                 if (acc := _gather(entries)) is None:

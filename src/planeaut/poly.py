@@ -14,8 +14,6 @@ adding the two coefficients of each monomial the operands share.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cyclotomic import CycNum, DomainMismatchError, as_cycnum
 
 Monomial = tuple[int, int]
@@ -154,13 +152,13 @@ class SparsePoly:
         return self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycNum)):
-            c = as_cycnum(other)
+        if not isinstance(other, SparsePoly):
+            c = CycNum._coerce(other)
+            if c is None:
+                return NotImplemented
             if c.is_zero:
                 return SparsePoly.zero()
             return _raw({m: t * c for m, t in self._terms.items()})
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
         a, b = self._terms, other._terms
         products = (((a1 + b1, a2 + b2), (c, d))
                     for (a1, a2), c in a.items() for (b1, b2), d in b.items())
@@ -256,10 +254,10 @@ def _collect(products) -> SparsePoly:
 def _coerce_poly(value) -> SparsePoly | None:
     if isinstance(value, SparsePoly):
         return value
-    if isinstance(value, (int, Fraction, CycNum)):
-        c = as_cycnum(value)
-        return SparsePoly.zero() if c.is_zero else _raw({(0, 0): c})
-    return None
+    c = CycNum._coerce(value)
+    if c is None:
+        return None
+    return SparsePoly.zero() if c.is_zero else _raw({(0, 0): c})
 
 
 def _cached_pow(base: SparsePoly, e: int, cache: dict[int, SparsePoly]) -> SparsePoly:

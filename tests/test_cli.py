@@ -4,10 +4,13 @@ import io
 import json
 import subprocess
 import sys
+from ast import literal_eval
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import planeaut
 import planeaut.prufer as prufer
 from planeaut import CycNum, PlaneEndo, SparsePoly
 from planeaut.cli import _parse_args, build_parser, main
@@ -959,6 +962,73 @@ class TestParserReuse:
         first, second = map(int, line.split())
         assert at_import == "0"
         assert first > 0 and second == first
+
+
+# the stdlib modules that a rational or a manifest would pull in (fractions
+# brings decimal and numbers)
+HEAVY_MODULES = {"fractions", "decimal", "json"}
+SRC = str(Path(planeaut.__file__).resolve().parent.parent)
+# one flag-form request per command, each taking its rationals through the
+# field (root splits, rational roots, exponents), then an exit-2 error
+FLAG_FORM_REQUESTS = [
+    (["compose", "(x1 + 1/2*x2^2, x2)", "(z(4)*x1, x2)"], 0),
+    (["invert", "(2*x1 + x2^2, 1/3*x2 + 1)"], 0),
+    (["order", "(z(8)*x1 + x2^3, z(4)*x2)"], 0),
+    (["conjugate", "(-x1, -x2)", "--theta", "(x1 + x2^2, x2)"], 0),
+    (["verify-formula", "--p", "2", "--prefix", "1,z(8)", "--tail", "1/2",
+      "--alpha", "3/8"], 0),
+    (["linearize", "--target", "(-x1 - 2*x2^2, -x2)", "--max-degree", "2"], 0),
+    (["min-degree", "--p", "3", "--prefix", "1,0,z(9)", "--alpha", "2/27",
+      "--max-degree", "40"], 0),
+    (["nonconj-check", "--p", "2", "--prefix", "1,1", "--prefix", "8,16", "--k0", "0"], 0),
+    (["verify-conjugator", "--p", "2", "--prefix", "1", "--prefix", "1",
+      "--theta", "(x1, x2)"], 0),
+    (["omega-family", "--count", "3"], 0),
+    (["verify-formula", "--p", "2", "--prefix", "1", "--alpha", "1/3"], 2),
+]
+
+
+def isolated_run(body, stdin=""):
+    """stdout of `body` run by `python -I` on this checkout's package, after
+    `before` holds the modules the bare interpreter loaded."""
+    script = (f"import contextlib, io, sys\nsys.path.insert(0, {SRC!r})\n"
+              f"before = set(sys.modules)\n{body}")
+    proc = subprocess.run([sys.executable, "-I", "-c", script], input=stdin,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImportFootprint:
+    """Rationals are field elements on every request path: neither the
+    import nor a flag-form request loads fractions, decimal or json."""
+
+    def test_flag_form_requests_load_none(self):
+        out = isolated_run(
+            "import planeaut.cli as cli\n"
+            "print(sorted(set(sys.modules) - before))\n"
+            "codes = []\n"
+            f"for argv in {[argv for argv, _ in FLAG_FORM_REQUESTS]!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        codes.append(cli.main(argv))\n"
+            "print(codes)\n"
+            "print(sorted(set(sys.modules) - before))\n")
+        at_import, codes, after = out.splitlines()
+        assert codes == str([code for _, code in FLAG_FORM_REQUESTS])
+        assert "'planeaut.cli'" in at_import
+        assert not HEAVY_MODULES & set(literal_eval(at_import))
+        assert not HEAVY_MODULES & set(literal_eval(after))
+
+    def test_stdin_manifest_imports_json_on_use(self):
+        manifest = {"prime": 2, "a": {"prefix": ["1", "z(8)"], "tail": ["1/2"]},
+                    "alpha": "3/8"}
+        out = isolated_run(
+            "import planeaut.cli as cli\n"
+            "print('json' in sys.modules)\n"
+            "code = cli.main(['verify-formula'])\n"
+            "print(code, 'json' in sys.modules)\n", stdin=json.dumps(manifest))
+        assert out.splitlines() == ["False", GOLDEN_VERIFY.rstrip("\n"), "0 True"]
 
 
 def parse_outcome(capsys, parse, argv):

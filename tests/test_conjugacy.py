@@ -411,6 +411,44 @@ def test_cross_multiplied_ratio_test_agrees_with_division(p, seed, perturbed):
     assert report.satisfiable == constant
 
 
+
+def fraction_roots(q: Fraction, t: int) -> set:
+    """Oracle: every rational r with r^t = q != 0.  In lowest terms r = x/y
+    has x^t = |numerator| and y^t = denominator, found by a linear scan."""
+    def scan(n):
+        x = 1
+        while x ** t < n:
+            x += 1
+        return x if x ** t == n else None
+
+    x, y = scan(abs(q.numerator)), scan(q.denominator)
+    if x is None or y is None:
+        return set()
+    return {r for r in (Fraction(x, y), Fraction(-x, y)) if r ** t == q}
+
+
+NONZERO = st.integers(-2000, 2000).filter(bool)
+# (n, d, t): any nonzero n and d, or n/d = +-m*(a/b)^t over a common factor
+# k of either sign, which has roots where m is a t-th power; the search
+# passes n/d in lowest terms
+ROOT_QUERIES = st.tuples(NONZERO, NONZERO, st.integers(1, 6)) | st.builds(
+    lambda a, b, t, m, k, sign: (sign * m * a ** t * k, b ** t * k, t),
+    st.integers(1, 30), st.integers(1, 30), st.integers(1, 12),
+    st.sampled_from([1, 1, 2, 4, 8, 9]), st.integers(-4, 4).filter(bool),
+    st.sampled_from([1, -1]))
+
+
+@given(ROOT_QUERIES)
+def test_rational_roots_match_fraction_oracle(query):
+    n, d, t = query
+    q = Fraction(n, d)
+    roots = conjugacy._rational_roots(q.numerator, q.denominator, t)
+    assert all(isinstance(r, CycNum) and r.level == 0 for r in roots)
+    values = [r.as_fraction() for r in roots]
+    # r, or r > 0 then -r: the order the candidate search keeps
+    assert values == sorted(values, reverse=True) and len(set(values)) == len(values)
+    assert set(values) == fraction_roots(q, t)
+
 class TestVerifyConjugator:
     def test_identity_on_equal_sequences(self):
         a = CoeffSequence(2, [1, 1], [1])
