@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import cache
+from functools import cache, lru_cache
 
 from .cyclotomic import RootOfUnity
 from .endo import endo_order
@@ -213,81 +213,86 @@ def _add_sequence_flags(sub):
                      help="the prime (omit to read a JSON manifest from stdin)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
+def _declare(add) -> None:
+    """Declare every command: add(name, help) returns the parser to fill with
+    the command's arguments, or None to skip it."""
+    if sub := add("compose", help="product of two automorphisms (first acts first)"):
+        sub.add_argument("first")
+        sub.add_argument("second")
+        sub.set_defaults(run=_cmd_compose)
+
+    if sub := add("invert", help="inverse of a triangular-affine map"):
+        sub.add_argument("endo")
+        sub.set_defaults(run=_cmd_invert)
+
+    if sub := add("order", help="multiplicative order: closed form for "
+                  "triangular-affine maps, else powers until one outgrows it"):
+        sub.add_argument("endo")
+        sub.add_argument("--max-order", type=int, default=256)
+        sub.set_defaults(run=_cmd_order)
+
+    if sub := add("conjugate", help="theta^-1 * psi * theta"):
+        sub.add_argument("endo")
+        sub.add_argument("--theta", required=True)
+        sub.set_defaults(run=_cmd_conjugate)
+
+    if sub := add("verify-formula",
+                  help="closed-form conjugate vs brute-force composition"):
+        _add_sequence_flags(sub)
+        sub.add_argument("--alpha", help="root exponent j/p^n, e.g. 3/8 for z(8)^3")
+        sub.set_defaults(run=_cmd_verify_formula)
+
+    if sub := add("linearize", help="solve for a triangular-affine diagonalizer"):
+        sub.add_argument("--target", required=True)
+        sub.add_argument("--max-degree", type=int, required=True)
+        sub.set_defaults(run=_cmd_linearize)
+
+    if sub := add("min-degree", help="smallest degree bound that linearizes"):
+        _add_sequence_flags(sub)
+        sub.add_argument("--alpha")
+        sub.add_argument("--max-degree", type=int, default=None)
+        sub.set_defaults(run=_cmd_min_degree)
+
+    if sub := add("nonconj-check", help="necessary condition for subgroup conjugacy"):
+        _add_sequence_flags(sub)
+        sub.add_argument("--k0", type=int, default=None)
+        sub.set_defaults(run=_cmd_nonconj_check)
+
+    if sub := add("verify-conjugator",
+                  help="check a claimed conjugator on levels 1..N, "
+                       "read off its coefficients with no composition"):
+        _add_sequence_flags(sub)
+        sub.add_argument("--theta")
+        sub.add_argument("--levels", type=int, default=None)
+        sub.set_defaults(run=_cmd_verify_conjugator)
+
+    if sub := add("omega-family", help="pairwise infinitely-differing bit sequences"):
+        sub.add_argument("--count", type=int, required=True)
+        sub.set_defaults(run=_cmd_omega_family)
 
 
-# built on the first main call, not at import; parse_args keeps no state
-# between calls, so one tree serves them all
+# built on first use, not at import; parse_args keeps no state between calls,
+# so one parser serves them all
 @cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser and its subparsers by command name."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, each a subparser."""
     parser = argparse.ArgumentParser(
         prog="planeaut",
         description="Exact computations with plane polynomial automorphisms "
                     "over cyclotomic fields.")
     commands = parser.add_subparsers(dest="command", required=True)
+    _declare(lambda name, help: commands.add_parser(name, help=help))
+    return parser
 
-    sub = commands.add_parser("compose", help="product of two automorphisms "
-                              "(first acts first)")
-    sub.add_argument("first")
-    sub.add_argument("second")
-    sub.set_defaults(run=_cmd_compose)
 
-    sub = commands.add_parser("invert", help="inverse of a triangular-affine map")
-    sub.add_argument("endo")
-    sub.set_defaults(run=_cmd_invert)
-
-    sub = commands.add_parser("order", help="multiplicative order: closed form for "
-                              "triangular-affine maps, else powers until one outgrows it")
-    sub.add_argument("endo")
-    sub.add_argument("--max-order", type=int, default=256)
-    sub.set_defaults(run=_cmd_order)
-
-    sub = commands.add_parser("conjugate", help="theta^-1 * psi * theta")
-    sub.add_argument("endo")
-    sub.add_argument("--theta", required=True)
-    sub.set_defaults(run=_cmd_conjugate)
-
-    sub = commands.add_parser("verify-formula",
-                              help="closed-form conjugate vs brute-force composition")
-    _add_sequence_flags(sub)
-    sub.add_argument("--alpha", help="root exponent j/p^n, e.g. 3/8 for z(8)^3")
-    sub.set_defaults(run=_cmd_verify_formula)
-
-    sub = commands.add_parser("linearize",
-                              help="solve for a triangular-affine diagonalizer")
-    sub.add_argument("--target", required=True)
-    sub.add_argument("--max-degree", type=int, required=True)
-    sub.set_defaults(run=_cmd_linearize)
-
-    sub = commands.add_parser("min-degree",
-                              help="smallest degree bound that linearizes")
-    _add_sequence_flags(sub)
-    sub.add_argument("--alpha")
-    sub.add_argument("--max-degree", type=int, default=None)
-    sub.set_defaults(run=_cmd_min_degree)
-
-    sub = commands.add_parser("nonconj-check",
-                              help="necessary condition for subgroup conjugacy")
-    _add_sequence_flags(sub)
-    sub.add_argument("--k0", type=int, default=None)
-    sub.set_defaults(run=_cmd_nonconj_check)
-
-    sub = commands.add_parser("verify-conjugator",
-                              help="check a claimed conjugator on levels 1..N, "
-                                   "read off its coefficients with no composition")
-    _add_sequence_flags(sub)
-    sub.add_argument("--theta")
-    sub.add_argument("--levels", type=int, default=None)
-    sub.set_defaults(run=_cmd_verify_conjugator)
-
-    sub = commands.add_parser("omega-family",
-                              help="pairwise infinitely-differing bit sequences")
-    sub.add_argument("--count", type=int, required=True)
-    sub.set_defaults(run=_cmd_omega_family)
-
-    return parser, commands.choices
+@lru_cache(maxsize=16)   # ten commands, and room for a few unknown names
+def _command_parser(name: str) -> argparse.ArgumentParser | None:
+    """The named command's parser built alone, as the full parser builds it
+    (prog "planeaut <name>"), or None where no command has the name."""
+    built = {}
+    _declare(lambda command, help: command == name and built.setdefault(
+        name, argparse.ArgumentParser(prog=f"planeaut {name}")))
+    return built.get(name)
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -296,14 +301,12 @@ def _parse_args(argv) -> argparse.Namespace:
     the full parser hands it the same strings.  Anything else (no command,
     an unknown one, a leftover argument, a '--') goes through the full
     parser, so every usage, help and error text is the same."""
-    parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
-    sub = commands.get(argv[0]) if argv and "--" not in argv else None
-    if sub is not None:
+    if argv and "--" not in argv and (sub := _command_parser(argv[0])):
         args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if not extras:
             return args
-    return parser.parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

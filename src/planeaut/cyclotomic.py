@@ -7,10 +7,12 @@ denominator, which shares no factor with them (Cohen, GTM 138, 4.2).  A
 product then reduces once per value, not once per coefficient, and a sum of
 any number of products (CycNum.dot, whose one-pair case is a product and
 whose case with every second factor 1 is CycNum.sum) reduces once in all.
-The shapes that dominate the callers skip the kernel's general form: a
-product by 1 returns the other operand, a product of two one-term values is
-one exponent sum modulo p^n, and a sum or difference of two values merges
-their numerators directly.
+Products, sums and exponent maps accumulate integer numerators in a list
+indexed by exponent while phi(m) <= DENSE_PHI_LIMIT, else in a dict, and one
+canonicalizer, CycNum._canon, folds them below phi(m), reads the terms off
+in exponent order, demotes and takes one gcd with the denominator.  A
+product with a rational factor is a scaling, by 1 the other operand, and
+one of two one-term values one exponent sum modulo p^n, with no accumulator.
 The form is canonical: a value is stored at the lowest level that contains
 it (plain rationals at level 0, zero as no terms over 1), so equality is a
 plain tuple comparison.  A root zeta^j of order p^n (0 < j < p^n) is one term
@@ -26,7 +28,9 @@ towers of two different primes raises DomainMismatchError.
 from __future__ import annotations
 
 import sys
+from collections import defaultdict
 from functools import reduce
+from itertools import compress
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -83,6 +87,24 @@ def prime_power_decompose(m: int) -> tuple[int, int]:
     return p, n
 
 
+# The largest phi(p^n) at which a reduction accumulates its numerators in a
+# list indexed by exponent, above which it takes a dict, as a sparse value of
+# a huge field such as z(2^40) needs.  A list costs a few ns a slot and a
+# dict about 0.4 us a term product: at phi = 64 a product of two 2-term
+# values takes 7.2 us with the list against 5.1 with the dict, of two 4-term
+# values 10.6 against 12.1 and of two 8-term values 18.4 against 31.6 us; at
+# phi = 128 the list is slower up to 4 terms each (14.4 against 12.2 us).
+# CPython 3.11, x86-64.
+DENSE_PHI_LIMIT = 64
+
+
+def _accumulator(phi: int, size: int) -> list | defaultdict:
+    """Zero numerators for the exponents below size in a field of degree
+    phi: a list up to DENSE_PHI_LIMIT, else a dict that reads 0 at a missing
+    exponent, as a list slot does."""
+    return [0] * size if phi <= DENSE_PHI_LIMIT else defaultdict(int)
+
+
 # ---------------------------------------------------------------------------
 
 class CycNum:
@@ -107,19 +129,69 @@ class CycNum:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _make(cls, prime: int | None, level: int, coeffs: dict[int, int],
+    def _make(cls, prime: int | None, level: int, terms: list,
               den: int = 1) -> "CycNum":
-        """The canonical form of sum(c * zeta^e) / den, den > 0."""
-        terms = sorted([t for t in coeffs.items() if t[1]])
-        while level and not [e for e, _ in terms if e % prime]:
+        """The canonical form of the nonzero (exponent, numerator) terms, in
+        exponent order, over den > 0: demoted while every exponent is a
+        multiple of p (the last exponent settles most values), then divided
+        by one gcd with den."""
+        while level and not (terms and terms[-1][0] % prime) and not any(
+                e % prime for e, _ in terms):
             terms = [(e // prime, c) for e, c in terms]
             level -= 1
-        if den != 1:
-            g = gcd(den, *[c for _, c in terms])
-            if g != 1:
-                terms = [(e, c // g) for e, c in terms]
-                den //= g
+        if den != 1 and (g := gcd(den, *[c for _, c in terms])) != 1:
+            terms = [(e, c // g) for e, c in terms]
+            den //= g
         return cls(prime if level else None, level, tuple(terms), den)
+
+    @classmethod
+    def _canon(cls, p: int | None, n: int, acc, den: int = 1) -> "CycNum":
+        """The canonical form of sum(c * zeta_{p^n}^e for e, c in acc) / den,
+        acc from _accumulator: a list of at most 2 p^n slots, folded by
+        x^(p^n) = 1 and read off in exponent order, or a dict of any
+        exponents, reduced modulo p^n and sorted.  With q = p^(n-1),
+        Phi_{p^n}(x) = 1 + x^q + ... + x^((p-1)q) then lands each
+        x^(phi + j), j < q, below phi = phi(p^n) in one step."""
+        if type(acc) is list:
+            if n and len(acc) > (phi := p ** (n - 1) * (p - 1)):
+                q = phi // (p - 1)
+                m = phi + q
+                for e in range(m, len(acc)):   # x^m = 1
+                    acc[e - m] += acc[e]
+                for e in range(phi, min(m, len(acc))):
+                    if c := acc[e]:
+                        for r in range(e - phi, phi, q):
+                            acc[r] -= c
+                del acc[phi:]
+            return cls._make(p, n, list(compress(enumerate(acc), acc)), den)
+        q = p ** (n - 1)
+        m, phi = q * p, q * (p - 1)
+        out: dict[int, int] = {}
+        for e, c in acc.items():
+            e %= m
+            if e < phi:
+                out[e] = out.get(e, 0) + c
+            else:
+                for r in range(e - phi, phi, q):
+                    out[r] = out.get(r, 0) - c
+        return cls._make(p, n, sorted([t for t in out.items() if t[1]]), den)
+
+    @staticmethod
+    def _monomial(p: int, n: int, e: int, c: int, den: int = 1) -> "CycNum":
+        """c * zeta_{p^n}^e / den, c != 0: one term at e mod p^n below phi,
+        and above it the p - 1 terms -c*zeta^r, one term for p = 2."""
+        q = p ** (n - 1)
+        phi = q * (p - 1)
+        e %= q * p
+        if e >= phi:
+            if p != 2:
+                return CycNum._make(p, n, [(r, -c) for r in range(e - phi, phi, q)], den)
+            e, c = e - phi, -c
+        while n and e % p == 0:
+            e //= p
+            n -= 1
+        g = gcd(c, den)
+        return CycNum(p if n else None, n, ((e, c // g),), den // g)
 
     @classmethod
     def rational(cls, value) -> "CycNum":
@@ -145,28 +217,18 @@ class CycNum:
             raise ValueError("level must be nonnegative")
         if level == 0:
             return cls.one()
-        return cls._from_exponent_map(p, level, {exp: 1})
+        return cls._monomial(p, level, exp, 1)
 
     @classmethod
     def _from_exponent_map(cls, p: int, n: int, emap: dict[int, int],
                            den: int = 1) -> "CycNum":
-        """Reduce a zeta-exponent/numerator map over den modulo the
-        cyclotomic polynomial.
-
-        Uses Phi_{p^n}(x) = 1 + x^q + ... + x^{(p-1)q} with q = p^(n-1), so a
-        single rewrite step lands every exponent below phi(p^n).
-        """
-        q = p ** (n - 1)
-        m, phi = q * p, q * (p - 1)
-        out: dict[int, int] = {}
+        """Reduce a zeta-exponent/numerator map, any int exponents, over den
+        modulo the cyclotomic polynomial (_canon)."""
+        m = p ** n
+        acc = _accumulator(phi_prime_power(p, n), m)
         for e, c in emap.items():
-            e %= m
-            if e < phi:
-                out[e] = out.get(e, 0) + c
-            else:
-                for r in range(e - phi, phi, q):
-                    out[r] = out.get(r, 0) - c
-        return cls._make(p, n, out, den)
+            acc[e % m] += c
+        return cls._canon(p, n, acc, den)
 
     # -- queries -----------------------------------------------------------
 
@@ -197,7 +259,7 @@ class CycNum:
         if self.level == n:
             return self.terms
         f = p ** (n - self.level)
-        return tuple((e * f, c) for e, c in self.terms)
+        return tuple([(e * f, c) for e, c in self.terms])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -215,10 +277,11 @@ class CycNum:
 
         Both factors of every pair are lifted (below phi already) to the top
         level, over the lcm of the x.den * y.den, and convolved into one
-        exponent map for one _from_exponent_map; when every pair has a
-        rational factor no exponent reaches phi, and _make alone reduces.  A
-        single pair with a rational factor is a scaling, and one of two
-        one-term factors one exponent sum modulo p^n.  A second prime
+        accumulator for one _canon: 2*phi - 1 slots where some pair has two
+        irrational factors, whose exponent sums reach 2*phi - 2, else phi
+        slots, which no exponent leaves.  A single pair with a rational
+        factor is a scaling, by 1 the other operand, and one of two one-term
+        factors one exponent sum modulo p^n (_monomial).  A second prime
         raises DomainMismatchError, even where a pairwise fold would first
         cancel to a rational.
         """
@@ -234,27 +297,16 @@ class CycNum:
                 # each factor is in lowest terms, so only s against val.den
                 # and scalar.den against val's numerators can share a factor
                 g = gcd(s, val.den) * gcd(scalar.den, *(c for _, c in val.terms))
-                return CycNum(val.prime, val.level, tuple(
-                    (e, s * c // g) for e, c in val.terms), scalar.den * val.den // g)
+                return CycNum(val.prime, val.level, tuple([
+                    (e, s * c // g) for e, c in val.terms]), scalar.den * val.den // g)
             if x.prime != y.prime:
                 raise DomainMismatchError(f"mixed primes {x.prime} and {y.prime}")
             p, n, den, wide = x.prime, max(x.level, y.level), x.den * y.den, True
             if len(x.terms) == 1 == len(y.terms):
                 # two one-term factors: one exponent sum modulo p^n
                 (i, a), (j, b) = x.terms[0], y.terms[0]
-                q = p ** (n - 1)
-                phi, c = q * (p - 1), a * b
-                e = (i * p ** (n - x.level) + j * p ** (n - y.level)) % (q * p)
-                if e >= phi:  # the p - 1 terms -zeta^r, one term for p = 2
-                    if p != 2:
-                        return CycNum._make(
-                            p, n, {r: -c for r in range(e - phi, phi, q)}, den)
-                    e, c = e - phi, -c
-                while n and e % p == 0:
-                    e //= p
-                    n -= 1
-                g = gcd(c, den)
-                return CycNum(p if n else None, n, ((e, c // g),), den // g)
+                return CycNum._monomial(
+                    p, n, i * p ** (n - x.level) + j * p ** (n - y.level), a * b, den)
         else:
             p, n, den, wide = None, 0, 1, False
             for pair in pairs:
@@ -273,8 +325,8 @@ class CycNum:
                 d = x.den * y.den
                 if d != den:
                     den = lcm(den, d)
-        out: dict[int, int] = {}
-        get = out.get
+        phi = phi_prime_power(p, n)
+        acc = _accumulator(phi, 2 * phi - 1 if wide else phi)
         for x, y in pairs:
             f = den // (x.den * y.den)
             if y.level:
@@ -282,14 +334,12 @@ class CycNum:
                 for i, a in x._lift(p, n):
                     a *= f
                     for j, c in b:
-                        out[i + j] = get(i + j, 0) + a * c
+                        acc[i + j] += a * c
             elif y.terms:  # a rational y scales x
                 f *= y.terms[0][1]
                 for i, a in x._lift(p, n):
-                    out[i] = get(i, 0) + f * a
-        if wide:
-            return CycNum._from_exponent_map(p, n, out, den)
-        return CycNum._make(p, n, out, den)
+                    acc[i] += f * a
+        return CycNum._canon(p, n, acc, den)
 
     @staticmethod
     def sum(values) -> "CycNum":
@@ -300,17 +350,19 @@ class CycNum:
     @staticmethod
     def _plus(x: "CycNum", y: "CycNum", sign: int = 1) -> "CycNum":
         """x + sign*y, sign = +-1: both lifted to the top level over the lcm
-        of their denominators and merged, with no pair form of dot."""
+        of their denominators into one accumulator, with no pair form of dot."""
         if x.level and y.level and x.prime != y.prime:
             raise DomainMismatchError(f"mixed primes {x.prime} and {y.prime}")
         p, n = x.prime or y.prime, max(x.level, y.level)
         den = x.den if x.den == y.den else lcm(x.den, y.den)
         f, g = den // x.den, sign * (den // y.den)
-        out = {e: f * c for e, c in x._lift(p, n)}
-        get = out.get
+        phi = phi_prime_power(p, n)
+        acc = _accumulator(phi, phi)
+        for e, c in x._lift(p, n):
+            acc[e] = f * c
         for e, c in y._lift(p, n):
-            out[e] = get(e, 0) + g * c
-        return CycNum._make(p, n, out, den)
+            acc[e] += g * c
+        return CycNum._canon(p, n, acc, den)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -340,10 +392,6 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_one:
-            return self
-        if self.is_one:
-            return o
         return CycNum.dot(((self, o),))
 
     __rmul__ = __mul__
@@ -396,9 +444,8 @@ class CycNum:
             return CycNum(None, 0, ((0, num ** exponent),), self.den ** exponent)
         if exponent and len(self.terms) == 1:
             (i, c), = self.terms
-            return CycNum._from_exponent_map(
-                self.prime, self.level, {i * exponent: c ** exponent},
-                self.den ** exponent)
+            return CycNum._monomial(self.prime, self.level, i * exponent,
+                                    c ** exponent, self.den ** exponent)
         result = CycNum.one()
         base = self
         e = exponent
@@ -546,7 +593,7 @@ class RootOfUnity:
     def to_field(self) -> CycNum:
         if self.level == 0:
             return CycNum.one()
-        return CycNum._from_exponent_map(self.prime, self.level, {self.exp: 1})
+        return CycNum._monomial(self.prime, self.level, self.exp, 1)
 
     def __eq__(self, other):
         if not isinstance(other, RootOfUnity):

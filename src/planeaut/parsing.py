@@ -23,8 +23,8 @@ monomial x1[^a][*x2[^b]] or x2[^b], or a coefficient '*' a monomial, where a
 coefficient is a q, z(m), z(m)^e or q*z(m)^e term (q an INT or INT/INT,
 after any unary '-') or a parenthesized chain of them, is read in one
 regular-expression match (a chain of scalar terms alone by a narrower
-pattern): each monomial's terms go into one exponent map, reduced once, and
-each z(m) modulus is decoded once, so a long literal, the printers' output
+pattern): each monomial's terms go into one accumulator, reduced once, and
+each z(m) spelling is decoded once, so a long literal, the printers' output
 among them, reads in linear time.  The descent, one left fold per
 precedence level, reads every other expr, and each such chain with a
 monomial that recurs after another monomial's term (where the descent's
@@ -50,8 +50,8 @@ from math import lcm
 from operator import add, mul, sub
 
 from .cyclotomic import (MAX_POWER_BITS, PRIME_LIMIT, CycNum,
-                         DomainMismatchError, over_power_budget,
-                         prime_power_decompose)
+                         DomainMismatchError, _accumulator, over_power_budget,
+                         phi_prime_power, prime_power_decompose)
 from .poly import SparsePoly, _coerce_poly, _raw
 from .endo import PlaneEndo, TriangularAffine
 
@@ -151,32 +151,34 @@ def _gather(entries) -> tuple | None:
     """(prime, level, den, [(numerator, divisor, m, e), ...]) of the scalar
     terms (signs, num, den, m, e, m, e); None at a second prime or a zero
     divisor, and a ValueError at a z(m) modulus _root rejects or an INT too
-    long."""
+    long.  den grows by an lcm only at a divisor it is no multiple of."""
     prime, level, den, out = None, 0, 1, []
     for signs, num, d, m1, e1, m2, e2 in entries:
-        d, m = int(d or 1), int(m1 or m2 or 1)
-        p, n, _ = _root(m)
-        if not d or n and prime not in (None, p):
+        d = int(d) if d else 1
+        if not d:
             return None
-        if n:
-            prime, level = p, max(level, n)
-        den = lcm(den, d)
-        k = int(num or 1)
-        out.append((-k if signs.count("-") & 1 else k, d, m, int(e1 or e2 or 1)))
+        den = lcm(den, d) if den % d else den
+        m = e = 1
+        if spelling := m1 or m2:
+            p, n, m, _ = _root(spelling)
+            if n and prime not in (None, p):
+                return None
+            if n > level:   # a level above 0 has its prime already
+                prime, level = p, n
+            e = int(e1 or e2) if e1 or e2 else 1
+        k = int(num) if num else 1
+        out.append((-k if signs.count("-") & 1 else k, d, m, e))
     return prime, level, den, out
 
 
 def _reduce(prime: int | None, level: int, den: int, entries) -> CycNum:
     """The sum of the (numerator, divisor, m, e) terms numerator/divisor *
-    z(m)^e, lifted into one exponent map over den and reduced once."""
+    z(m)^e, lifted into one accumulator over den and reduced once."""
     top = prime ** level if level else 1
-    emap: dict[int, int] = {}
+    acc = _accumulator(phi_prime_power(prime, level), top)
     for k, d, m, e in entries:
-        key = e % m * (top // m)
-        emap[key] = emap.get(key, 0) + k * (den // d)
-    if level:
-        return CycNum._from_exponent_map(prime, level, emap, den)
-    return CycNum._make(None, 0, emap, den)
+        acc[e % m * (top // m)] += k * (den // d)
+    return CycNum._canon(prime, level, acc, den)
 
 
 @cache
@@ -187,12 +189,13 @@ def _constant_last(op: str) -> bool:
 
 
 @lru_cache(maxsize=PRIME_LIMIT)
-def _root(m: int) -> tuple[int, int, CycNum]:
-    """(p, n, z(m)) for m = p^n, z(m) = e^(2*pi*i/m) in the field, decoded
-    once per modulus; a ValueError (m not a prime power) is raised afresh
+def _root(spelling: str) -> tuple[int, int, int, CycNum]:
+    """(p, n, m, z(m)) for the modulus m = p^n spelled in digits, z(m) =
+    e^(2*pi*i/m) in the field, decoded once per spelling; a ValueError (m
+    not a prime power, or more digits than int() converts) is raised afresh
     each time."""
-    p, n = prime_power_decompose(m)
-    return p, n, CycNum.zeta(p, n) if n else CycNum.one()
+    p, n = prime_power_decompose(m := int(spelling))
+    return p, n, m, CycNum.zeta(p, n) if n else CycNum.one()
 
 
 class ParseError(ValueError):
@@ -259,7 +262,7 @@ class _Parser:
     def chain(self) -> CycNum | SparsePoly | None:
         """The value of a chain of coefficient-times-monomial terms that is
         the whole expression, up to ')', ',' or the end, read in one match:
-        each monomial's rationals and roots are added into one exponent map
+        each monomial's rationals and roots are added into one accumulator
         and reduced once, and zero sums dropped.  A SparsePoly where some
         term names x1 or x2, else a CycNum; None where the descent must read
         it: another shape, a monomial that recurs after another monomial's
@@ -378,10 +381,10 @@ class _Parser:
             self.expect("(")
             mtok = self.expect("int")
             self.expect(")")
-            m = self.integer(mtok)
             try:
-                return _root(m)[2]
+                return _root(mtok[1])[3]
             except ValueError as exc:
+                self.integer(mtok)   # an INT too long is reported as such
                 raise self.error(str(exc), mtok) from None
         if kind == "name":
             raise self.error(f"unknown name {word!r} (expected x1, x2 or z)", tok)

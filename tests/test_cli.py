@@ -918,8 +918,9 @@ class TestLongLiterals:
 
 
 class TestParserReuse:
-    """main parses every call with one argparse tree, built on its first
-    call; no call may see what an earlier one parsed."""
+    """main parses every call with parsers built on first use and reused:
+    each command's own parser, and the full tree only where a request falls
+    back to it; no call may see what an earlier one parsed."""
 
     NONCONJ = ("nonconj-check", "--p", "2", "--tail", "1", "--tail", "1,0")
     VERIFY = ("verify-formula", "--p", "2", "--prefix", "1,1", "--alpha", "1/2")
@@ -949,19 +950,28 @@ class TestParserReuse:
             "argparse.ArgumentParser.__init__ = counting\n"
             "import planeaut.cli as cli\n"
             "print(len(built))\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    cli.main({list(self.VERIFY)!r})\n"
-            "first = len(built)\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    cli.main({list(self.NONCONJ)!r})\n"
-            "print(first, len(built))\n")
+            f"for argv in {[self.VERIFY, self.VERIFY, self.NONCONJ, self.NONCONJ]!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        cli.main(list(argv))\n"
+            "    print(built)\n"
+            "for argv in (['bogus'], ['verify-formula', '--bogus']):\n"
+            "    with contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            cli.main(argv)\n"
+            "        except SystemExit:\n"
+            "            pass\n"
+            "    print(len(built))\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        at_import, line = proc.stdout.splitlines()
-        first, second = map(int, line.split())
+        at_import, *calls, fallback, again = proc.stdout.splitlines()
+        verify, nonconj = "planeaut verify-formula", "planeaut nonconj-check"
         assert at_import == "0"
-        assert first > 0 and second == first
+        # a well-formed request builds its command's parser alone, once
+        assert calls == [str([verify])] * 2 + [str([verify, nonconj])] * 2
+        # the full tree (the top parser and one subparser for each of the
+        # ten commands) is built on the first request that falls back to it
+        assert int(fallback) == 2 + 1 + 10 and again == fallback
 
 
 # the stdlib modules that a rational or a manifest would pull in (fractions

@@ -3,14 +3,14 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from operator import add
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from planeaut import (CycNum, DomainMismatchError, RootOfUnity,
-                      as_root_of_unity, multiplicative_order)
+                      as_root_of_unity, cyclotomic, multiplicative_order)
 from planeaut.cyclotomic import (PRIME_LIMIT, is_prime, phi_prime_power,
                                  prime_power_decompose, root_of_unity_splits)
 from planeaut.parsing import parse_scalar
@@ -659,3 +659,151 @@ def test_no_prime_factor_up_to_the_limit_is_rejected(m):
         is_prime(m)
     with pytest.raises(ValueError, match=message):
         RootOfUnity.one(m)
+
+
+def canonical(p, n, coeffs):
+    """(prime, level, terms, den) of sum(c * zeta_{p^n}^e) over the Fraction
+    coefficients of exponents below phi(p^n), read off with no field code:
+    the numerators over the lcm of the denominators, then demoted while
+    every exponent is a multiple of p."""
+    coeffs = {e: c for e, c in coeffs.items() if c}
+    den = lcm(1, *(c.denominator for c in coeffs.values()))
+    terms = sorted((e, int(c * den)) for e, c in coeffs.items())
+    while n and all(e % p == 0 for e, _ in terms):
+        terms = [(e // p, c) for e, c in terms]
+        n -= 1
+    return p if n else None, n, tuple(terms), den
+
+
+def as_tuple(w):
+    return w.prime, w.level, w.terms, w.den
+
+
+# Q(zeta_{p^n}) for p in {2, 3, 5, 7} at levels 0-3 (Q at level 0), the field
+# at DENSE_PHI_LIMIT (z(128), phi = 64) and the one above it (z(256)): the
+# list accumulator up to phi = 64, the dict one above (5^3, 7^3, 2^8)
+ORACLE_FIELDS = [(p, n) for p in (2, 3, 5, 7) for n in range(4)] + [(2, 7), (2, 8)]
+HUGE = 40   # z(2^40): only a dict holds its sparse values
+
+
+class TestKernelOracle:
+    """CycNum.dot, + and -, _from_exponent_map and inverse against SymPy's
+    sparse polynomials over QQ reduced by rem modulo Phi_{p^n}, each result
+    compared as its canonical (prime, level, terms, den), read off the SymPy
+    remainder by canonical().  Run at the default accumulator bound and at a
+    bound of 1, where every field but Q takes the dict accumulator."""
+
+    @pytest.fixture(params=["default", 1])
+    def bound(self, request, monkeypatch):
+        if request.param != "default":
+            monkeypatch.setattr(cyclotomic, "DENSE_PHI_LIMIT", request.param)
+        return request.param
+
+    @staticmethod
+    def oracle(p, n):
+        """(ring generator x, u -> u as a ring element, ring element ->
+        canonical tuple of its remainder modulo Phi_{p^n})."""
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.rings import ring
+        QQ = sympy.QQ
+        R, x = ring("x", QQ)
+        q = p ** (n - 1) if n else 1
+        if n == HUGE:   # Phi_{p^n}(x) = Phi_p(x^q), checked below on small fields
+            modulus = R.from_expr(sympy.cyclotomic_poly(p, sympy.Symbol("x"))).compose(x, x ** q)
+        else:
+            modulus = R.from_expr(sympy.cyclotomic_poly(p ** n, sympy.Symbol("x")))
+
+        def to_ring(u):
+            assert u.level <= n and u.prime in (None, p)
+            f = p ** (n - u.level) if n else 1
+            return sum((QQ(c, u.den) * x ** (e * f) for e, c in u.terms), R.zero)
+
+        def reduced(g):
+            r = g.rem(modulus)
+            return canonical(p, n, {e: Fraction(int(c.numerator), int(c.denominator))
+                                    for (e,), c in r.terms()})
+        return x, to_ring, reduced
+
+    @staticmethod
+    def values(rng, p, n, count, max_terms):
+        """count canonical values of the field and its subfields, built from
+        canonical(), with up to max_terms terms and mixed denominators."""
+        out = []
+        for _ in range(count):
+            level = rng.randint(0, n) if n != HUGE else rng.choice([0, 1, HUGE - 1, HUGE])
+            phi = phi_prime_power(p, level)
+            exps = {rng.randrange(phi) for _ in range(rng.randint(1, max_terms))}
+            if level and rng.random() < 0.5:
+                exps.add(phi - 1)   # a top exponent, whose products cross phi
+            coeffs = {e: Fraction(rng.choice([1, -1, 2, -3, 5, 7]), rng.choice([1, 1, 2, 3, 10]))
+                      for e in exps}
+            out.append(CycNum(*canonical(p, level, coeffs)))
+        return out
+
+    def check_field(self, p, n, seed, max_terms, rounds):
+        x, to_ring, reduced = self.oracle(p, n)
+        rng = random.Random(seed)
+        m = p ** n
+        for _ in range(rounds):
+            vals = self.values(rng, p, n, 6, max_terms)
+            for u, v in zip(vals, vals[1:]):
+                assert as_tuple(u + v) == reduced(to_ring(u) + to_ring(v))
+                assert as_tuple(u - v) == reduced(to_ring(u) - to_ring(v))
+            for size in (1, 2, 3, 5):
+                pairs = [(rng.choice(vals), rng.choice(vals)) for _ in range(size)]
+                expected = reduced(sum((to_ring(a) * to_ring(b) for a, b in pairs), x * 0))
+                assert as_tuple(CycNum.dot(pairs)) == expected
+            # one-term values: a product of two is one exponent sum, and a
+            # power one exponent product, each past phi for some
+            roots = [v for v in self.values(rng, p, n, 6, max_terms=1) if len(v.terms) == 1]
+            for u in roots:
+                for v in roots:
+                    assert as_tuple(u * v) == reduced(to_ring(u) * to_ring(v))
+                k = rng.choice([2, 3, p, p + 1])
+                assert as_tuple(u ** k) == reduced(to_ring(u) ** k)
+            if n:
+                # exponents below zero and past p^n, any denominator
+                emap = {rng.randrange(-3 * m, 3 * m): rng.choice([1, -2, 3, 6])
+                        for _ in range(rng.randint(1, 4))}
+                den = rng.choice([1, 2, 6, 35])
+                expected = reduced(sum((x ** (e % m) * Fraction(c, den)
+                                        for e, c in emap.items()), x * 0))
+                assert as_tuple(CycNum._from_exponent_map(p, n, emap, den)) == expected
+
+    @pytest.mark.parametrize("p,n", ORACLE_FIELDS)
+    def test_field_operations(self, bound, p, n):
+        self.check_field(p, n, 9100 + 10 * p + n, max_terms=min(phi_prime_power(p, n), 12),
+                         rounds=3)
+
+    @pytest.mark.parametrize("p,n", [(p, n) for p, n in ORACLE_FIELDS if n])
+    def test_inverse(self, bound, p, n):
+        # w is the inverse of u exactly when SymPy's u*w is 1 modulo Phi
+        _, to_ring, reduced = self.oracle(p, n)
+        rng = random.Random(9300 + 10 * p + n)
+        for u in self.values(rng, p, n, 4, max_terms=6):
+            if not u.is_zero:
+                w = u.inverse()
+                assert is_canonical(w) and w.level <= n
+                assert reduced(to_ring(u) * to_ring(w)) == (None, 0, ((0, 1),), 1)
+
+    def test_huge_sparse_field(self, bound):
+        # two- and three-term values of z(2^40), products crossing phi = 2^39
+        self.check_field(2, HUGE, 9500, max_terms=3, rounds=4)
+
+    def test_huge_modulus_is_phi_p_of_x_to_the_q(self):
+        # the identity the huge field's modulus is built by, on SymPy's own
+        # cyclotomic polynomials
+        sympy = pytest.importorskip("sympy")
+        X = sympy.Symbol("x")
+        for p, n in [(2, 5), (3, 3), (5, 2), (7, 2)]:
+            assert sympy.expand(sympy.cyclotomic_poly(p, X).subs(X, X ** p ** (n - 1))
+                                - sympy.cyclotomic_poly(p ** n, X)) == 0
+
+    def test_both_accumulators_reached(self, bound):
+        # the bound picks the accumulator by phi alone, and the oracle's
+        # fields reach the default bound and pass it
+        limit = cyclotomic.DENSE_PHI_LIMIT
+        assert type(cyclotomic._accumulator(limit, 1)) is list
+        assert type(cyclotomic._accumulator(limit + 1, 1)) is not list
+        phis = {phi_prime_power(p, n) for p, n in ORACLE_FIELDS}
+        assert limit in phis and max(phis) > limit or bound == 1
