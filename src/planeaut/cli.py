@@ -19,13 +19,19 @@ the manifest field of its name:
 The CLI checks each field it reads; a missing or ill-typed one is an input
 error naming it.  Both sequences live over the top-level "prime": "a" and
 "b" are read for "prefix" and "tail" only.
+
+The ten commands are declared once, in COMMANDS.  A well-formed request
+(exact flag names, every value in place) is read straight from that table,
+with no parser; any other argv, -h and every error among them, goes to
+argparse's parser, built from the same table on first use, so every usage,
+help and error text is argparse's.  argparse is imported only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from functools import cache, lru_cache
+from functools import cache
+from types import SimpleNamespace
 
 from .cyclotomic import RootOfUnity
 from .endo import endo_order
@@ -202,111 +208,140 @@ def _cmd_omega_family(args) -> tuple[int, str]:
 
 
 # -- wiring -----------------------------------------------------------------
+# Every command once, as (name, help, handler, arguments), each argument an
+# (add_argument name, add_argument keywords) pair.  build_parser builds
+# argparse's tree from it, and _read_argv reads the well-formed requests
+# with it; the reader knows the keywords action="append", type, default and
+# required, so no argument may take any other (help aside).
 
-def _add_sequence_flags(sub):
-    sub.add_argument("--prefix", action="append",
-                     help="comma-separated scalars; once per sequence (a then b)")
-    sub.add_argument("--tail", action="append",
-                     help="'zero' or a comma-separated repeating block; "
-                          "once per sequence")
-    sub.add_argument("--p", type=int, default=None,
-                     help="the prime (omit to read a JSON manifest from stdin)")
+_SEQUENCE_FLAGS = (
+    ("--prefix", {"action": "append",
+                  "help": "comma-separated scalars; once per sequence (a then b)"}),
+    ("--tail", {"action": "append",
+                "help": "'zero' or a comma-separated repeating block; once per sequence"}),
+    ("--p", {"type": int, "default": None,
+             "help": "the prime (omit to read a JSON manifest from stdin)"}),
+)
 
-
-def _declare(add) -> None:
-    """Declare every command: add(name, help) returns the parser to fill with
-    the command's arguments, or None to skip it."""
-    if sub := add("compose", help="product of two automorphisms (first acts first)"):
-        sub.add_argument("first")
-        sub.add_argument("second")
-        sub.set_defaults(run=_cmd_compose)
-
-    if sub := add("invert", help="inverse of a triangular-affine map"):
-        sub.add_argument("endo")
-        sub.set_defaults(run=_cmd_invert)
-
-    if sub := add("order", help="multiplicative order: closed form for "
-                  "triangular-affine maps, else powers until one outgrows it"):
-        sub.add_argument("endo")
-        sub.add_argument("--max-order", type=int, default=256)
-        sub.set_defaults(run=_cmd_order)
-
-    if sub := add("conjugate", help="theta^-1 * psi * theta"):
-        sub.add_argument("endo")
-        sub.add_argument("--theta", required=True)
-        sub.set_defaults(run=_cmd_conjugate)
-
-    if sub := add("verify-formula",
-                  help="closed-form conjugate vs brute-force composition"):
-        _add_sequence_flags(sub)
-        sub.add_argument("--alpha", help="root exponent j/p^n, e.g. 3/8 for z(8)^3")
-        sub.set_defaults(run=_cmd_verify_formula)
-
-    if sub := add("linearize", help="solve for a triangular-affine diagonalizer"):
-        sub.add_argument("--target", required=True)
-        sub.add_argument("--max-degree", type=int, required=True)
-        sub.set_defaults(run=_cmd_linearize)
-
-    if sub := add("min-degree", help="smallest degree bound that linearizes"):
-        _add_sequence_flags(sub)
-        sub.add_argument("--alpha")
-        sub.add_argument("--max-degree", type=int, default=None)
-        sub.set_defaults(run=_cmd_min_degree)
-
-    if sub := add("nonconj-check", help="necessary condition for subgroup conjugacy"):
-        _add_sequence_flags(sub)
-        sub.add_argument("--k0", type=int, default=None)
-        sub.set_defaults(run=_cmd_nonconj_check)
-
-    if sub := add("verify-conjugator",
-                  help="check a claimed conjugator on levels 1..N, "
-                       "read off its coefficients with no composition"):
-        _add_sequence_flags(sub)
-        sub.add_argument("--theta")
-        sub.add_argument("--levels", type=int, default=None)
-        sub.set_defaults(run=_cmd_verify_conjugator)
-
-    if sub := add("omega-family", help="pairwise infinitely-differing bit sequences"):
-        sub.add_argument("--count", type=int, required=True)
-        sub.set_defaults(run=_cmd_omega_family)
+COMMANDS = (
+    ("compose", "product of two automorphisms (first acts first)", _cmd_compose,
+     (("first", {}), ("second", {}))),
+    ("invert", "inverse of a triangular-affine map", _cmd_invert, (("endo", {}),)),
+    ("order", "multiplicative order: closed form for triangular-affine maps, "
+              "else powers until one outgrows it", _cmd_order,
+     (("endo", {}), ("--max-order", {"type": int, "default": 256}))),
+    ("conjugate", "theta^-1 * psi * theta", _cmd_conjugate,
+     (("endo", {}), ("--theta", {"required": True}))),
+    ("verify-formula", "closed-form conjugate vs brute-force composition",
+     _cmd_verify_formula,
+     (*_SEQUENCE_FLAGS, ("--alpha", {"help": "root exponent j/p^n, e.g. 3/8 for z(8)^3"}))),
+    ("linearize", "solve for a triangular-affine diagonalizer", _cmd_linearize,
+     (("--target", {"required": True}),
+      ("--max-degree", {"type": int, "required": True}))),
+    ("min-degree", "smallest degree bound that linearizes", _cmd_min_degree,
+     (*_SEQUENCE_FLAGS, ("--alpha", {}), ("--max-degree", {"type": int, "default": None}))),
+    ("nonconj-check", "necessary condition for subgroup conjugacy", _cmd_nonconj_check,
+     (*_SEQUENCE_FLAGS, ("--k0", {"type": int, "default": None}))),
+    ("verify-conjugator", "check a claimed conjugator on levels 1..N, "
+                          "read off its coefficients with no composition",
+     _cmd_verify_conjugator,
+     (*_SEQUENCE_FLAGS, ("--theta", {}), ("--levels", {"type": int, "default": None}))),
+    ("omega-family", "pairwise infinitely-differing bit sequences", _cmd_omega_family,
+     (("--count", {"type": int, "required": True}),)),
+)
 
 
 # built on first use, not at import; parse_args keeps no state between calls,
 # so one parser serves them all
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, each a subparser."""
+def build_parser():
+    """argparse's parser of every command, each a subparser."""
+    import argparse   # off the import and the well-formed requests
     parser = argparse.ArgumentParser(
         prog="planeaut",
         description="Exact computations with plane polynomial automorphisms "
                     "over cyclotomic fields.")
     commands = parser.add_subparsers(dest="command", required=True)
-    _declare(lambda name, help: commands.add_parser(name, help=help))
+    for name, help, run, arguments in COMMANDS:
+        sub = commands.add_parser(name, help=help)
+        for argument, keywords in arguments:
+            sub.add_argument(argument, **keywords)
+        sub.set_defaults(run=run)
     return parser
 
 
-@lru_cache(maxsize=16)   # ten commands, and room for a few unknown names
-def _command_parser(name: str) -> argparse.ArgumentParser | None:
-    """The named command's parser built alone, as the full parser builds it
-    (prog "planeaut <name>"), or None where no command has the name."""
-    built = {}
-    _declare(lambda command, help: command == name and built.setdefault(
-        name, argparse.ArgumentParser(prog=f"planeaut {name}")))
-    return built.get(name)
+def _reader(name, run, arguments) -> tuple:
+    """(flags, positionals, required, start) of one command: each flag by its
+    exact name as (dest, append, type), the positionals' names in order, the
+    required flags' dests, and the namespace argparse starts from (every
+    flag at its default, with command and run)."""
+    flags, positionals, required = {}, [], set()
+    start = {"command": name, "run": run}
+    for argument, keywords in arguments:
+        if not argument.startswith("-"):
+            positionals.append(argument)
+            continue
+        dest = argument.lstrip("-").replace("-", "_")
+        flags[argument] = (dest, keywords.get("action") == "append", keywords.get("type"))
+        start[dest] = keywords.get("default")
+        if keywords.get("required"):
+            required.add(dest)
+    return flags, positionals, required, start
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv), read by the command's own parser
-    when argv[0] names a command and that parser takes every other argument:
-    the full parser hands it the same strings.  Anything else (no command,
-    an unknown one, a leftover argument, a '--') goes through the full
-    parser, so every usage, help and error text is the same."""
+_READERS = {name: _reader(name, run, arguments) for name, _, run, arguments in COMMANDS}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """argv's namespace, as argparse would build it, where argv is a known
+    command followed by exact flag names (--name=value with a value other
+    than '--', or --name value with a value not starting with '-'), and by
+    exactly the command's positionals, none starting with '-'; with every
+    required flag given and every typed value converting.  An append flag
+    collects its values in order, any other flag keeps its last.  None for
+    any other argv."""
+    if not argv or (reader := _READERS.get(argv[0])) is None:
+        return None
+    flags, positionals, required, start = reader
+    values, given, seen = dict(start), [], set()
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            given.append(arg)
+            continue
+        name, equals, value = arg.partition("=")
+        if (flag := flags.get(name)) is None:
+            return None
+        if not equals:
+            value = next(rest, "-")   # past the end: missing, as for argparse
+            if value.startswith("-"):
+                return None
+        elif value == "--":   # argparse reads --name=-- as [] up to Python 3.12.1
+            return None
+        dest, append, convert = flag
+        if convert:
+            try:
+                value = convert(value)
+            except ValueError:
+                return None
+        values[dest] = [*(values[dest] or ()), value] if append else value
+        seen.add(dest)
+    if len(given) != len(positionals) or not required <= seen:
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
+
+
+def _parse_args(argv):
+    """build_parser().parse_args(argv), read by _read_argv where it can.
+    Everything else (no command or an unknown one, -h, an abbreviation, a
+    '--', a value starting with '-', a missing or extra argument, a value
+    that does not convert) goes to argparse, so every usage, help and error
+    text is argparse's."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and "--" not in argv and (sub := _command_parser(argv[0])):
-        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+    if (args := _read_argv(argv)) is None:
+        args = build_parser().parse_args(argv)
+    return args
 
 
 def main(argv=None) -> int:

@@ -97,6 +97,16 @@ def prime_power_decompose(m: int) -> tuple[int, int]:
 # CPython 3.11, x86-64.
 DENSE_PHI_LIMIT = 64
 
+# The largest phi(p^n) in which CycNum.inverse inverts a value that is no
+# rational times a root of unity: such an inverse is dense, phi terms, in
+# general.  A dense value of z(2^11) (phi = 1024) inverts in 0.36 s, of
+# z(2^12) in 1.6 s and of z(2^13) in 6.6 s, a two-term value of z(2^16) in
+# 0.25 s (4,096 terms), and one of z(2^20) was killed for memory.  The bound
+# holds z(997) and z(1024); it bounds the size of the result, not the work of
+# the norm, which multiplies p - 2 conjugates at a level-1 step: a dense
+# value of z(31^2) (phi = 930) takes 3.4 s.  CPython 3.11, x86-64.
+MAX_INVERSE_DEGREE = 1024
+
 
 def _accumulator(phi: int, size: int) -> list | defaultdict:
     """Zero numerators for the exponents below size in a field of degree
@@ -397,6 +407,30 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
+        """Inverse: c*zeta^j/den, a rational times a root of unity (one term,
+        or the p - 1 terms -c*zeta^(j + i*q) for j + phi), is den/c * zeta^-j
+        at any level; any other value is inverted by _norm_inverse in a
+        field of degree up to MAX_INVERSE_DEGREE, and raises ValueError in a
+        larger one."""
+        if self.is_zero:
+            raise ZeroDivisionError("division by zero in the cyclotomic field")
+        p, n, terms = self.prime, self.level, self.terms
+        j, c = terms[0]
+        if len(terms) > 1:
+            q = p ** (n - 1)
+            if len(terms) == p - 1 and terms == tuple((j + i * q, c) for i in range(p - 1)):
+                j, c = j + q * (p - 1), -c
+            elif q * (p - 1) > MAX_INVERSE_DEGREE:
+                raise ValueError(f"inverse of a {len(terms)}-term value in a field of degree "
+                                 f"{q * (p - 1)}, over the budget of {MAX_INVERSE_DEGREE}")
+            else:
+                return self._norm_inverse()
+        sign = 1 if c > 0 else -1
+        if not n:
+            return CycNum(None, 0, ((0, sign * self.den),), sign * c)
+        return CycNum._monomial(p, n, -j, sign * self.den, sign * c)
+
+    def _norm_inverse(self) -> "CycNum":
         """Inverse by relative norms down the Galois tower.
 
         At level n the automorphisms zeta -> zeta^a, a = 1 + q, 1 + 2q, ... < p^n
@@ -406,8 +440,6 @@ class CycNum:
         land at a lower level; descend until it is rational.  Then the inverse
         is the product of the cofactors c over that rational.
         """
-        if self.is_zero:
-            raise ZeroDivisionError("division by zero in the cyclotomic field")
         cofactor, norm = CycNum.one(), self
         while norm.level:
             p, n = norm.prime, norm.level

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import planeaut
 import planeaut.prufer as prufer
 from planeaut import CycNum, PlaneEndo, SparsePoly
-from planeaut.cli import _parse_args, build_parser, main
+from planeaut.cli import COMMANDS, _parse_args, build_parser, main
 from planeaut.conjugacy import MAX_K0
 from planeaut.parsing import MAX_POWER_BITS
 
@@ -109,6 +109,10 @@ class TestCommands:
         code, out, _ = run(capsys, "invert", "(x1 + x2^2 + x2^3, x2)")
         assert code == 0
         assert out == "(x1 + -x2^2 + -x2^3, x2)\n"
+
+    def test_invert_a_scaled_root_of_a_huge_field(self, capsys):
+        assert run(capsys, "invert", "(3*z(1099511627776)*x1, x2)") == (
+            0, "(-1/3*z(1099511627776)^549755813887*x1, x2)\n", "")
 
     def test_order_found(self, capsys):
         code, out, _ = run(capsys, "order", "(-x1 - 2*x2^2, -x2)")
@@ -385,6 +389,12 @@ class TestInputErrors:
     ])
     def test_over_the_limit_is_one_line_error(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_dense_inverse_over_the_budget_is_one_line_error(self, capsys):
+        # 1/(1 + z(2^40)) has 2^39 terms
+        assert run(capsys, "compose", "(1/(1 + z(1099511627776))*x1, x2)", "(x1, x2)") == (
+            2, "", "error: inverse of a 2-term value in a field of degree 549755813888, "
+                   "over the budget of 1024\n")
 
     def test_prime_at_the_limit_is_a_verdict(self, capsys):
         assert run(capsys, "verify-formula", "--p", "997", "--prefix", "1",
@@ -918,9 +928,9 @@ class TestLongLiterals:
 
 
 class TestParserReuse:
-    """main parses every call with parsers built on first use and reused:
-    each command's own parser, and the full tree only where a request falls
-    back to it; no call may see what an earlier one parsed."""
+    """main reads a well-formed call with no parser, and any other with
+    argparse's full tree, built on the first such call and reused; no call
+    may see what an earlier one parsed."""
 
     NONCONJ = ("nonconj-check", "--p", "2", "--tail", "1", "--tail", "1,0")
     VERIFY = ("verify-formula", "--p", "2", "--prefix", "1,1", "--alpha", "1/2")
@@ -965,18 +975,17 @@ class TestParserReuse:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         at_import, *calls, fallback, again = proc.stdout.splitlines()
-        verify, nonconj = "planeaut verify-formula", "planeaut nonconj-check"
         assert at_import == "0"
-        # a well-formed request builds its command's parser alone, once
-        assert calls == [str([verify])] * 2 + [str([verify, nonconj])] * 2
+        # a well-formed request builds no parser
+        assert calls == ["[]"] * 4
         # the full tree (the top parser and one subparser for each of the
         # ten commands) is built on the first request that falls back to it
-        assert int(fallback) == 2 + 1 + 10 and again == fallback
+        assert int(fallback) == 1 + 10 and again == fallback
 
 
 # the stdlib modules that a rational or a manifest would pull in (fractions
-# brings decimal and numbers)
-HEAVY_MODULES = {"fractions", "decimal", "json"}
+# brings decimal and numbers), and argparse with its gettext
+HEAVY_MODULES = {"fractions", "decimal", "json", "argparse", "gettext"}
 SRC = str(Path(planeaut.__file__).resolve().parent.parent)
 # one flag-form request per command, each taking its rationals through the
 # field (root splits, rational roots, exponents), then an exit-2 error
@@ -998,6 +1007,17 @@ FLAG_FORM_REQUESTS = [
 ]
 
 
+def equals_form(argv):
+    """argv with each flag and its value joined as --flag=value."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += f"={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def isolated_run(body, stdin=""):
     """stdout of `body` run by `python -I` on this checkout's package, after
     `before` holds the modules the bare interpreter loaded."""
@@ -1010,25 +1030,46 @@ def isolated_run(body, stdin=""):
 
 
 class TestImportFootprint:
-    """Rationals are field elements on every request path: neither the
-    import nor a flag-form request loads fractions, decimal or json."""
+    """Rationals are field elements on every request path, and a well-formed
+    request is read with no parser: neither the import nor a flag-form
+    request loads fractions, decimal, json, argparse or gettext."""
 
     def test_flag_form_requests_load_none(self):
+        # each request twice: --flag value, then --flag=value
+        requests = [spell(argv) for spell in (list, equals_form)
+                    for argv, _ in FLAG_FORM_REQUESTS]
         out = isolated_run(
             "import planeaut.cli as cli\n"
             "print(sorted(set(sys.modules) - before))\n"
             "codes = []\n"
-            f"for argv in {[argv for argv, _ in FLAG_FORM_REQUESTS]!r}:\n"
+            f"for argv in {requests!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
             "        codes.append(cli.main(argv))\n"
             "print(codes)\n"
             "print(sorted(set(sys.modules) - before))\n")
         at_import, codes, after = out.splitlines()
-        assert codes == str([code for _, code in FLAG_FORM_REQUESTS])
+        assert codes == str([code for _, code in FLAG_FORM_REQUESTS] * 2)
         assert "'planeaut.cli'" in at_import
         assert not HEAVY_MODULES & set(literal_eval(at_import))
         assert not HEAVY_MODULES & set(literal_eval(after))
+
+    def test_argparse_error_prints_argparse_text(self):
+        out = isolated_run(
+            "import planeaut.cli as cli\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            "    try:\n"
+            "        cli.main(['order', '(x1, x2)', '--max-order', 'ten'])\n"
+            "    except SystemExit as exc:\n"
+            "        print(exc.code)\n"
+            "print(repr(err.getvalue()))\n"
+            "print('argparse' in sys.modules)\n")
+        code, err, loaded = out.splitlines()
+        assert (code, loaded) == ("2", "True")
+        assert literal_eval(err).splitlines() == [
+            "usage: planeaut order [-h] [--max-order MAX_ORDER] endo",
+            "planeaut order: error: argument --max-order: invalid int value: 'ten'"]
 
     def test_stdin_manifest_imports_json_on_use(self):
         manifest = {"prime": 2, "a": {"prefix": ["1", "z(8)"], "tail": ["1/2"]},
@@ -1068,13 +1109,58 @@ DISPATCH_ARGVS = [
     pytest.param(["compose", "--", "(x1, x2)", "(x1, x2)"], id="double-dash"),
     pytest.param(["linearize", "--target"], id="flag-without-value"),
     pytest.param(["compose", "-x1", "(x1, x2)"], id="dash-positional"),
+    # argparse reads it as [] on Python 3.12.1 and before, and as '--' on 3.13
+    pytest.param(["conjugate", "(x1, x2)", "--theta=--"], id="equals-double-dash"),
 ]
 
 
+# argument values: well-formed ones, and ones that start with '-', are no
+# int, or are int() only after stripping or reading '_' and '+'
+GOOD_VALUES = st.sampled_from(["(x1, x2)", "(x1 + 1/2*x2^2, x2)", "1,z(8)", "zero",
+                               "1/2", ""])
+INT_VALUES = st.integers(0, 300).map(str)
+ODD_VALUES = st.sampled_from(["-1", "-x1", "-", "--", "-h", "ten", " 4", "+5",
+                              "1_0", "2.0", "٣"])
+STRAYS = st.sampled_from(["-h", "--help", "--", "--bogus", "-x", "--=1"])
+
+
+@st.composite
+def table_argvs(draw):
+    """argv for one command of COMMANDS.  Half of them are well-formed: the
+    command, its positionals, each flag given any number of times (required
+    ones at least once), as --flag value or --flag=value, all in any order.
+    The other half also abbreviate flags or leave out their values, take odd
+    values, miss or repeat positionals, add a stray -h, '--' or unknown flag,
+    or have a missing or unknown command."""
+    name, _, _, arguments = draw(st.sampled_from(COMMANDS))
+    clean = draw(st.booleans())
+    pieces = []
+    for argument, keywords in arguments:
+        good = INT_VALUES if keywords.get("type") is int else GOOD_VALUES
+        value = good if clean else st.one_of(good, good, good, ODD_VALUES)
+        if not argument.startswith("-"):
+            count = 1 if clean else draw(st.sampled_from([1, 1, 1, 0, 2]))
+            pieces += [[draw(value)] for _ in range(count)]
+            continue
+        least = 1 if clean and keywords.get("required") else 0
+        for _ in range(draw(st.sampled_from([least, least, 1, 2, 3]))):
+            spelled = argument if clean else draw(st.sampled_from([argument] * 6 + [
+                argument[:k] for k in range(3, len(argument))]))
+            forms = ["separate", "equals"] + ([] if clean else ["bare"])
+            form = draw(st.sampled_from(forms))
+            pieces.append({"separate": [spelled, draw(value)],
+                           "equals": [f"{spelled}={draw(value)}"],
+                           "bare": [spelled]}[form])
+    if not clean:
+        pieces += [[draw(STRAYS)] for _ in range(draw(st.sampled_from([0] * 4 + [1, 2])))]
+    head = [name] if clean else draw(st.sampled_from([[name]] * 8 + [[], ["bogus"]]))
+    return head + [arg for piece in draw(st.permutations(pieces)) for arg in piece]
+
+
 class TestDispatch:
-    """main reads argv with the command's own parser when that parser takes
-    every argument, and with the full parser otherwise; either way it must
-    parse, print and exit exactly as build_parser().parse_args does."""
+    """main reads a well-formed argv straight from COMMANDS and any other
+    with argparse's full parser; either way it must parse, print and exit
+    exactly as build_parser().parse_args does."""
 
     @pytest.mark.parametrize("argv", DISPATCH_ARGVS)
     def test_same_parse_as_the_full_parser(self, capsys, argv):
@@ -1083,3 +1169,10 @@ class TestDispatch:
         if isinstance(expected[0], tuple):
             # main itself exits with the same code and text
             assert parse_outcome(capsys, main, argv) == expected
+
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table_argvs())
+    def test_table_argvs_parse_as_the_full_parser(self, capsys, argv):
+        expected = parse_outcome(capsys, build_parser().parse_args, argv)
+        assert parse_outcome(capsys, _parse_args, argv) == expected

@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 
 from planeaut import (CycNum, DomainMismatchError, RootOfUnity,
                       as_root_of_unity, cyclotomic, multiplicative_order)
-from planeaut.cyclotomic import (PRIME_LIMIT, is_prime, phi_prime_power,
+from planeaut.cyclotomic import (MAX_INVERSE_DEGREE, PRIME_LIMIT, is_prime, phi_prime_power,
                                  prime_power_decompose, root_of_unity_splits)
 from planeaut.parsing import parse_scalar
 
@@ -93,6 +93,35 @@ class TestInverse:
     def test_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
             CycNum.zero().inverse()
+
+    @pytest.mark.parametrize("p,level", [(2, 0), (2, 3), (3, 2), (5, 2), (7, 1), (7, 2)])
+    def test_scaled_root_inverts_as_the_norm_does(self, p, level):
+        # c*zeta^j: one term below phi, p - 1 terms from phi on for odd p
+        for c in NONZERO_POOL:
+            for j in range(p ** level):
+                u = c * zeta(p, level, j)
+                assert u.inverse() == u._norm_inverse() == zeta(p, level, -j) / c
+
+    @pytest.mark.parametrize("p,level", [(2, 40), (3, 25)])
+    def test_scaled_root_at_a_high_level(self, p, level):
+        # the norm would square or cube the rational at each of the levels
+        phi = phi_prime_power(p, level)
+        for j in (1, phi + 1, p ** level - 1):
+            u = CycNum.rational(Fraction(-3, 7)) * zeta(p, level, j)
+            assert u.inverse() == zeta(p, level, -j) * Fraction(-7, 3)
+            assert u * u.inverse() == 1
+
+    def test_degree_budget(self):
+        # the largest 2-power field under the budget inverts; the next raises
+        top = MAX_INVERSE_DEGREE.bit_length()
+        u = 1 + zeta(2, top)
+        assert phi_prime_power(2, top) == MAX_INVERSE_DEGREE
+        assert u * u.inverse() == 1
+        for level in (top + 1, 40):
+            with pytest.raises(ValueError, match=f"inverse of a 2-term value in a field "
+                               f"of degree {2 ** (level - 1)}, over the budget of "
+                               f"{MAX_INVERSE_DEGREE}"):
+                (1 + zeta(2, level)).inverse()
 
     @pytest.mark.parametrize("p,level", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1),
                                          (2, 6), (3, 3), (5, 2), (7, 2), (11, 1)])
