@@ -257,7 +257,16 @@ COMMANDS = (
 def build_parser():
     """argparse's parser of every command, each a subparser."""
     import argparse   # off the import and the well-formed requests
-    parser = argparse.ArgumentParser(
+
+    class Parser(argparse.ArgumentParser):
+        def _get_values(self, action, arg_strings):
+            # --name=-- is the value '--' on every Python, as on 3.13; up to
+            # 3.12.1 argparse drops the '--' and hands the flag's action []
+            if action.option_strings and arg_strings == ["--"]:
+                return self._get_value(action, "--")
+            return super()._get_values(action, arg_strings)
+
+    parser = Parser(
         prog="planeaut",
         description="Exact computations with plane polynomial automorphisms "
                     "over cyclotomic fields.")
@@ -294,12 +303,11 @@ _READERS = {name: _reader(name, run, arguments) for name, _, run, arguments in C
 
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     """argv's namespace, as argparse would build it, where argv is a known
-    command followed by exact flag names (--name=value with a value other
-    than '--', or --name value with a value not starting with '-'), and by
-    exactly the command's positionals, none starting with '-'; with every
-    required flag given and every typed value converting.  An append flag
-    collects its values in order, any other flag keeps its last.  None for
-    any other argv."""
+    command followed by exact flag names (--name=value, or --name value
+    with a value not starting with '-'), and by exactly the command's
+    positionals, none starting with '-'; with every required flag given and
+    every typed value converting.  An append flag collects its values in
+    order, any other flag keeps its last.  None for any other argv."""
     if not argv or (reader := _READERS.get(argv[0])) is None:
         return None
     flags, positionals, required, start = reader
@@ -316,8 +324,6 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
             value = next(rest, "-")   # past the end: missing, as for argparse
             if value.startswith("-"):
                 return None
-        elif value == "--":   # argparse reads --name=-- as [] up to Python 3.12.1
-            return None
         dest, append, convert = flag
         if convert:
             try:

@@ -30,11 +30,12 @@ precedence level, reads every other expr, and each such chain with a
 monomial that recurs after another monomial's term (where the descent's
 sums may move it), two primes in one monomial's sum, a zero divisor, a
 rejected z(m) modulus, an INT too long or a parenthesized coefficient past
-MAX_NESTING, so that errors and term order keep one code path; once a
-polynomial enters its '+'/'-' fold, each term is merged into its one term
-map (SparsePoly._merge_into), so a long sum is linear there too.  Tokens
-are scanned on demand, never over the chain reader's text, after one
-up-front match that reports the first unexpected character.
+MAX_NESTING, so that errors and term order keep one code path; its
+'+'/'-' fold sums its scalar terms by one CycNum.dot up to a polynomial or
+a second prime, and once a polynomial enters the fold, each term is merged
+into its one term map (SparsePoly._merge_into), so a long sum is linear
+there too.  Tokens are scanned on demand, never over the chain reader's
+text, after one up-front match that reports the first unexpected character.
 A scalar power whose numerators are estimated at more than MAX_POWER_BITS
 bits is an error at its exponent; roots of unity, +-1 among them, raise to
 any power.  Parentheses nest at most MAX_NESTING deep, so that no input
@@ -49,9 +50,9 @@ from functools import cache, lru_cache
 from math import lcm
 from operator import add, mul, sub
 
-from .cyclotomic import (MAX_POWER_BITS, PRIME_LIMIT, CycNum,
-                         DomainMismatchError, _accumulator, over_power_budget,
-                         phi_prime_power, prime_power_decompose)
+from .cyclotomic import (_CYC_MINUS_ONE, _CYC_ONE, MAX_POWER_BITS, PRIME_LIMIT,
+                         CycNum, DomainMismatchError, _accumulator,
+                         over_power_budget, phi_prime_power, prime_power_decompose)
 from .poly import SparsePoly, _coerce_poly, _raw
 from .endo import PlaneEndo, TriangularAffine
 
@@ -298,16 +299,34 @@ class _Parser:
             return _reduce(*sums[(0, 0)])
         return _raw({mono: c for mono, acc in sums.items() if (c := _reduce(*acc))})
 
+    @staticmethod
+    def total(value: CycNum, scalars) -> CycNum:
+        """value plus or minus each of the (operator token, CycNum) scalars,
+        all over value's prime or rational, reduced by one CycNum.dot."""
+        return CycNum.dot([(value, _CYC_ONE)] + [
+            (rhs, _CYC_ONE if tok[0] == "+" else _CYC_MINUS_ONE) for tok, rhs in scalars])
+
     def expr(self) -> CycNum | SparsePoly:
         """A '+'/'-' chain, by chain() where it reads it, else by a left fold;
-        once a polynomial enters the fold, the fold owns it and merges each
-        right-hand side into its term map, in time linear in that side."""
+        its scalar terms up to a polynomial, a second prime or the end are
+        summed once (total), and once a polynomial enters the fold, the fold
+        owns it and merges each right-hand side into its term map, in time
+        linear in that side."""
         if (value := self.chain()) is not None:
             return value
-        value, owned = self.term(), False
+        value, owned, scalars, prime = self.term(), False, [], None
         while self.peek()[0] in ("+", "-"):
             tok = self.advance()
             rhs = self.term()
+            if isinstance(value, CycNum):
+                prime = prime or value.prime
+                if isinstance(rhs, CycNum) and rhs.prime in (None, prime or rhs.prime):
+                    prime = prime or rhs.prime
+                    scalars.append((tok, rhs))
+                    continue
+                # a polynomial or a second prime is added to the terms' sum
+                # pairwise, so two primes fail where a pairwise fold fails
+                value, scalars, prime = self.total(value, scalars), [], None
             if not owned:
                 value = self.step(tok, value, rhs)
                 owned = isinstance(value, SparsePoly)   # a new SparsePoly
@@ -316,7 +335,7 @@ class _Parser:
                 value._merge_into(_coerce_poly(rhs), 1 if tok[0] == "+" else -1)
             except DomainMismatchError as exc:
                 raise self.error(str(exc), tok) from None
-        return value
+        return self.total(value, scalars) if isinstance(value, CycNum) else value
 
     def term(self) -> CycNum | SparsePoly:
         value = self.unary()

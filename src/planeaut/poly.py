@@ -4,12 +4,10 @@ Terms are stored as a map from (deg_x1, deg_x2) to a nonzero CycNum.  The
 zero polynomial has degree NEG_INF so that deg(f*g) = deg f + deg g holds
 without special cases.  A product and a substitution gather the pairs of
 factors of their terms by monomial in one accumulator, _collect, and reduce
-each output coefficient once, by one CycNum.dot, unless no two terms can
-meet: a product with a one-term factor shifts the other's exponents and
-scales its coefficients, and a substitution of two monomials with
-independent exponent vectors rewrites each term once.  A sum copies the
-left operand's term map and merges the right one into it (_merge_into),
-adding the two coefficients of each monomial the operands share.
+each output coefficient once, by one CycNum.dot; only a power of a one-term
+polynomial is formed directly, one term.  A sum copies the left operand's
+term map and merges the right one into it (_merge_into), adding the two
+coefficients of each monomial the operands share.
 """
 
 from __future__ import annotations
@@ -142,7 +140,7 @@ class SparsePoly:
         except DomainMismatchError:
             for mono, c in a.items():
                 if mono in b:
-                    CycNum._plus(c, b[mono], sign)   # raises at the first such pair
+                    c + b[mono] if sign > 0 else c - b[mono]   # raises at the first such pair
             raise
         for mono, c in sums:
             if c:
@@ -159,14 +157,9 @@ class SparsePoly:
             if c.is_zero:
                 return SparsePoly.zero()
             return _raw({m: t * c for m, t in self._terms.items()})
-        a, b = self._terms, other._terms
-        products = (((a1 + b1, a2 + b2), (c, d))
-                    for (a1, a2), c in a.items() for (b1, b2), d in b.items())
-        if len(a) == 1 or len(b) == 1:
-            # a one-term factor shifts the other's exponents: no two products
-            # meet, and a product of nonzero coefficients is nonzero
-            return _raw({mono: c * d for mono, (c, d) in products})
-        return _collect(products)
+        return _collect(((a1 + b1, a2 + b2), (c, d))
+                        for (a1, a2), c in self._terms.items()
+                        for (b1, b2), d in other._terms.items())
 
     __rmul__ = __mul__
 
@@ -184,25 +177,8 @@ class SparsePoly:
         the other power as it is, with no x^0 factor.  Each term c*x1^e1*x2^e2
         of self pairs c with every coefficient of s1^e1 * s2^e2, and all the
         pairs go into one accumulator, _collect, which reduces each output
-        coefficient once.  Monomials s1 and s2 whose exponent vectors are
-        independent send distinct terms to distinct monomials, so each term
-        is rewritten once: its coefficient times the scalar powers, cached.
+        coefficient once.
         """
-        if len(s1._terms) == 1 == len(s2._terms):
-            ((u1, u2), c1), = s1._terms.items()
-            ((v1, v2), c2), = s2._terms.items()
-            if u1 * v2 != u2 * v1:
-                pow1, pow2 = {0: CycNum.one(), 1: c1}, {0: CycNum.one(), 1: c2}
-                for e1, e2 in self._terms:
-                    if e1 not in pow1:
-                        pow1[e1] = c1 ** e1
-                    if e2 not in pow2:
-                        pow2[e2] = c2 ** e2
-                # every product of scalar powers before any term's product, as
-                # in the general path, so a two-tower error names the same pair
-                parts = [((e1 * u1 + e2 * v1, e1 * u2 + e2 * v2), c, pow1[e1] * pow2[e2])
-                         for (e1, e2), c in self._terms.items()]
-                return _raw({mono: d * c for mono, c, d in parts})
         cache1: dict[int, SparsePoly] = {0: _ONE, 1: s1}
         cache2: dict[int, SparsePoly] = {0: _ONE, 1: s2}
 
@@ -264,6 +240,7 @@ def _cached_pow(base: SparsePoly, e: int, cache: dict[int, SparsePoly]) -> Spars
     hit = cache.get(e)
     if hit is not None:
         return hit
+    # squaring instead: formula benchmark 25 % slower (CPython 3.11, x86-64)
     if len(base._terms) == 1:
         ((e1, e2), c), = base._terms.items()
         out = _raw({(e1 * e, e2 * e): c ** e})

@@ -1176,3 +1176,18 @@ class TestDispatch:
     def test_table_argvs_parse_as_the_full_parser(self, capsys, argv):
         expected = parse_outcome(capsys, build_parser().parse_args, argv)
         assert parse_outcome(capsys, _parse_args, argv) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["linearize", "--target=--", "--max-degree", "2"], id="exact"),
+    pytest.param(["linearize", "--tar=--", "--max-degree", "2"], id="abbreviated"),
+    pytest.param(["conjugate", "(x1, x2)", "--theta=--"], id="theta"),
+    pytest.param(["verify-formula", "--p=2", "--prefix=--", "--alpha=1/2"], id="append"),
+])
+def test_double_dash_value_is_a_one_line_error(argv):
+    """--name=-- hands the handler the string '--' on every Python, read
+    straight from the table or by argparse (which up to 3.12.1 would hand it
+    []), so the request ends in the one-line parse error, no traceback."""
+    code, out, err = fresh_process(*argv, timeout=60)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

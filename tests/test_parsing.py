@@ -418,6 +418,53 @@ def test_two_tower_chain_fails_where_the_left_fold_fails(operands):
         assert str(err.value) == error
 
 
+@given(st.sampled_from([2, 3, 5, 7]),
+       st.lists(st.tuples(st.sampled_from("+-"), st.integers(1, 12), st.integers(0, 2 ** 32)),
+                min_size=1, max_size=8),
+       st.lists(st.tuples(st.sampled_from("+-"), st.integers(1, 12), st.integers(0, 2 ** 32)),
+                max_size=4),
+       st.sampled_from(["none", "cancel", "leftover"]), st.booleans())
+@example(3, [("+", 1, 0)], [("+", 1, 5)], "leftover", True)
+def test_scalar_chain_is_the_pairwise_fold_of_its_terms(p, operands, prefix, other, fault):
+    """A '+'/'-' chain of 1/k*(t) terms, which the chain reader declines, is
+    read by the descent: its value, or its mixed-prime error and column, is
+    that of the pairwise fold through CycNum's operators.  The terms are over
+    p, after a prefix over a second prime q: none, the prefix and then each
+    of its terms negated, so that it cancels before the first term over p,
+    or that with the last negation left out, so that a q value remains.  A
+    division by zero at the end is the error only where no mixed-prime
+    error comes before it."""
+    q = 7 if p == 5 else 5
+    terms = []
+    if other != "none":
+        terms = [(op, k, q, seed) for op, k, seed in prefix]
+        terms += [("-" if op == "+" else "+", k, q, seed) for op, k, seed in prefix]
+        if other == "leftover" and prefix:
+            terms.pop()
+    terms += [(op, k, p, seed) for op, k, seed in operands]
+    text, value, error = "0", CycNum.zero(), None
+    for op, k, prime, seed in terms:
+        t = random_cycnum(random.Random(seed), prime, max_level=2)
+        column = len(text) + 2
+        text += f" {op} 1/{k}*({t})"
+        if error is None:
+            try:
+                value = value + t / k if op == "+" else value - t / k
+            except DomainMismatchError as exc:
+                error = f"{exc} (line 1, column {column})"
+    if fault:
+        if error is None:
+            error = f"division by zero (line 1, column {len(text) + 5})"
+        text += " + 1/0"
+    assert _Parser(text).chain() is None
+    if error is None:
+        assert parse_scalar(text) == value
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_scalar(text)
+        assert str(err.value) == error
+
+
 # The grammar's characters without '^' (so no input asks for a large power),
 # whitespace, and characters that are digits or letters only outside ASCII.
 PARSER_INPUT = st.text(alphabet="0123456789xz_+-*/(), \t\n²٣é", max_size=30)

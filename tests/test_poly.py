@@ -405,8 +405,8 @@ def test_one_term_factor_matches_a_termwise_expansion(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_monomial_substitution_matches_a_termwise_image(seed):
-    # injective maps take the one-rewrite path, the others (independent
-    # exponent vectors or not) the general one; both must match the oracle
+    # maps with independent exponent vectors, where no two terms meet, and
+    # the others, where some may, must all match the oracle
     p, f, g, _, _ = ring_operands(seed)
     rng = random.Random(3000 + seed)
 
