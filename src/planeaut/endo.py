@@ -8,6 +8,7 @@ orientation.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb, lcm
 
 from .cyclotomic import CycNum, multiplicative_order
@@ -104,17 +105,8 @@ def endo_order(psi: PlaneEndo, max_order: int) -> int | None:
     A triangular-affine psi = (gamma*x1 + g(x2), beta*x2 + beta0) is decided
     from its scalars alone.  Every such k is a multiple of m = lcm(ord gamma,
     ord beta), and psi^m = (x1 + H(x2), x2 + c) has infinite order in
-    characteristic 0 unless it is the identity.  With beta = 1, c = m*beta0
-    and H = g * sum_{i<m} gamma^i, so the order is m exactly when beta0 = 0
-    and (gamma != 1 or g = 0).  With beta != 1, c = 0; put t =
-    beta0/(1 - beta), the fixed point of x2 -> beta*x2 + beta0, and h(y) =
-    g(y + t).  Then H = m*gamma^(m-1) * sum h_d (x2 - t)^d over the d with
-    beta^d = gamma, since every other geometric sum sum_{i<m}
-    (beta^d/gamma)^i vanishes.  So the order is m exactly when, at each such
-    d <= D = deg g (one residue class modulo ord beta, or none), (1 - beta)^D
-    * h_d = sum_{e>=d} C(e,d) g_e beta0^(e-d) (1 - beta)^(D-e+d) is zero: no
-    inverse and no power above D.  A DomainMismatchError arises only where
-    that sum itself multiplies or adds scalars of two towers.
+    characteristic 0 unless it is the identity: c = m*beta0 where beta = 1,
+    else 0, and H = 0 exactly when no degree resonates (see resonance).
 
     An affine psi = (A x + b) of finite order k has k = ord A, since psi^k
     is a translation, of infinite order unless zero; A's eigenvalues are
@@ -149,24 +141,42 @@ def endo_order(psi: PlaneEndo, max_order: int) -> int | None:
                 return None
             power = compose(power, psi)
         return None
-    gamma, g, beta, beta0 = t.gamma, t.g.x2_profile(), t.beta, t.beta0
-    orders = multiplicative_order(gamma), multiplicative_order(beta)
-    if None in orders or (m := lcm(*orders)) > max_order:
+    orders = multiplicative_order(t.gamma), multiplicative_order(t.beta)
+    if None in orders or (m := lcm(*orders)) > max_order or t.beta == 1 and t.beta0:
         return None
+    return m if resonance(t, orders[1]) is None else None
+
+
+def resonance(t: TriangularAffine, step: int) -> int | None:
+    """The least resonant degree of t = (gamma*x1 + g(x2), beta*x2 + beta0),
+    beta of order step and beta0 = 0 where beta = 1, else None.
+
+    Put c = beta0/(1 - beta) (0 where beta0 = 0) and h(y) = g(y + c); d resonates
+    where beta^d = gamma and h_d != 0.  For m = lcm(ord gamma, step), t^m is
+    (x1 + m*gamma^(m-1) * sum h_d (x2 - c)^d, x2) over the d with beta^d = gamma,
+    as every other sum_{i<m} (beta^d/gamma)^i vanishes (endo_order); and
+    (x1 + v(x2), x2 + c) conjugates t to (gamma*x1, beta*x2) exactly when
+    v_d (beta^d - gamma) = h_d (linearize).  Those d are one residue class
+    modulo step, or none, sought among d < step.  With beta0 = 0, h = g, and
+    past len(g) values of d the class is sought on g's degrees alone: at most
+    2*len(g) powers however sparse g is.  Otherwise (1 - beta)^D * h_d =
+    sum_{e>=d} C(e,d) g_e beta0^(e-d) (1 - beta)^(D-e+d), D = deg g: no
+    inverse, no power above D, and a two-tower error only where that sum
+    multiplies or adds scalars of two towers.
+    """
+    gamma, g, beta, beta0 = t.gamma, t.g.x2_profile(), t.beta, t.beta0
     top = max(g, default=0)
-    if beta == 1:
-        return m if beta0.is_zero and (gamma != 1 or not g) else None
-    if beta0.is_zero:  # t = 0, so h = g
-        return None if any(beta ** d == gamma for d in g) else m
-    u, step = 1 - beta, orders[1]
-    # beta^d = gamma on one residue class of d modulo ord beta, or on none
-    first = next((d for d in range(min(top, step - 1) + 1) if beta ** d == gamma),
-                 top + 1)
-    for d in range(first, top + 1, step):
-        if CycNum.sum([comb(e, d) * c * beta0 ** (e - d) * u ** (top - e + d)
-                       for e, c in g.items() if e >= d]):
-            return None
-    return m
+    scan = min(top + 1, step, len(g) if beta0.is_zero else step)
+    first = next((d for d in chain(range(scan), (e for e in g if e >= scan))
+                  if beta ** d == gamma), None)
+    if first is None:
+        return None
+    if beta0.is_zero:  # h = g
+        return min((d for d in g if (d - first) % step == 0), default=None)
+    u = 1 - beta
+    return next((d for d in range(first, top + 1, step)
+                 if CycNum.sum([comb(e, d) * c * beta0 ** (e - d) * u ** (top - e + d)
+                                for e, c in g.items() if e >= d])), None)
 
 
 def _affine_order(psi: PlaneEndo, max_order: int) -> int | None:

@@ -396,6 +396,23 @@ class TestInputErrors:
             2, "", "error: inverse of a 2-term value in a field of degree 549755813888, "
                    "over the budget of 1024\n")
 
+    def test_linearize_division_over_the_budget_is_one_line_error(self):
+        # w = alpha^(2-1) has order 2^40, so 1/(alpha^2 - alpha) would fill a
+        # field of degree 2^39: refused before its sum over 2^40 terms
+        code, out, err = fresh_process(
+            "linearize", "--target",
+            "(z(1099511627776)*x1 + x2^2, z(1099511627776)*x2)", "--max-degree", "3",
+            timeout=5)
+        assert (code, out) == (2, "")
+        assert err == ("error: inverse of alpha^2 - alpha in a field of degree "
+                       "549755813888, over the budget of 1024\n")
+
+    def test_linearize_division_at_the_budget_is_a_verdict(self, capsys):
+        # z(2048): phi = 1024, the budget itself
+        code, out, err = run(capsys, "linearize", "--target",
+                             "(z(2048)*x1 + x2^2, z(2048)*x2)", "--max-degree", "3")
+        assert (code, out.splitlines()[0], err) == (0, "LINEARIZED", "")
+
     def test_prime_at_the_limit_is_a_verdict(self, capsys):
         assert run(capsys, "verify-formula", "--p", "997", "--prefix", "1",
                    "--alpha", "1/997") == (0, GOLDEN_VERIFY, "")

@@ -574,6 +574,70 @@ class TestOrder:
             assert endo_order(conjugate(psi, theta), 8) == endo_order(psi, 8)
 
 
+def resonance_oracle_cases(seed, count):
+    """(t, step) for triangular-affine t over one p-tower, p in {2, 3, 5, 7}:
+    gamma and beta are +-zeta_{p^n}^j (n <= 3 for p = 2 and 3, n <= 2 for 5
+    and 7), gamma = beta^d0 for a drawn d0 half the time, beta0 is zero or
+    not (zero where beta = 1), and g = h(x2 - c), c = beta0/(1 - beta), for
+    a drawn h of up to four terms of degree <= 6 with its resonant terms
+    dropped half the time.  step is the order of beta."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice((2, 3, 5, 7))
+
+        def root():
+            return tower_root(rng, p, 3 if p < 5 else 2) * rng.choice((1, -1))
+
+        beta = root()
+        gamma = beta ** rng.randint(0, 6) if rng.random() < 0.5 else root()
+        beta0 = tower_element(rng, p) if beta != 1 and rng.random() < 0.6 else CycNum.zero()
+        h = {d: tower_element(rng, p) for d in rng.sample(range(7), rng.randint(0, 4))}
+        if rng.random() < 0.5:
+            h = {d: c for d, c in h.items() if beta ** d != gamma}
+        c = beta0 / (1 - beta) if beta0 else CycNum.zero()
+        g = SparsePoly({(0, d): c_d for d, c_d in h.items()}).substitute(x1(), x2() - c)
+        yield TriangularAffine(x1() * gamma + g, x2() * beta + beta0), multiplicative_order(beta)
+
+
+def resonance_oracle(t):
+    """The least d <= deg g with beta^d = gamma and x2^d in h = g(x2 + c),
+    c = beta0/(1 - beta) by the tower inverse, which the rule avoids."""
+    c = t.beta0 * (1 - t.beta).inverse() if t.beta0 else CycNum.zero()
+    h = t.g.substitute(x1(), x2() + c)
+    return next((d for d in range(max(t.g.degree, 0) + 1)
+                 if t.beta ** d == t.gamma and not h.coefficient(0, d).is_zero), None)
+
+
+class TestResonance:
+    def test_matches_the_tower_inverse_oracle(self):
+        seen = set()
+        for t, step in resonance_oracle_cases(131, 400):
+            d = endo.resonance(t, step)
+            assert d == resonance_oracle(t), str(t)
+            seen.add((t.beta0.is_zero, d is None))
+        # beta0 zero and not, each with and without a resonant degree
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("text,expected", [
+        # gamma = beta^(2^39 + 1): the class of beta^d = gamma lies past deg g
+        ("(-z(1099511627776)*x1 + x2^1000000 + x2^3, z(1099511627776)*x2)", None),
+        ("(z(1099511627776)^3*x1 + x2^1000000 + x2^3, z(1099511627776)*x2)", 3),
+        # beta = -1: the class of odd d is found at d = 1, and only g's
+        # degrees are tested on it
+        ("(-x1 + x2^1000000 + x2^2, -x2)", None),
+        ("(-x1 + x2^1000001 + x2^2, -x2)", 1000001),
+    ])
+    def test_sparse_g_costs_at_most_two_powers_per_degree(self, text, expected,
+                                                          monkeypatch):
+        psi = parse_endo(text)
+        t = TriangularAffine(psi.f1, psi.f2)
+        powers, power = [], CycNum.__pow__
+        monkeypatch.setattr(CycNum, "__pow__",
+                            lambda self, e: powers.append(e) or power(self, e))
+        assert endo.resonance(t, multiplicative_order(t.beta)) == expected
+        assert len(powers) <= 2 * len(t.g)
+
+
 class TestRecognition:
     """The constructor recognizes the triangular-affine shape."""
 

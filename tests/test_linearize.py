@@ -6,11 +6,12 @@ import re
 import pytest
 
 import planeaut.linearize as linearize
-from planeaut import (CoeffSequence, CycNum,
+from planeaut import (CoeffSequence, CycNum, PlaneEndo,
                       RootOfUnity, ShapeError, SparsePoly, TriangularAffine,
-                      conj_closed_form, conjugate,
+                      conj_closed_form, conjugate, endo_order,
                       minimal_linearizer_degree, parse_endo,
                       solve_linearization)
+from planeaut.endo import resonance
 
 from planeaut.cyclotomic import multiplicative_order
 
@@ -114,6 +115,48 @@ class TestInverseGap:
         for target in targets:
             assert solve_linearization(target, 50).found
         assert calls == [0]
+
+    def test_budget_reads_the_field_of_w(self):
+        # w = alpha = z(4096) lies in a field of degree 2048, over the budget,
+        # but w = alpha^2 in Q(z(2048)), of degree 1024
+        alpha = CycNum.zeta(2, 12)
+        with pytest.raises(ValueError, match="^inverse of alpha\\^2 - alpha in a field of "
+                           "degree 2048, over the budget of 1024$"):
+            linearize._inverse_gap(alpha, 4096, 2)
+        assert linearize._inverse_gap(alpha, 4096, 3) * (alpha ** 3 - alpha) == 1
+
+    @pytest.mark.parametrize("target,bound,degree", [
+        ("(z(1099511627776)*x1 + x2 + x2^2, z(1099511627776)*x2)", 3, 1),
+        ("(z(1099511627776)*x1 + x2^2 + x2^3, z(1099511627776)*x2)", 2, 3),
+    ])
+    def test_obstructions_come_before_the_budget(self, target, bound, degree):
+        result = solve_linearization(parse_endo(target), bound)
+        assert result.obstruction_degree == degree
+
+
+class TestAgreesWithOrder:
+    """linearize and order decide resonance by one rule, endo.resonance."""
+
+    @pytest.mark.parametrize("p,n", WORKLOAD_CELLS)
+    def test_linearizes_exactly_when_of_finite_order(self, p, n):
+        # the shift-conjugates of diag(alpha), and the same with a resonant
+        # x2^d added (alpha^d = alpha at d = 1 and at d = ord alpha + 1)
+        rng = random.Random(139 * p + n)
+        found = set()
+        for _ in range(4):
+            alpha = RootOfUnity(p, n, rng.randrange(p ** n))
+            order = multiplicative_order(alpha.to_field())
+            base = conj_closed_form(random_sequence(rng, p), alpha)
+            for d in (None, 1, order + 1):
+                target = base if d is None else PlaneEndo(
+                    base.f1 + SparsePoly.monomial(0, d, rng.choice((1, -2))), base.f2)
+                t = TriangularAffine(target.f1, target.f2)
+                result = solve_linearization(target, max(t.g.degree, 1))
+                assert result.found == (endo_order(target, order) is not None), str(target)
+                if not result.found:
+                    assert result.obstruction_degree == resonance(t, order) == d
+                found.add(result.found)
+        assert found == {True, False}
 
 
 class TestSoundnessAndCompleteness:
