@@ -108,39 +108,30 @@ def endo_order(psi: PlaneEndo, max_order: int) -> int | None:
     characteristic 0 unless it is the identity: c = m*beta0 where beta = 1,
     else 0, and H = 0 exactly when no degree resonates (see resonance).
 
-    An affine psi = (A x + b) of finite order k has k = ord A, since psi^k
-    is a translation, of infinite order unless zero; A's eigenvalues are
-    roots of unity in a quadratic extension of the coefficients' field
-    Q(zeta_{p^n}), so k divides W = lcm(12, 4*p^(n+1)) (W = 12 over Q), and
-    k is the least divisor d of W with psi^d the identity, each power formed
-    from the squares psi^(2^i).  Scalars of two towers take both primes
-    into W, and raise DomainMismatchError where a power meets them, as the
-    composition loop's first power psi*psi does.
-
-    Any other map is composed with itself up to max_order times, returning
-    None at the first power whose degree (the larger of its components'
-    total degrees) exceeds psi's.  A map of finite order is an automorphism;
-    a finite group acting on the Bass-Serre tree of Aut = affine *_B
-    triangular (Jung 1942; van der Kulk 1953) fixes a vertex (Serre,
-    *Trees*), so psi = w^-1 * L * w, L affine, and no w^-1 * L^k * w
-    outgrows psi.
+    Any other psi is decided by the rule for affine maps.  A psi of finite
+    order over the field K = Q(zeta_{p^n}) of its coefficients is an
+    automorphism, and a finite group acting on the Bass-Serre tree of
+    Aut = affine *_B triangular over K (Jung 1942; van der Kulk 1953) fixes a
+    vertex (Serre, *Trees*), so psi = w^-1 * L * w over K.  An affine
+    L = (A x + b) of finite order k has k = ord A, since L^k is a translation,
+    of infinite order unless zero; A's eigenvalues are roots of unity in a
+    quadratic extension of K, so k divides W = lcm(12, 4*p^(n+1)) (W = 12
+    over Q).  A triangular L of finite order is diagonal up to conjugation by
+    resonance's theta, over K, so its order divides W too.  So k is the least
+    divisor d of W with psi^d the identity, each power formed from the
+    squares psi^(2^i), and no work grows with max_order.  No w^-1 * L^j * w
+    outgrows psi, so the scan returns None at the first square or product
+    whose degree (the larger of its components' total degrees) exceeds
+    psi's; an affine map's powers never do.  Scalars of two towers take both
+    primes into W, and raise DomainMismatchError where a power meets them,
+    first at psi*psi.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     try:
         t = TriangularAffine(psi.f1, psi.f2)
     except ValueError:
-        bound = max(psi.f1.degree, psi.f2.degree)
-        if bound <= 1:
-            return _affine_order(psi, max_order)
-        ident, power = PlaneEndo.identity(), psi
-        for k in range(1, max_order + 1):
-            if power == ident:
-                return k
-            if max(power.f1.degree, power.f2.degree) > bound:
-                return None
-            power = compose(power, psi)
-        return None
+        return _power_order(psi, max_order)
     orders = multiplicative_order(t.gamma), multiplicative_order(t.beta)
     if None in orders or (m := lcm(*orders)) > max_order or t.beta == 1 and t.beta0:
         return None
@@ -179,9 +170,9 @@ def resonance(t: TriangularAffine, step: int) -> int | None:
                                 for e, c in g.items() if e >= d])), None)
 
 
-def _affine_order(psi: PlaneEndo, max_order: int) -> int | None:
-    """The least divisor d <= max_order of W with psi^d the identity, for an
-    affine psi (see endo_order), else None."""
+def _power_order(psi: PlaneEndo, max_order: int) -> int | None:
+    """The least divisor d <= max_order of W with psi^d the identity (see
+    endo_order), else None, also once a square or product outgrows psi."""
     levels: dict[int, int] = {}
     for _, c in (*psi.f1.terms(), *psi.f2.terms()):
         if c.level:
@@ -193,6 +184,7 @@ def _affine_order(psi: PlaneEndo, max_order: int) -> int | None:
         while w % q ** (e + 1) == 0:
             e += 1
         divisors = [d * q ** i for d in divisors for i in range(e + 1)]
+    bound = max(psi.f1.degree, psi.f2.degree)
     ident, squares = PlaneEndo.identity(), [psi]   # squares[i] = psi^(2^i)
     for d in sorted(divisors):
         if d > max_order:
@@ -201,8 +193,12 @@ def _affine_order(psi: PlaneEndo, max_order: int) -> int | None:
         for i in range(d.bit_length()):
             if i == len(squares):
                 squares.append(compose(squares[-1], squares[-1]))
+                if max(squares[i].f1.degree, squares[i].f2.degree) > bound:
+                    return None
             if d >> i & 1:
                 power = squares[i] if power is None else compose(power, squares[i])
+                if max(power.f1.degree, power.f2.degree) > bound:
+                    return None
         if power == ident:
             return d
     return None

@@ -124,9 +124,22 @@ class TestCommands:
         assert (code, out) == (1, "no order found up to 10\n")
 
     def test_order_stops_once_a_power_outgrows_the_map(self):
-        # deg psi^k = 2^k, so the second power already ends the loop
+        # deg psi^k = 2^k, so the second power already ends the scan
         assert fresh_process("order", "(x2, x1 + x2^2)", "--max-order", "30",
                              timeout=5) == (1, "no order found up to 30\n", "")
+
+    @pytest.mark.parametrize("endo,max_order,expected", [
+        # no power outgrows these maps: the divisors of W bound the work
+        ("(x1, x2 + x1^2)", 10 ** 13, (1, "no order found up to 10000000000000\n", "")),
+        ("(2*x1, x2 + x1^2)", 10 ** 6, (1, "no order found up to 1000000\n", "")),
+        ("(z(1024)*x1, x2 + x1^2)", 10 ** 13, (0, "order = 1024\n", "")),
+        # under a bound of 1 no power is formed, so the two towers never meet
+        ("(z(3)*x2 + x1^2, z(5)*x1)", 1, (1, "no order found up to 1\n", "")),
+        ("(z(3)*x2 + x1^2, z(5)*x1)", 10, (2, "", "error: mixed primes 5 and 3\n")),
+    ])
+    def test_order_of_a_non_triangular_map_divides_w(self, endo, max_order, expected):
+        assert fresh_process("order", endo, "--max-order", str(max_order),
+                             timeout=5) == expected
 
     def test_order_not_found_under_a_large_bound(self, capsys):
         # infinite order is read off the scalars, so the bound sets no work

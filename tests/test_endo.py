@@ -228,24 +228,27 @@ def map_degree(psi):
     return max(psi.f1.degree, psi.f2.degree)
 
 
-def finite_order_cases(seed, count):
-    """(psi, max_order) for psi = w^-1 * D * w with w = t * swap: t is
-    triangular with deg g = 2 and D is diagonal with roots of order at most 4
-    in the 2- or the 3-tower.  max_order is the order minus one, the order,
-    or 12."""
-    rng = random.Random(seed)
+def swap_conjugate(rng, L):
+    """w^-1 * L * w with w = t * swap, t triangular with deg g = 2."""
     swap = parse_endo("(x2, x1)")
-    roots = {2: [CycNum.zeta(2, n, j) for n in (0, 1, 2) for j in range(2 ** n)],
-             3: [CycNum.zeta(3, 1, j) for j in range(3)]}
+    g = x2() ** 2 * rng.choice(NONZERO_POOL) + x2() * rng.choice(COEFF_POOL)
+    t = TriangularAffine(x1() * rng.choice(NONZERO_POOL) + g,
+                         x2() * rng.choice(NONZERO_POOL) + rng.choice(COEFF_POOL))
+    return compose(compose(compose(swap, t.inverse()), L), compose(t, swap))
+
+
+def finite_order_cases(seed, count):
+    """(psi, order, max_order) for psi = swap_conjugate(L), L diagonal with
+    roots of order up to p^2 in the p-tower, p in {2, 3, 5}: orders 4, 9 and
+    25 reach divisors of W that 12 is not.  order is brute_order(psi, 25);
+    max_order is the order minus one, the order, or 60."""
+    rng = random.Random(seed)
     for _ in range(count):
-        p = rng.choice((2, 3))
-        g = x2() ** 2 * rng.choice(NONZERO_POOL) + x2() * rng.choice(COEFF_POOL)
-        t = TriangularAffine(x1() * rng.choice(NONZERO_POOL) + g,
-                             x2() * rng.choice(NONZERO_POOL) + rng.choice(COEFF_POOL))
-        d = TriangularAffine.scaling(rng.choice(roots[p]), rng.choice(roots[p]))
-        psi = compose(compose(compose(swap, t.inverse()), d), compose(t, swap))
-        order = brute_order(psi, 12)
-        yield psi, rng.choice((order - 1, order, 12)) or 1
+        p = rng.choice((2, 3, 5))
+        psi = swap_conjugate(rng, TriangularAffine.scaling(tower_root(rng, p, 2),
+                                                           tower_root(rng, p, 2)))
+        order = brute_order(psi, 25)
+        yield psi, order, rng.choice((order - 1, order, 60)) or 1
 
 
 def squaring_order(psi, max_order):
@@ -503,25 +506,36 @@ class TestOrder:
 
     @pytest.mark.parametrize("text,order", [
         ("(x2, x1 + 1)", None), ("(x2, -x1 - x2 + 1)", 3), ("(x2, z(8)*x1)", 16),
-        ("(x2, -z(9)*x1 + 1)", 36), ("(-x1 + x2, x1)", None), ("(x1, x1)", None)])
+        ("(x2, -z(9)*x1 + 1)", 36), ("(-x1 + x2, x1)", None), ("(x1, x1)", None),
+        # non-affine maps whose powers never outgrow them
+        ("(x1, x2 + x1^2)", None), ("(2*x1, x2 + x1^2)", None),
+        ("(z(1024)*x1, x2 + x1^2)", 1024)])
     def test_affine_order_is_a_divisor_of_w(self, text, order, monkeypatch):
         # at most log2(W) squares and one product per bit of each divisor,
         # whatever the bound
         calls = []
-        monkeypatch.setattr(endo, "compose", lambda phi, psi: calls.append(1) or compose(phi, psi))
+
+        def counted(phi, psi):
+            calls.append(1)
+            assert len(calls) <= 200, "composed past the divisors of W"
+            return compose(phi, psi)
+
+        monkeypatch.setattr(endo, "compose", counted)
         assert endo_order(parse_endo(text), 10 ** 12) == order
-        assert len(calls) < 200
 
     def test_two_tower_affine_map_keeps_its_error(self):
-        # the first power is psi*psi, as in the composition loop
-        psi = parse_endo("(z(3)*x2, z(5)*x1)")
-        with pytest.raises(DomainMismatchError, match="^mixed primes 5 and 3$"):
-            brute_order(psi, 10)
-        with pytest.raises(DomainMismatchError, match="^mixed primes 5 and 3$"):
-            endo_order(psi, 10)
+        # the first power is psi*psi, as in the composition loop; under a
+        # bound of 1 no power is formed, so no two scalars meet
+        for text in ("(z(3)*x2, z(5)*x1)", "(z(3)*x2 + x1^2, z(5)*x1)"):
+            psi = parse_endo(text)
+            with pytest.raises(DomainMismatchError, match="^mixed primes 5 and 3$"):
+                brute_order(psi, 10)
+            with pytest.raises(DomainMismatchError, match="^mixed primes 5 and 3$"):
+                endo_order(psi, 10)
+            assert endo_order(psi, 1) is None
 
     @pytest.mark.parametrize("text,order", [("(x2, x1)", 2), ("(x2, -x1)", 4)])
-    def test_non_triangular_maps_take_the_loop(self, text, order):
+    def test_non_triangular_maps_take_the_divisor_scan(self, text, order):
         psi = parse_endo(text)
         assert endo_order(psi, order) == order
         assert endo_order(psi, order - 1) is None
@@ -534,9 +548,8 @@ class TestOrder:
         assert endo_order(parse_endo(text), 30) == order
 
     def test_conjugated_diagonal_maps_match_composition_loop(self):
-        degrees = set()
-        for psi, max_order in finite_order_cases(101, 40):
-            order = brute_order(psi, 12)
+        degrees, orders = set(), set()
+        for psi, order, max_order in finite_order_cases(101, 40):
             assert endo_order(psi, max_order) == brute_order(psi, max_order), str(psi)
             power = psi
             for _ in range(order):
@@ -544,8 +557,22 @@ class TestOrder:
                 assert map_degree(power) <= map_degree(psi), str(psi)
                 power = compose(power, psi)
             degrees.add(map_degree(psi))
+            orders.add(order)
         # degree 1 where the x2^2 term of t cancels, degree 2 where it stays
         assert degrees == {1, 2}
+        assert {4, 9, 25} <= orders
+
+    def test_conjugated_shifts_have_no_order(self):
+        rng = random.Random(103)
+        for _ in range(12):
+            psi = swap_conjugate(rng, TriangularAffine.shift(x2() ** 2 * rng.choice(NONZERO_POOL)))
+            # brute_order(psi, 60) is None, and no power outgrows psi, so the
+            # degree stop cannot decide: the divisors of W do
+            power = psi
+            for _ in range(60):
+                assert power != PlaneEndo.identity() and map_degree(power) <= map_degree(psi)
+                power = compose(power, psi)
+            assert endo_order(psi, 10 ** 12) is None
 
     def test_degree_stop_ends_infinite_order(self, monkeypatch):
         # deg psi^k = 2^k: psi^2 already outgrows psi, so one composition decides
