@@ -228,7 +228,7 @@ COMMANDS = (
      (("first", {}), ("second", {}))),
     ("invert", "inverse of a triangular-affine map", _cmd_invert, (("endo", {}),)),
     ("order", "multiplicative order: closed form for triangular-affine maps, "
-              "else powers until one outgrows it", _cmd_order,
+              "else the least divisor of W whose power is the identity", _cmd_order,
      (("endo", {}), ("--max-order", {"type": int, "default": 256}))),
     ("conjugate", "theta^-1 * psi * theta", _cmd_conjugate,
      (("endo", {}), ("--theta", {"required": True}))),

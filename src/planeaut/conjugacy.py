@@ -145,11 +145,6 @@ def _root_power_solution(p: int, a: int, u: int, target: RootOfUnity) -> RootOfU
     return RootOfUnity(p, a + level, e0)
 
 
-def _beta_power(scale: CycNum, root: RootOfUnity, e: int) -> CycNum:
-    """(scale * root)^e, scale rational, without big field exponentiations."""
-    return scale ** e * (root ** e).to_field()
-
-
 def _matches(a: CoeffSequence, b: CoeffSequence, k: int, gamma, beta_power,
              g_k: CycNum = CycNum.zero()) -> bool:
     """Whether g_k = gamma*b_k - a_k*beta^(p^k+1), where beta_power(e) is
@@ -193,11 +188,13 @@ def _candidates_from(a: CoeffSequence, b: CoeffSequence, start: int,
     for scale, root in raw:
         if infinite_support and not (scale.is_one or scale.is_minus_one):
             continue
-        gamma = a_over_b * _beta_power(scale, root, exponent_of(p, k_star))
+        # a rational times a root: each power is one exponent product
+        beta = scale * root.to_field()
+        gamma = a_over_b * beta ** exponent_of(p, k_star)
         # all is periodic past max(join, root.level, 1), so one more period
         # decides every k >= start; where a_k = 0 the condition does not involve
         # beta, which spares scale^(p^k+1) past a finite support
-        if all(_matches(a, b, k, gamma, lambda e: _beta_power(scale, root, e))
+        if all(_matches(a, b, k, gamma, beta.__pow__)
                for k in range(start, max(join, root.level, 1) + period)):
             return (scale, root, gamma)
     return None

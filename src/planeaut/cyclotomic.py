@@ -11,15 +11,17 @@ factor 1 is CycNum.sum) reduces once in all.
 Products, sums and exponent maps accumulate integer numerators in a list
 indexed by exponent while phi(m) <= DENSE_PHI_LIMIT, else in a dict, and one
 canonicalizer, CycNum._canon, folds them below phi(m), reads the terms off
-in exponent order, demotes and takes one gcd with the denominator.  A
-product with a rational factor is a scaling, by 1 the other operand, a
+in exponent order, demotes and takes one gcd with the denominator; every
+other value is built from (exponent, numerator) pairs by _from_exponent_map.
+A product with a rational factor is a scaling, by 1 the other operand, a
 product of two one-term values one exponent sum modulo p^n and a power of a
-one-term value one exponent product, with no accumulator.
+rational times a root one exponent product, with no accumulator.
 The form is canonical: a value is stored at the lowest level that contains
 it (plain rationals at level 0, zero as no terms over 1), so equality is a
 plain tuple comparison.  A root zeta^j of order p^n (0 < j < p^n) is one term
 when j < phi = phi(p^n), and otherwise the p - 1 terms -zeta^(j - phi +
-i*p^(n-1)), i < p - 1, so one term for every p = 2 root.  A rational is a
+i*p^(n-1)), i < p - 1, so one term for every p = 2 root; CycNum._scaled_root
+alone reads that layout.  A rational is a
 level-0 value; a Fraction is accepted on input, returned only by as_fraction
 and imported there on use; str writes each numerator over den in lowest terms.
 
@@ -232,17 +234,35 @@ class CycNum:
         return cls._monomial(p, level, exp, 1)
 
     @classmethod
-    def _from_exponent_map(cls, p: int, n: int, emap: dict[int, int],
+    def _from_exponent_map(cls, p: int | None, n: int, pairs,
                            den: int = 1) -> "CycNum":
-        """Reduce a zeta-exponent/numerator map, any int exponents, over den
-        modulo the cyclotomic polynomial (_canon)."""
-        m = p ** n
+        """The canonical form of sum(c * zeta_{p^n}^e for e, c in pairs) /
+        den: any int exponents, a repeated one summed, reduced modulo the
+        cyclotomic polynomial (_canon); at level 0 (p may be None) every
+        exponent reads as 0."""
+        m = p ** n if n else 1
         acc = _accumulator(phi_prime_power(p, n), m)
-        for e, c in emap.items():
+        for e, c in pairs:
             acc[e % m] += c
         return cls._canon(p, n, acc, den)
 
     # -- queries -----------------------------------------------------------
+
+    def _scaled_root(self) -> tuple[int, int] | None:
+        """(c, j) with the value c/den * zeta^j, zeta of order p^level (j = 0
+        at level 0), if it is a rational times a root of unity: one term c at
+        j < phi, or -c on the p - 1 exponents j - phi + i*p^(level-1); else
+        None."""
+        terms = self.terms
+        if len(terms) == 1:
+            (j, c), = terms
+            return c, j
+        if not terms or len(terms) != self.prime - 1:
+            return None
+        (j, c), q = terms[0], self.prime ** (self.level - 1)
+        if terms != tuple([(j + i * q, c) for i in range(len(terms))]):
+            return None
+        return -c, j + q * len(terms)
 
     @property
     def is_zero(self) -> bool:
@@ -393,24 +413,19 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        """Inverse: c*zeta^j/den, a rational times a root of unity (one term,
-        or the p - 1 terms -c*zeta^(j + i*q) for j + phi), is den/c * zeta^-j
-        at any level; any other value is inverted by _norm_inverse in a
-        field of degree up to MAX_INVERSE_DEGREE, and raises ValueError in a
-        larger one."""
+        """Inverse: a rational times a root of unity, c*zeta^j/den
+        (_scaled_root), is den/c * zeta^-j at any level; any other value is
+        inverted by _norm_inverse in a field of degree up to
+        MAX_INVERSE_DEGREE, and raises ValueError in a larger one."""
         if self.is_zero:
             raise ZeroDivisionError("division by zero in the cyclotomic field")
-        p, n, terms = self.prime, self.level, self.terms
-        j, c = terms[0]
-        if len(terms) > 1:
-            q = p ** (n - 1)
-            if len(terms) == p - 1 and terms == tuple((j + i * q, c) for i in range(p - 1)):
-                j, c = j + q * (p - 1), -c
-            elif q * (p - 1) > MAX_INVERSE_DEGREE:
-                raise ValueError(f"inverse of a {len(terms)}-term value in a field of degree "
-                                 f"{q * (p - 1)}, over the budget of {MAX_INVERSE_DEGREE}")
-            else:
-                return self._norm_inverse()
+        p, n = self.prime, self.level
+        if (root := self._scaled_root()) is None:
+            if (phi := phi_prime_power(p, n)) > MAX_INVERSE_DEGREE:
+                raise ValueError(f"inverse of a {len(self.terms)}-term value in a field "
+                                 f"of degree {phi}, over the budget of {MAX_INVERSE_DEGREE}")
+            return self._norm_inverse()
+        c, j = root
         sign = 1 if c > 0 else -1
         if not n:
             return CycNum(None, 0, ((0, sign * self.den),), sign * c)
@@ -431,7 +446,7 @@ class CycNum:
             p, n = norm.prime, norm.level
             q = p ** (n - 1)
             c = reduce(mul, [CycNum._from_exponent_map(
-                p, n, {i * a: x for i, x in norm.terms}, norm.den)
+                p, n, [(i * a, x) for i, x in norm.terms], norm.den)
                 for a in range(1 + q, p ** n, q)])
             cofactor, norm = cofactor * c, norm * c
         (_, num), = norm.terms
@@ -461,9 +476,9 @@ class CycNum:
             (_, num), = self.terms
             return CycNum(None, 0, ((0, num ** exponent),), self.den ** exponent)
         # squaring instead: formula benchmark 29 % slower (CPython 3.11, x86-64)
-        if exponent and len(self.terms) == 1:
-            (i, c), = self.terms
-            return CycNum._monomial(self.prime, self.level, i * exponent,
+        if exponent and (root := self._scaled_root()) is not None:
+            c, j = root
+            return CycNum._monomial(self.prime, self.level, j * exponent,
                                     c ** exponent, self.den ** exponent)
         result = CycNum.one()
         base = self
@@ -642,41 +657,32 @@ class RootOfUnity:
 def root_of_unity_splits(u: CycNum, p: int) -> list[tuple[CycNum, RootOfUnity]]:
     """Every split u = q * omega, q a level-0 CycNum, omega in C_{p^infty}.
 
-    Read off the canonical terms at level n = max(level, 1) (a rational's
-    single term sits at exponent 0 on every level): q * zeta^j is the single
-    term q at j < phi, else the p-1 terms -q on the stride p^(n-1) from
-    j - phi; for p = 2 both shapes are one term, giving two splits.
+    u = c/den * zeta^j (CycNum._scaled_root) splits as q = c/den and omega =
+    zeta_{p^n}^j, n = max(level, 1); for p = 2 also as -q and
+    zeta^(j + p^n/2), giving two splits.
     """
     _check_prime(p)
-    if u.level and u.prime != p:
+    if u.level and u.prime != p or (root := u._scaled_root()) is None:
         return []
+    c, j = root
     n = max(u.level, 1)
-    phi = phi_prime_power(p, n)
-    terms = u.terms
-    if len(terms) == 1:
-        (j, c), = terms
-        q = CycNum(None, 0, ((0, c),), u.den)
-        splits = [(q, RootOfUnity(p, n, j))]
-        if p == 2:
-            splits.append((-q, RootOfUnity(p, n, j + phi)))
-        return splits
-    if len(terms) == p - 1:
-        j, c = terms[0]
-        if terms == tuple((j + i * p ** (n - 1), c) for i in range(p - 1)):
-            return [(CycNum(None, 0, ((0, -c),), u.den), RootOfUnity(p, n, j + phi))]
-    return []
+    q = CycNum(None, 0, ((0, c),), u.den)
+    splits = [(q, RootOfUnity(p, n, j))]
+    if p == 2:
+        splits.append((-q, RootOfUnity(p, n, j + 2 ** (n - 1))))
+    return splits
 
 
 def multiplicative_order(u: CycNum) -> int | None:
     """Smallest t >= 1 with u^t = 1, or None if u is not a root of unity.
 
-    Only +-omega has finite order (a rational u is read in the 2-tower).
-    -omega has order lcm(2, order of omega), or less for p = 2, where the
-    split with q = 1 is listed as well, so the least candidate is the order.
+    Only +-zeta^j has finite order.  zeta^j at its minimal level n has
+    order p^n (p does not divide j), and -zeta^j has lcm(2, p^n), which is
+    p^n for p = 2, where -zeta^j is a root of the same order.
     """
-    return min((lcm(2, omega.order) if q.is_minus_one else omega.order
-                for q, omega in root_of_unity_splits(u, u.prime or 2)
-                if q.is_one or q.is_minus_one), default=None)
+    if u.den != 1 or (root := u._scaled_root()) is None or root[0] not in (1, -1):
+        return None
+    return lcm(2 if root[0] < 0 else 1, u.modulus())
 
 
 def as_root_of_unity(u: CycNum, p: int) -> RootOfUnity | None:

@@ -13,10 +13,10 @@ let w = alpha^(d-1) != 1 have order m; then sum_{i<m} i w^i = m/(w - 1), so
 
     1/(alpha^d - alpha) = alpha^-1 * (1/m) * sum_{i<m} i w^i,
 
-one exponent map over the denominator m, reduced once, in a field of degree
-phi(m) at most MAX_INVERSE_DEGREE, as for a dense inverse.  The orientation of
-that formula is pinned by the composition check run on every solution,
-target*theta = theta*h, which makes no inverse either.
+one sum of (exponent, numerator) pairs over the denominator m, reduced once,
+in a field of degree phi(m) at most MAX_INVERSE_DEGREE, as for a dense
+inverse.  The orientation of that formula is pinned by the composition check
+run on every solution, target*theta = theta*h, which makes no inverse either.
 
 On the shift-conjugate of diag(alpha) the solve gives g_d = -a_k at each
 d = p^k+1 with k < level(alpha) and a_k != 0, so minimal_linearizer_degree
@@ -28,7 +28,7 @@ from __future__ import annotations
 from math import gcd
 
 from .cyclotomic import (MAX_INVERSE_DEGREE, CycNum, RootOfUnity,
-                         multiplicative_order, root_of_unity_splits)
+                         multiplicative_order)
 from .poly import SparsePoly
 # conjugate and conj_closed_form are unused here, but perfbench/tracing.py
 # wraps them under these names
@@ -67,23 +67,19 @@ class LinearizationResult:
 
 def _inverse_gap(alpha: CycNum, order: int, d: int) -> CycNum:
     """1/(alpha^d - alpha), alpha^(d-1) != 1, in the sum_{i<m} i w^i form
-    above.  With alpha = sign * zeta_{p^n}^r (a rational alpha read in the
-    2-tower), the i-th term is sign^t * zeta^(r*t), t = i*(d-1) - 1, read
-    modulo 2 and p^n, so d = 0 forms no negative power.  w lies in
+    above.  With alpha = sign * zeta_{p^n}^r (CycNum._scaled_root; a rational
+    alpha is +-1 at n = 0), the i-th term is sign^t * zeta^(r*t), t = i*(d-1)
+    - 1, read modulo 2 and p^n, so d = 0 forms no negative power.  w lies in
     Q(zeta_q), q = gcd(m, p^n) the p-part of m, of degree phi(q)."""
-    sign, omega = next(split for split in root_of_unity_splits(alpha, alpha.prime or 2)
-                       if split[0].is_one or split[0].is_minus_one)
-    p, n, r = omega.prime, max(omega.level, 1), omega.exp
-    pn, m = p ** n, order // gcd(order, d - 1)
-    if (phi := (q := gcd(m, pn)) - q // p) > MAX_INVERSE_DEGREE:
+    sign, r = alpha._scaled_root()
+    p, n = alpha.prime or 2, alpha.level
+    m = order // gcd(order, d - 1)
+    if (phi := (q := gcd(m, p ** n)) - q // p) > MAX_INVERSE_DEGREE:
         raise ValueError(f"inverse of alpha^{d} - alpha in a field of degree {phi}, "
                          f"over the budget of {MAX_INVERSE_DEGREE}")
-    emap: dict[int, int] = {}
-    for i in range(1, m):
-        t = i * (d - 1) - 1
-        e = r * t % pn
-        emap[e] = emap.get(e, 0) + (-i if sign.is_minus_one and t % 2 else i)
-    return CycNum._from_exponent_map(p, n, emap, m)
+    return CycNum._from_exponent_map(p, n, [
+        (r * (t := i * (d - 1) - 1), -i if sign < 0 and t % 2 else i)
+        for i in range(1, m)], m)
 
 
 def solve_linearization(target: PlaneEndo, degree_bound: int) -> LinearizationResult:

@@ -23,7 +23,7 @@ monomial x1[^a][*x2[^b]] or x2[^b], or a coefficient '*' a monomial, where a
 coefficient is a q, z(m), z(m)^e or q*z(m)^e term (q an INT or INT/INT,
 after any unary '-') or a parenthesized chain of them, is read in one
 regular-expression match (a chain of scalar terms alone by a narrower
-pattern): each monomial's terms go into one accumulator, reduced once, and
+pattern): each monomial's terms are reduced once, by the field's builder, and
 each z(m) spelling is decoded once, so a long literal, the printers' output
 among them, reads in linear time.  The descent, one left fold per
 precedence level, reads every other expr, and each such chain with a
@@ -51,8 +51,8 @@ from math import lcm
 from operator import add, mul, sub
 
 from .cyclotomic import (_CYC_MINUS_ONE, _CYC_ONE, MAX_POWER_BITS, PRIME_LIMIT,
-                         CycNum, DomainMismatchError, _accumulator,
-                         over_power_budget, phi_prime_power, prime_power_decompose)
+                         CycNum, DomainMismatchError, over_power_budget,
+                         prime_power_decompose)
 from .poly import SparsePoly, _coerce_poly, _raw
 from .endo import PlaneEndo, TriangularAffine
 
@@ -174,12 +174,10 @@ def _gather(entries) -> tuple | None:
 
 def _reduce(prime: int | None, level: int, den: int, entries) -> CycNum:
     """The sum of the (numerator, divisor, m, e) terms numerator/divisor *
-    z(m)^e, lifted into one accumulator over den and reduced once."""
+    z(m)^e, lifted to z(top)^(e*top/m) over den and reduced once."""
     top = prime ** level if level else 1
-    acc = _accumulator(phi_prime_power(prime, level), top)
-    for k, d, m, e in entries:
-        acc[e % m * (top // m)] += k * (den // d)
-    return CycNum._canon(prime, level, acc, den)
+    return CycNum._from_exponent_map(prime, level, [
+        (e * (top // m), k * (den // d)) for k, d, m, e in entries], den)
 
 
 @cache
@@ -263,8 +261,8 @@ class _Parser:
     def chain(self) -> CycNum | SparsePoly | None:
         """The value of a chain of coefficient-times-monomial terms that is
         the whole expression, up to ')', ',' or the end, read in one match:
-        each monomial's rationals and roots are added into one accumulator
-        and reduced once, and zero sums dropped.  A SparsePoly where some
+        each monomial's rationals and roots are reduced once, as (exponent,
+        numerator) pairs, and zero sums dropped.  A SparsePoly where some
         term names x1 or x2, else a CycNum; None where the descent must read
         it: another shape, a monomial that recurs after another monomial's
         term, two primes in one monomial's sum, a zero divisor, a z(m)

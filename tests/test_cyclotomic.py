@@ -419,6 +419,24 @@ def test_rational_power_matches_fractions(q, e):
     assert is_canonical(w)
 
 
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (3, 20)])
+def test_p_minus_one_term_root_powers_by_one_exponent_product(monkeypatch, p, n):
+    """A rational times the root zeta^-1 is p - 1 terms, and its power is
+    one _monomial, with no product (CycNum.dot), at any exponent."""
+    j = p ** n - 1
+    cases = [(c, e) for c, es in ((Fraction(-2, 3), (1, 2, p, 41)), (Fraction(1), (10 ** 12,)),
+                                  (Fraction(-1), (10 ** 12 - 1, 3 ** 25))) for e in es]
+    expected = [CycNum._monomial(p, n, j * e, c.numerator ** e, c.denominator ** e)
+                for c, e in cases]
+    bases = [zeta(p, n, j) * c for c, _ in cases]
+    assert all(len(u.terms) == p - 1 for u in bases)
+    calls = []
+    dot = CycNum.dot
+    monkeypatch.setattr(CycNum, "dot", staticmethod(lambda pairs: calls.append(1) or dot(pairs)))
+    assert [u ** e for u, (_, e) in zip(bases, cases)] == expected
+    assert calls == []
+
+
 class TestRootOfUnity:
     def test_to_field_examples(self):
         assert RootOfUnity(2, 1, 1).to_field() == -1
@@ -782,22 +800,30 @@ class TestKernelOracle:
                 pairs = [(rng.choice(vals), rng.choice(vals)) for _ in range(size)]
                 expected = reduced(sum((to_ring(a) * to_ring(b) for a, b in pairs), x * 0))
                 assert as_tuple(CycNum.dot(pairs)) == expected
-            # one-term values: a product of two is one exponent sum, and a
-            # power one exponent product, each past phi for some
+            # one-term values and rational multiples of roots zeta^j, j >=
+            # phi (p - 1 terms for odd p): a product of two one-term values
+            # is one exponent sum, and a power or an inverse of any of them
+            # one exponent product, each past phi for some
             roots = [v for v in self.values(rng, p, n, 6, max_terms=1) if len(v.terms) == 1]
+            if n:
+                roots += [zeta(p, n, rng.randrange(phi_prime_power(p, n), m))
+                          * Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 2, 10]))
+                          for _ in range(3)]
             for u in roots:
                 for v in roots:
                     assert as_tuple(u * v) == reduced(to_ring(u) * to_ring(v))
                 k = rng.choice([2, 3, p, p + 1])
                 assert as_tuple(u ** k) == reduced(to_ring(u) ** k)
-            if n:
-                # exponents below zero and past p^n, any denominator
-                emap = {rng.randrange(-3 * m, 3 * m): rng.choice([1, -2, 3, 6])
-                        for _ in range(rng.randint(1, 4))}
-                den = rng.choice([1, 2, 6, 35])
-                expected = reduced(sum((x ** (e % m) * Fraction(c, den)
-                                        for e, c in emap.items()), x * 0))
-                assert as_tuple(CycNum._from_exponent_map(p, n, emap, den)) == expected
+                assert reduced(to_ring(u) * to_ring(u.inverse())) == (None, 0, ((0, 1),), 1)
+            # exponents below zero and past p^n, one repeated modulo p^n (every
+            # exponent at level 0), any denominator
+            emap = {rng.randrange(-3 * m, 3 * m): rng.choice([1, -2, 3, 6])
+                    for _ in range(rng.randint(1, 4))}
+            emap[next(iter(emap)) + m] = rng.choice([1, -2, 3, 6])
+            den = rng.choice([1, 2, 6, 35])
+            expected = reduced(sum((x ** (e % m) * Fraction(c, den)
+                                    for e, c in emap.items()), x * 0))
+            assert as_tuple(CycNum._from_exponent_map(p, n, emap.items(), den)) == expected
 
     @pytest.mark.parametrize("p,n", ORACLE_FIELDS)
     def test_field_operations(self, bound, p, n):
